@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import map_coordinates
 
 from .diagonal import build_diag_tables, ncc_diag, ncc_diag_fast
 from .errors import UnalignableError, UndefinedMetricError
@@ -118,6 +119,8 @@ def estimate_disparity(
 
     Blocks with no valid shift anywhere are marked invalid. Deterministic
     given the arguments (the stream method's noise is seeded per block).
+    This is the boundary where both whole images are validated; each
+    kernel then validates only the pixels it reads.
     """
     t = validate_image(template, "template")
     ref = validate_image(reference, "reference")
@@ -238,19 +241,16 @@ def bilinear_grid_sample(
     query_y: np.ndarray,
 ) -> np.ndarray:
     """Evaluate bilinear interpolation of ``values`` (len(cy) x len(cx) samples)
-    at the outer product of query coordinates; constant beyond the hull."""
+    at the outer product of query coordinates; constant beyond the hull.
+
+    Separable: values are first interpolated along y at every query row
+    (a len(qy) x len(cx) grid), then along x. Equal to the four-corner
+    blend up to rounding, and exactly so when the products are exact.
+    """
     j0, j1, wx = _axis_weights(np.asarray(centers_x, dtype=np.float64), np.asarray(query_x, dtype=np.float64))
     i0, i1, wy = _axis_weights(np.asarray(centers_y, dtype=np.float64), np.asarray(query_y, dtype=np.float64))
-    w00 = (1.0 - wy)[:, None] * (1.0 - wx)[None, :]
-    w01 = (1.0 - wy)[:, None] * wx[None, :]
-    w10 = wy[:, None] * (1.0 - wx)[None, :]
-    w11 = wy[:, None] * wx[None, :]
-    return (
-        values[np.ix_(i0, j0)] * w00
-        + values[np.ix_(i0, j1)] * w01
-        + values[np.ix_(i1, j0)] * w10
-        + values[np.ix_(i1, j1)] * w11
-    )
+    rows = values[i0] * (1.0 - wy)[:, None] + values[i1] * wy[:, None]
+    return rows[:, j0] * (1.0 - wx) + rows[:, j1] * wx
 
 
 def interpolate_disparity(
@@ -278,32 +278,19 @@ def interpolate_disparity(
 def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndarray]:
     """Resample the template through the dense field (inverse mapping).
 
-    output(x, y) = template(x - du(x, y), y - dv(x, y)), bilinear. Returns
-    the warped image and a validity mask; samples falling outside the
-    template are masked out (and set to 0).
+    output(x, y) = template(x - du(x, y), y - dv(x, y)), bilinear, via
+    ``map_coordinates(order=1)``. Returns the warped image and a validity
+    mask; samples falling outside the template are masked out (and set
+    to 0). Validates the whole template.
     """
     t = validate_image(template)
     h, w = t.shape
     if dense.du.shape != t.shape or dense.dv.shape != t.shape:
         raise ValueError(f"dense field {dense.du.shape} does not match template {t.shape}")
-    ys, xs = np.indices((h, w))
-    sx = xs - dense.du
-    sy = ys - dense.dv
+    sx = np.arange(w) - dense.du
+    sy = np.arange(h)[:, None] - dense.dv
     mask = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
-
-    x0 = np.clip(np.floor(sx), 0, w - 1).astype(np.int64)
-    y0 = np.clip(np.floor(sy), 0, h - 1).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    wx = np.clip(sx - x0, 0.0, 1.0)
-    wy = np.clip(sy - y0, 0.0, 1.0)
-
-    out = (
-        t[y0, x0] * (1.0 - wy) * (1.0 - wx)
-        + t[y0, x1] * (1.0 - wy) * wx
-        + t[y1, x0] * wy * (1.0 - wx)
-        + t[y1, x1] * wy * wx
-    )
+    out = map_coordinates(t, (sy, sx), order=1, mode="nearest")
     out[~mask] = 0.0
     return out, mask
 

@@ -317,7 +317,7 @@ def cmd_align(args) -> int:
     comments = config.comment_lines("image")
     save_pgm(_normalized_map(result.dense.du), out / "disparity_x.pgm", comments=comments)
     save_pgm(_normalized_map(result.dense.dv), out / "disparity_y.pgm", comments=comments)
-    save_pgm(np.clip(result.warped, 0.0, 1.0), out / "aligned.pgm", comments=comments)
+    save_pgm(result.warped, out / "aligned.pgm", comments=comments)
 
     _write_csv(out / "metrics.csv", config, "metrics",
                ("corr_before", "corr_after", "improvement_pct"),

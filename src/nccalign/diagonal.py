@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .images import GrayImage, validate_image
 from .ncc import (
@@ -23,7 +24,7 @@ from .ncc import (
     CorrelationMap,
     OpCounter,
     ShiftRange,
-    _inbounds_ranges,
+    _validate_kernel_inputs,
     block_stats,
 )
 
@@ -117,6 +118,7 @@ class DiagTables:
 
 
 def build_diag_tables(reference: GrayImage) -> DiagTables:
+    """Diagonal prefix tables of the whole reference, which is validated here."""
     arr = validate_image(reference)
     h, w = arr.shape
     sq = arr * arr
@@ -151,13 +153,11 @@ def ncc_diag(
 
     Means and variance sums use the diagonal samples only. Flags match the
     full-NCC conventions (the whole shifted window must stay in bounds).
+    Validates the template block and the reference region it reads.
     """
     _check_orientation(orientation)
-    t = validate_image(template_block, "template_block")
-    ref = validate_image(reference, "reference")
+    t, ref, _ = _validate_kernel_inputs(template_block, reference, origin, shifts)
     d = _check_square(t)
-    if d > ref.shape[0] or d > ref.shape[1]:
-        raise ValueError(f"template block {t.shape} larger than reference {ref.shape}")
     x0, y0 = origin
 
     t_diag = extract_diagonal(t, orientation).samples
@@ -193,6 +193,14 @@ def ncc_diag(
     return CorrelationMap(shifts=shifts, values=values, validity=validity)
 
 
+def _run_start(values, name: str) -> int:
+    """First element of a non-empty run of consecutive ascending integers."""
+    values = np.asarray(values)
+    if values.ndim != 1 or values.size == 0 or np.any(np.diff(values) != 1):
+        raise ValueError(f"{name} must be a non-empty run of consecutive shifts")
+    return int(values[0])
+
+
 def gather_window_diagonals(
     reference: np.ndarray,
     origin: tuple[int, int],
@@ -201,12 +209,35 @@ def gather_window_diagonals(
     dv_values: np.ndarray,
     orientation: str,
 ) -> np.ndarray:
-    """Diagonal samples of every shifted window: shape (n_dv, n_du, D)."""
+    """Diagonal samples of every shifted window: shape (n_dv, n_du, D).
+
+    ``du_values``/``dv_values`` are runs of consecutive ascending shifts.
+    The samples are read through a strided view of ``reference``: strides
+    (row, col, row + col) for the main diagonal, and (row, col, col - row)
+    from row y + D - 1 for the anti-diagonal. A strided view is not bounds
+    checked, so a window that would leave the reference raises ValueError
+    first. The result is a C-contiguous copy. Reads pixels without
+    validating them; the calling kernel validates the region.
+    """
+    _check_orientation(orientation)
+    h, w = reference.shape
     x0, y0 = origin
-    row_off, col_off = _diag_offsets(d, orientation)
-    rows = (y0 + dv_values)[:, None] + row_off[None, :]
-    cols = (x0 + du_values)[:, None] + col_off[None, :]
-    return reference[rows[:, None, :], cols[None, :, :]]
+    left = x0 + _run_start(du_values, "du_values")
+    top = y0 + _run_start(dv_values, "dv_values")
+    n_du, n_dv = len(du_values), len(dv_values)
+    if left < 0 or top < 0 or left + n_du - 1 + d > w or top + n_dv - 1 + d > h:
+        raise ValueError(
+            f"{d}x{d} windows at columns {left}..{left + n_du - 1}, rows {top}..{top + n_dv - 1} "
+            f"leave the {h}x{w} reference"
+        )
+    row, col = reference.strides
+    if orientation == "main":
+        view = as_strided(reference[top:, left:], (n_dv, n_du, d), (row, col, row + col),
+                          writeable=False)
+    else:
+        view = as_strided(reference[top + d - 1:, left:], (n_dv, n_du, d), (row, col, col - row),
+                          writeable=False)
+    return np.ascontiguousarray(view)
 
 
 def ncc_diag_fast(
@@ -221,14 +252,14 @@ def ncc_diag_fast(
     """Same contract as :func:`ncc_diag`; denominators via diagonal prefix tables.
 
     Per shift: D multiplies for the numerator plus O(1) table lookups for the
-    window's diagonal sum and sum of squares.
+    window's diagonal sum and sum of squares. Validates the template block
+    and the reference region it reads, not the whole reference.
     """
     _check_orientation(orientation)
-    t = validate_image(template_block, "template_block")
-    ref = validate_image(reference, "reference")
+    t, ref, (du_lo, du_hi, dv_lo, dv_hi) = _validate_kernel_inputs(
+        template_block, reference, origin, shifts
+    )
     d = _check_square(t)
-    if d > ref.shape[0] or d > ref.shape[1]:
-        raise ValueError(f"template block {t.shape} larger than reference {ref.shape}")
     if tables.shape != ref.shape:
         raise ValueError(f"diag tables built for {tables.shape}, reference is {ref.shape}")
     x0, y0 = origin
@@ -241,7 +272,6 @@ def ncc_diag_fast(
     values = np.zeros((shifts.n_dv, shifts.n_du))
     validity = np.full((shifts.n_dv, shifts.n_du), OUT_OF_BOUNDS, dtype=np.uint8)
 
-    du_lo, du_hi, dv_lo, dv_hi = _inbounds_ranges(origin, t.shape, ref.shape, shifts)
     if du_lo > du_hi or dv_lo > dv_hi:
         return CorrelationMap(shifts=shifts, values=values, validity=validity)
 

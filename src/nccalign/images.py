@@ -19,13 +19,24 @@ GrayImage = np.ndarray
 SUPPORTED_MAXVALS = (255, 65535)
 
 
-def validate_image(image: GrayImage, name: str = "image") -> np.ndarray:
-    """Check the GrayImage invariants and return the array as float64."""
+def image_array(image: GrayImage, name: str = "image") -> np.ndarray:
+    """Check the GrayImage shape invariants and return the array as float64.
+
+    Reads no pixel: kernels use it on the whole reference and then run
+    :func:`validate_image` on just the region they read.
+    """
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2D, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must have width and height >= 1, got {arr.shape}")
+    return arr
+
+
+def validate_image(image: GrayImage, name: str = "image") -> np.ndarray:
+    """Check the GrayImage invariants, finite pixels included, and return
+    the array as float64."""
+    arr = image_array(image, name)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite intensities")
     return arr
@@ -103,9 +114,9 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
         raise PgmError(f"unsupported maxval {maxval}, expected 255 or 65535")
     arr = validate_image(image)
     clamped = np.clip(arr, 0.0, 1.0)
-    quantized = np.floor(clamped * maxval + 0.5).astype(np.int64)
-    quantized = np.minimum(quantized, maxval)
     dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
+    # floor(c * maxval + 0.5) <= maxval for c <= 1, so the cast cannot wrap.
+    quantized = np.floor(clamped * maxval + 0.5).astype(dtype)
     height, width = arr.shape
     header = "P5\n"
     for comment in comments or ():
@@ -115,7 +126,7 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
     header += f"{width} {height}\n{maxval}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(quantized.astype(dtype).tobytes())
+        fh.write(quantized.tobytes())
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import correlate2d
 
-from .images import GrayImage, validate_image
+from .images import GrayImage, image_array, validate_image
 
 # Variance-sum threshold (on [0,1]-normalized intensities) below which a
 # window is treated as featureless.
@@ -190,7 +190,10 @@ def _window_lookup(table: np.ndarray, x0, y0, width: int, height: int):
 
 
 def build_sum_tables(image: GrayImage) -> SumTables:
-    """Prefix tables over the image; O(1) window sums and variances after."""
+    """Prefix tables over the image; O(1) window sums and variances after.
+
+    Validates the whole image, as the tables cover every pixel.
+    """
     arr = validate_image(image)
     h, w = arr.shape
     sum_table = np.zeros((h + 1, w + 1))
@@ -227,6 +230,32 @@ def _check_template_fits(template: np.ndarray, reference: np.ndarray) -> None:
         )
 
 
+def _validate_kernel_inputs(
+    template_block: GrayImage,
+    reference: GrayImage,
+    origin: tuple[int, int],
+    shifts: ShiftRange,
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int, int]]:
+    """Validate the template block and the reference pixels a kernel reads.
+
+    The reference is checked only over
+    ``ref[y0+dv_lo : y0+dv_hi+th, x0+du_lo : x0+du_hi+tw]``, the union of
+    the in-bounds shifted windows; the pipeline validates whole images once,
+    at its boundary. Returns the template, the reference (both float64) and
+    the clipped shift bounds of :func:`_inbounds_ranges`.
+    """
+    t = validate_image(template_block, "template_block")
+    ref = image_array(reference, "reference")
+    _check_template_fits(t, ref)
+    bounds = _inbounds_ranges(origin, t.shape, ref.shape, shifts)
+    du_lo, du_hi, dv_lo, dv_hi = bounds
+    if du_lo <= du_hi and dv_lo <= dv_hi:
+        x0, y0 = origin
+        th, tw = t.shape
+        validate_image(ref[y0 + dv_lo:y0 + dv_hi + th, x0 + du_lo:x0 + du_hi + tw], "reference")
+    return t, ref, bounds
+
+
 def ncc_full_naive(
     template_block: GrayImage,
     reference: GrayImage,
@@ -234,10 +263,11 @@ def ncc_full_naive(
     shifts: ShiftRange,
     counter: OpCounter | None = None,
 ) -> CorrelationMap:
-    """Direct evaluation: per shift, two-pass window mean and explicit sums."""
-    t = validate_image(template_block, "template_block")
-    ref = validate_image(reference, "reference")
-    _check_template_fits(t, ref)
+    """Direct evaluation: per shift, two-pass window mean and explicit sums.
+
+    Validates the template block and the reference region it reads.
+    """
+    t, ref, _ = _validate_kernel_inputs(template_block, reference, origin, shifts)
     th, tw = t.shape
     h, w = ref.shape
     x0, y0 = origin
@@ -285,10 +315,11 @@ def ncc_full_fast(
     Window means/variances come from the prefix tables; the numerator uses
     sum(r * (t - t_mean)), exact because the centered template sums to zero,
     evaluated as one direct cross-correlation sweep over the in-bounds shifts.
+    Validates the template block and the reference region it reads.
     """
-    t = validate_image(template_block, "template_block")
-    ref = validate_image(reference, "reference")
-    _check_template_fits(t, ref)
+    t, ref, (du_lo, du_hi, dv_lo, dv_hi) = _validate_kernel_inputs(
+        template_block, reference, origin, shifts
+    )
     if tables.shape != ref.shape:
         raise ValueError(f"sum tables built for {tables.shape}, reference is {ref.shape}")
     th, tw = t.shape
@@ -301,7 +332,6 @@ def ncc_full_fast(
     values = np.zeros((shifts.n_dv, shifts.n_du))
     validity = np.full((shifts.n_dv, shifts.n_du), OUT_OF_BOUNDS, dtype=np.uint8)
 
-    du_lo, du_hi, dv_lo, dv_hi = _inbounds_ranges(origin, t.shape, ref.shape, shifts)
     if du_lo > du_hi or dv_lo > dv_hi:
         return CorrelationMap(shifts=shifts, values=values, validity=validity)
 

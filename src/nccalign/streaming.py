@@ -28,7 +28,7 @@ from .diagonal import (
     extract_diagonal,
     gather_window_diagonals,
 )
-from .images import GrayImage, validate_image
+from .images import GrayImage
 from .ncc import (
     EPS_VAR,
     OUT_OF_BOUNDS,
@@ -37,7 +37,7 @@ from .ncc import (
     CorrelationMap,
     OpCounter,
     ShiftRange,
-    _inbounds_ranges,
+    _validate_kernel_inputs,
     block_stats,
 )
 
@@ -229,13 +229,14 @@ def ncc_stream(
     (template two-pass, reference from tables). Values are clamped to
     [-1, 1]; clamps are recorded per shift. Shifts whose zero-mean stream
     carries no energy (e.g. a degenerate alpha=1 filter) flag zero-variance.
+    Validates the template block and the reference region it reads; when
+    ``tables`` is None, building them validates the whole reference.
     """
     _check_orientation(orientation)
-    t = validate_image(template_block, "template_block")
-    ref = validate_image(reference, "reference")
+    t, ref, (du_lo, du_hi, dv_lo, dv_hi) = _validate_kernel_inputs(
+        template_block, reference, origin, shifts
+    )
     d = _check_square(t)
-    if d > ref.shape[0] or d > ref.shape[1]:
-        raise ValueError(f"template block {t.shape} larger than reference {ref.shape}")
     if noise is None:
         noise = NoiseModel()
     if ma_config is None:
@@ -257,7 +258,6 @@ def ncc_stream(
     validity = np.full((shifts.n_dv, shifts.n_du), OUT_OF_BOUNDS, dtype=np.uint8)
     clamped = np.zeros((shifts.n_dv, shifts.n_du), dtype=bool)
 
-    du_lo, du_hi, dv_lo, dv_hi = _inbounds_ranges(origin, t.shape, ref.shape, shifts)
     if du_lo > du_hi or dv_lo > dv_hi:
         return CorrelationMap(shifts=shifts, values=values, validity=validity, clamped=clamped)
 
