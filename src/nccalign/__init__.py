@@ -24,7 +24,6 @@ from .alignment import (
 )
 from .diagonal import (
     DiagTables,
-    DiagVector,
     build_diag_tables,
     extract_diagonal,
     ncc_diag,

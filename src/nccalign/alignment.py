@@ -6,6 +6,8 @@ perturbations used for robustness runs.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +132,7 @@ def estimate_disparity(
         raise ValueError(f"reference {ref.shape} smaller than template {t.shape}")
 
     sum_tables = build_sum_tables(ref) if method == "full-fast" else None
-    diag_tables = build_diag_tables(ref) if method in ("diag-fast", "stream") else None
+    diag_tables = build_diag_tables(ref, (orientation,)) if method in ("diag-fast", "stream") else None
 
     b = grid.block_size
     du = np.zeros((grid.rows, grid.cols))
@@ -244,13 +246,19 @@ def bilinear_grid_sample(
     at the outer product of query coordinates; constant beyond the hull.
 
     Separable: values are first interpolated along y at every query row
-    (a len(qy) x len(cx) grid), then along x. Equal to the four-corner
-    blend up to rounding, and exactly so when the products are exact.
+    (a len(qy) x len(cx) grid), then along x, in place, so the x-blend
+    holds two full-size arrays. Equal to the four-corner blend up to
+    rounding, and exactly so when the products are exact.
     """
     j0, j1, wx = _axis_weights(np.asarray(centers_x, dtype=np.float64), np.asarray(query_x, dtype=np.float64))
     i0, i1, wy = _axis_weights(np.asarray(centers_y, dtype=np.float64), np.asarray(query_y, dtype=np.float64))
     rows = values[i0] * (1.0 - wy)[:, None] + values[i1] * wy[:, None]
-    return rows[:, j0] * (1.0 - wx) + rows[:, j1] * wx
+    out = rows.take(j0, axis=1)
+    out *= 1.0 - wx
+    upper = rows.take(j1, axis=1)
+    upper *= wx
+    out += upper
+    return out
 
 
 def interpolate_disparity(
@@ -282,42 +290,83 @@ def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndar
     ``map_coordinates(order=1)``. Returns the warped image and a validity
     mask; samples falling outside the template are masked out (and set
     to 0). Validates the whole template.
+
+    The rows are split into one band per CPU this process may run on
+    (``os.sched_getaffinity`` where the platform has it, else
+    ``os.cpu_count``; at most one band per row), each sampled
+    on its own thread; ``map_coordinates`` releases the GIL. The band
+    count has no option: every band computes the same per-pixel formula,
+    so the output does not depend on it. The sample coordinates and the
+    mask are built once, here; the workers allocate nothing large.
     """
     t = validate_image(template)
     h, w = t.shape
     if dense.du.shape != t.shape or dense.dv.shape != t.shape:
         raise ValueError(f"dense field {dense.du.shape} does not match template {t.shape}")
-    sx = np.arange(w) - dense.du
-    sy = np.arange(h)[:, None] - dense.dv
-    mask = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
-    out = map_coordinates(t, (sy, sx), order=1, mode="nearest")
+    coords = np.empty((2, h, w))
+    sy, sx = coords
+    np.subtract(np.arange(h)[:, None], dense.dv, out=sy)
+    np.subtract(np.arange(w), dense.du, out=sx)
+    mask = sx >= 0
+    mask &= sx <= w - 1
+    mask &= sy >= 0
+    mask &= sy <= h - 1
+
+    out = np.empty((h, w))
+    # The affinity set is Linux-only; elsewhere count every CPU.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    bands = min(cpus, h)
+    edges = [h * i // bands for i in range(bands + 1)]
+
+    def sample_band(a: int, b: int) -> None:
+        map_coordinates(t, coords[:, a:b], output=out[a:b], order=1, mode="nearest")
+
+    with ThreadPoolExecutor(max_workers=bands) as pool:
+        # list() re-raises any worker's exception here.
+        list(pool.map(sample_band, edges[:-1], edges[1:]))
     out[~mask] = 0.0
     return out, mask
 
 
-def global_correlation(a: GrayImage, b: GrayImage, mask: np.ndarray | None = None) -> float:
-    """Pearson correlation between two images over the masked pixels."""
-    aa = validate_image(a, "a")
+def _masked_copy(arr: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """The masked pixels (all of them when ``mask`` is None) as a new 1D array."""
+    return arr[mask] if mask is not None else arr.flatten()
+
+
+def global_correlation(
+    a: GrayImage | tuple[GrayImage, ...], b: GrayImage, mask: np.ndarray | None = None
+) -> float | tuple[float, ...]:
+    """Pearson correlation between two images over the masked pixels.
+
+    ``a`` may also be a tuple of images; the result is then the tuple of
+    their correlations with ``b``. The masked, centred ``b`` and its sum of
+    squares are computed once for the whole tuple, and each image of the
+    tuple is centred and multiplied in place in a masked copy of its own,
+    so each value is bit-identical to a single call. No input is modified.
+    """
+    single = not isinstance(a, tuple)
+    images = [validate_image(img, "a") for img in ((a,) if single else a)]
     bb = validate_image(b, "b")
-    if aa.shape != bb.shape:
-        raise ValueError(f"image extents differ: {aa.shape} vs {bb.shape}")
-    if mask is not None:
-        if mask.shape != aa.shape:
-            raise ValueError(f"mask shape {mask.shape} does not match images {aa.shape}")
-        av = aa[mask]
-        bv = bb[mask]
-    else:
-        av = aa.ravel()
-        bv = bb.ravel()
-    if av.size < 2:
-        raise UndefinedMetricError(f"correlation needs >= 2 pixels, mask selects {av.size}")
-    ac = av - av.mean()
-    bc = bv - bv.mean()
-    var_a = float(np.sum(ac * ac))
+    for aa in images:
+        if aa.shape != bb.shape:
+            raise ValueError(f"image extents differ: {aa.shape} vs {bb.shape}")
+    if mask is not None and mask.shape != bb.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match images {bb.shape}")
+    bc = _masked_copy(bb, mask)
+    if bc.size < 2:
+        raise UndefinedMetricError(f"correlation needs >= 2 pixels, mask selects {bc.size}")
+    bc -= bc.mean()
     var_b = float(np.sum(bc * bc))
-    if var_a <= 0.0 or var_b <= 0.0:
-        raise UndefinedMetricError("correlation undefined: zero variance under mask")
-    return float(np.sum(ac * bc)) / math.sqrt(var_a * var_b)
+    results = []
+    for aa in images:
+        ac = _masked_copy(aa, mask)
+        ac -= ac.mean()
+        var_a = float(np.sum(ac * ac))
+        if var_a <= 0.0 or var_b <= 0.0:
+            raise UndefinedMetricError("correlation undefined: zero variance under mask")
+        ac *= bc
+        results.append(float(np.sum(ac)) / math.sqrt(var_a * var_b))
+    return results[0] if single else tuple(results)
 
 
 def improvement_percent(before: float, after: float) -> float:

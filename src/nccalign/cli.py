@@ -243,8 +243,7 @@ def run_alignment(template, reference, args, *, noise: NoiseModel | None = None)
     h, w = template.shape
     dense = interpolate_disparity(filled, grid, extent=(w, h))
     warped, mask = warp(template, dense)
-    corr_before = global_correlation(template, reference, mask)
-    corr_after = global_correlation(warped, reference, mask)
+    corr_before, corr_after = global_correlation((template, warped), reference, mask)
     return AlignmentResult(
         grid=grid,
         raw_field=raw,
@@ -261,7 +260,9 @@ def run_alignment(template, reference, args, *, noise: NoiseModel | None = None)
 def _normalized_map(values: np.ndarray) -> np.ndarray:
     lo, hi = values.min(), values.max()
     if hi > lo:
-        return (values - lo) / (hi - lo)
+        out = values - lo
+        out /= hi - lo
+        return out
     return np.full_like(values, 0.5)
 
 

@@ -42,16 +42,11 @@ def _check_square(block: np.ndarray) -> int:
     return block.shape[0]
 
 
-@dataclass(frozen=True)
-class DiagVector:
-    """The D diagonal samples of a square block."""
+def extract_diagonal(block: GrayImage, orientation: str = "main") -> np.ndarray:
+    """The D diagonal samples of a square block, as a contiguous array.
 
-    samples: np.ndarray
-    orientation: str
-
-
-def extract_diagonal(block: GrayImage, orientation: str = "main") -> DiagVector:
-    """Main: samples[k] = block[k, k]. Anti: samples[k] = block[D-1-k, k]."""
+    Main: samples[k] = block[k, k]. Anti: samples[k] = block[D-1-k, k].
+    """
     _check_orientation(orientation)
     arr = validate_image(block, "block")
     d = _check_square(arr)
@@ -60,7 +55,7 @@ def extract_diagonal(block: GrayImage, orientation: str = "main") -> DiagVector:
     else:
         samples = np.ascontiguousarray(np.diagonal(arr[::-1, :]))
     assert samples.shape == (d,)
-    return DiagVector(samples=samples, orientation=orientation)
+    return samples
 
 
 def _diag_offsets(d: int, orientation: str) -> tuple[np.ndarray, np.ndarray]:
@@ -73,22 +68,43 @@ def _diag_offsets(d: int, orientation: str) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DiagTables:
-    """Prefix tables along both 45-degree directions, for O(1) diagonal stats.
+    """Prefix tables along the 45-degree directions, for O(1) diagonal stats.
 
     Main tables accumulate from the up-left neighbor:
     main[y + 1, x + 1] = r[y, x] + main[y, x]. Anti tables accumulate from the
     down-left neighbor: anti[y, x + 1] = r[y, x] + anti[y + 1, x]. Out-of-image
-    terms are zero via padding.
+    terms are zero via padding. The two tables of an orientation that was
+    not built are None; the window lookups raise ValueError for it.
     """
 
-    main_sum: np.ndarray
-    main_sumsq: np.ndarray
-    anti_sum: np.ndarray
-    anti_sumsq: np.ndarray
+    main_sum: np.ndarray | None
+    main_sumsq: np.ndarray | None
+    anti_sum: np.ndarray | None
+    anti_sumsq: np.ndarray | None
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.main_sum.shape[0] - 1, self.main_sum.shape[1] - 1
+        table = self.main_sum if self.main_sum is not None else self.anti_sum
+        return table.shape[0] - 1, table.shape[1] - 1
+
+    def orientation_tables(self, orientation: str) -> tuple[np.ndarray, np.ndarray]:
+        """(sum, sum of squares) tables of ``orientation``; ValueError if not built."""
+        _check_orientation(orientation)
+        if orientation == "main":
+            pair = self.main_sum, self.main_sumsq
+        else:
+            pair = self.anti_sum, self.anti_sumsq
+        if pair[0] is None:
+            raise ValueError(f"diag tables were not built for the {orientation!r} orientation")
+        return pair
+
+    def _window(self, index: int, x0, y0, length: int, orientation: str):
+        table = self.orientation_tables(orientation)[index]
+        x0 = np.asarray(x0)
+        y0 = np.asarray(y0)
+        if orientation == "main":
+            return table[y0 + length, x0 + length] - table[y0, x0]
+        return table[y0, x0 + length] - table[y0 + length, x0]
 
     def window_sum(self, x0, y0, length: int, orientation: str):
         """Sum of ``length`` consecutive diagonal samples starting at (x0, y0).
@@ -96,20 +112,10 @@ class DiagTables:
         For the anti orientation the window's samples are
         r[y0 + length - 1 - k, x0 + k]. x0/y0 broadcast; two lookups each.
         """
-        _check_orientation(orientation)
-        x0 = np.asarray(x0)
-        y0 = np.asarray(y0)
-        if orientation == "main":
-            return self.main_sum[y0 + length, x0 + length] - self.main_sum[y0, x0]
-        return self.anti_sum[y0, x0 + length] - self.anti_sum[y0 + length, x0]
+        return self._window(0, x0, y0, length, orientation)
 
     def window_sumsq(self, x0, y0, length: int, orientation: str):
-        _check_orientation(orientation)
-        x0 = np.asarray(x0)
-        y0 = np.asarray(y0)
-        if orientation == "main":
-            return self.main_sumsq[y0 + length, x0 + length] - self.main_sumsq[y0, x0]
-        return self.anti_sumsq[y0, x0 + length] - self.anti_sumsq[y0 + length, x0]
+        return self._window(1, x0, y0, length, orientation)
 
     def window_var_sum(self, x0, y0, length: int, orientation: str):
         s = self.window_sum(x0, y0, length, orientation)
@@ -117,23 +123,43 @@ class DiagTables:
         return sq - s * s / length
 
 
-def build_diag_tables(reference: GrayImage) -> DiagTables:
-    """Diagonal prefix tables of the whole reference, which is validated here."""
+def _check_tables(tables: DiagTables, reference: np.ndarray, orientation: str) -> None:
+    """Raise ValueError unless ``tables`` were built for ``reference``'s
+    extent and for ``orientation``."""
+    if tables.shape != reference.shape:
+        raise ValueError(f"diag tables built for {tables.shape}, reference is {reference.shape}")
+    tables.orientation_tables(orientation)
+
+
+def build_diag_tables(reference: GrayImage, orientations: tuple[str, ...] = ORIENTATIONS) -> DiagTables:
+    """Diagonal prefix tables of the whole reference, which is validated here.
+
+    Only the tables of ``orientations`` are built (both by default); the
+    fields of the others are None. A run reads one orientation, so the
+    alignment pipeline asks for that one alone.
+    """
+    if not orientations:
+        raise ValueError("build_diag_tables needs at least one orientation")
+    for orientation in orientations:
+        _check_orientation(orientation)
     arr = validate_image(reference)
     h, w = arr.shape
     sq = arr * arr
 
-    main_sum = np.zeros((h + 1, w + 1))
-    main_sumsq = np.zeros((h + 1, w + 1))
-    for y in range(h):
-        main_sum[y + 1, 1:] = arr[y] + main_sum[y, :-1]
-        main_sumsq[y + 1, 1:] = sq[y] + main_sumsq[y, :-1]
+    main_sum = main_sumsq = anti_sum = anti_sumsq = None
+    if "main" in orientations:
+        main_sum = np.zeros((h + 1, w + 1))
+        main_sumsq = np.zeros((h + 1, w + 1))
+        for y in range(h):
+            main_sum[y + 1, 1:] = arr[y] + main_sum[y, :-1]
+            main_sumsq[y + 1, 1:] = sq[y] + main_sumsq[y, :-1]
 
-    anti_sum = np.zeros((h + 1, w + 1))
-    anti_sumsq = np.zeros((h + 1, w + 1))
-    for y in range(h - 1, -1, -1):
-        anti_sum[y, 1:] = arr[y] + anti_sum[y + 1, :-1]
-        anti_sumsq[y, 1:] = sq[y] + anti_sumsq[y + 1, :-1]
+    if "anti" in orientations:
+        anti_sum = np.zeros((h + 1, w + 1))
+        anti_sumsq = np.zeros((h + 1, w + 1))
+        for y in range(h - 1, -1, -1):
+            anti_sum[y, 1:] = arr[y] + anti_sum[y + 1, :-1]
+            anti_sumsq[y, 1:] = sq[y] + anti_sumsq[y + 1, :-1]
 
     return DiagTables(
         main_sum=main_sum, main_sumsq=main_sumsq,
@@ -160,7 +186,7 @@ def ncc_diag(
     d = _check_square(t)
     x0, y0 = origin
 
-    t_diag = extract_diagonal(t, orientation).samples
+    t_diag = extract_diagonal(t, orientation)
     t_stats = block_stats(t_diag)
     t_c = t_diag - t_stats.mean
     t_var = t_stats.variance_sum
@@ -260,11 +286,10 @@ def ncc_diag_fast(
         template_block, reference, origin, shifts
     )
     d = _check_square(t)
-    if tables.shape != ref.shape:
-        raise ValueError(f"diag tables built for {tables.shape}, reference is {ref.shape}")
+    _check_tables(tables, ref, orientation)
     x0, y0 = origin
 
-    t_diag = extract_diagonal(t, orientation).samples
+    t_diag = extract_diagonal(t, orientation)
     t_stats = block_stats(t_diag)
     t_c = t_diag - t_stats.mean
     t_var = t_stats.variance_sum

@@ -113,10 +113,14 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
     if maxval not in SUPPORTED_MAXVALS:
         raise PgmError(f"unsupported maxval {maxval}, expected 255 or 65535")
     arr = validate_image(image)
-    clamped = np.clip(arr, 0.0, 1.0)
     dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
     # floor(c * maxval + 0.5) <= maxval for c <= 1, so the cast cannot wrap.
-    quantized = np.floor(clamped * maxval + 0.5).astype(dtype)
+    # The clip makes the one full-size copy; the rest works in place on it.
+    scaled = np.clip(arr, 0.0, 1.0)
+    scaled *= maxval
+    scaled += 0.5
+    np.floor(scaled, out=scaled)
+    quantized = scaled.astype(dtype)
     height, width = arr.shape
     header = "P5\n"
     for comment in comments or ():

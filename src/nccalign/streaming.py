@@ -24,6 +24,7 @@ from .diagonal import (
     DiagTables,
     _check_orientation,
     _check_square,
+    _check_tables,
     build_diag_tables,
     extract_diagonal,
     gather_window_diagonals,
@@ -242,12 +243,12 @@ def ncc_stream(
     if ma_config is None:
         ma_config = MovingAverageConfig.boxcar(d)
     if tables is None:
-        tables = build_diag_tables(ref)
-    elif tables.shape != ref.shape:
-        raise ValueError(f"diag tables built for {tables.shape}, reference is {ref.shape}")
+        tables = build_diag_tables(ref, (orientation,))
+    else:
+        _check_tables(tables, ref, orientation)
     x0, y0 = origin
 
-    t_diag = extract_diagonal(t, orientation).samples
+    t_diag = extract_diagonal(t, orientation)
     t_stats = block_stats(t_diag)
     t_var = t_stats.variance_sum
     t_zm = zero_mean_stream(t_diag, ma_config)

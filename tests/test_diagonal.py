@@ -41,12 +41,12 @@ class TestExtractDiagonal:
     BLOCK = np.arange(1, 10).reshape(3, 3) / 9.0
 
     def test_main_diagonal(self):
-        vec = extract_diagonal(self.BLOCK, "main")
-        np.testing.assert_allclose(vec.samples, np.array([1, 5, 9]) / 9.0)
+        samples = extract_diagonal(self.BLOCK, "main")
+        np.testing.assert_allclose(samples, np.array([1, 5, 9]) / 9.0)
 
     def test_anti_diagonal(self):
-        vec = extract_diagonal(self.BLOCK, "anti")
-        np.testing.assert_allclose(vec.samples, np.array([7, 5, 3]) / 9.0)
+        samples = extract_diagonal(self.BLOCK, "anti")
+        np.testing.assert_allclose(samples, np.array([7, 5, 3]) / 9.0)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
