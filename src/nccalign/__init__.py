@@ -48,7 +48,6 @@ from .ncc import (
     VALID,
     ZERO_VARIANCE,
     BestShift,
-    BlockStats,
     CorrelationMap,
     OpCounter,
     ShiftRange,
@@ -67,7 +66,6 @@ from .streaming import (
     dynamic_range_to_noise,
     moving_average,
     multiply_integrate,
-    multiply_stream,
     ncc_stream,
     power_budget,
     rms,

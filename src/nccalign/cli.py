@@ -342,17 +342,19 @@ def cmd_bench(args) -> int:
 
     results = {}
     for method in ("full-fast", "diag-fast"):
+        counter = OpCounter()
         estimate_disparity(template, reference, grid, method, shifts,
-                           orientation=args.orientation)  # warmup
+                           orientation=args.orientation, counter=counter)  # warmup
+        if counter.shifts == 0:
+            raise UnalignableError(f"empty search range --search-du={shifts.du_min}:{shifts.du_max} "
+                                   f"--search-dv={shifts.dv_min}:{shifts.dv_max}: no block window "
+                                   "stays inside the reference")
         timings = []
         for _ in range(args.runs):
             start = time.perf_counter()
             estimate_disparity(template, reference, grid, method, shifts,
                                orientation=args.orientation)
             timings.append((time.perf_counter() - start) * 1000.0)
-        counter = OpCounter()
-        estimate_disparity(template, reference, grid, method, shifts,
-                           orientation=args.orientation, counter=counter)
         results[method] = (statistics.median(timings), counter)
 
     full_ms = results["full-fast"][0]
@@ -385,9 +387,13 @@ def cmd_bench(args) -> int:
 
 def cmd_noise_sweep(args) -> int:
     args.method = "stream"
+    fractions = [float(f) for f in args.fractions.split(",") if f != ""]
+    if not fractions:
+        raise ValueError(f"--fractions must name at least one fraction, got {args.fractions!r}")
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     config = RunConfig.from_args(args)
     template, reference, truth = _load_or_generate(args)
-    fractions = [float(f) for f in args.fractions.split(",") if f != ""]
     seeds = [args.seed + i for i in range(args.seeds)]
 
     rows = []

@@ -24,6 +24,8 @@ from .ncc import (
     CorrelationMap,
     OpCounter,
     ShiftRange,
+    _check_tables,
+    _correlation_map,
     _validate_kernel_inputs,
     block_stats,
 )
@@ -123,14 +125,6 @@ class DiagTables:
         return sq - s * s / length
 
 
-def _check_tables(tables: DiagTables, reference: np.ndarray, orientation: str) -> None:
-    """Raise ValueError unless ``tables`` were built for ``reference``'s
-    extent and for ``orientation``."""
-    if tables.shape != reference.shape:
-        raise ValueError(f"diag tables built for {tables.shape}, reference is {reference.shape}")
-    tables.orientation_tables(orientation)
-
-
 def build_diag_tables(reference: GrayImage, orientations: tuple[str, ...] = ORIENTATIONS) -> DiagTables:
     """Diagonal prefix tables of the whole reference, which is validated here.
 
@@ -187,9 +181,8 @@ def ncc_diag(
     x0, y0 = origin
 
     t_diag = extract_diagonal(t, orientation)
-    t_stats = block_stats(t_diag)
-    t_c = t_diag - t_stats.mean
-    t_var = t_stats.variance_sum
+    t_mean, t_var = block_stats(t_diag)
+    t_c = t_diag - t_mean
 
     row_off, col_off = _diag_offsets(d, orientation)
     values = np.zeros((shifts.n_dv, shifts.n_du))
@@ -208,12 +201,12 @@ def ncc_diag(
             if counter is not None:
                 counter.tally(1, d)
             r_diag = ref[rows, xs + col_off]
-            r_stats = block_stats(r_diag)
-            if r_stats.variance_sum < EPS_VAR or t_var < EPS_VAR:
+            r_mean, r_var = block_stats(r_diag)
+            if r_var < EPS_VAR or t_var < EPS_VAR:
                 validity[iv, iu] = ZERO_VARIANCE
                 continue
-            num = float(np.sum((r_diag - r_stats.mean) * t_c))
-            values[iv, iu] = num / math.sqrt(r_stats.variance_sum * t_var)
+            num = float(np.sum((r_diag - r_mean) * t_c))
+            values[iv, iu] = num / math.sqrt(r_var * t_var)
             validity[iv, iu] = VALID
 
     return CorrelationMap(shifts=shifts, values=values, validity=validity)
@@ -282,23 +275,18 @@ def ncc_diag_fast(
     and the reference region it reads, not the whole reference.
     """
     _check_orientation(orientation)
-    t, ref, (du_lo, du_hi, dv_lo, dv_hi) = _validate_kernel_inputs(
-        template_block, reference, origin, shifts
-    )
+    t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
     d = _check_square(t)
-    _check_tables(tables, ref, orientation)
+    _check_tables(tables, ref)
+    tables.orientation_tables(orientation)
+    du_lo, du_hi, dv_lo, dv_hi = bounds
+    if du_lo > du_hi or dv_lo > dv_hi:
+        return _correlation_map(shifts, bounds)
     x0, y0 = origin
 
     t_diag = extract_diagonal(t, orientation)
-    t_stats = block_stats(t_diag)
-    t_c = t_diag - t_stats.mean
-    t_var = t_stats.variance_sum
-
-    values = np.zeros((shifts.n_dv, shifts.n_du))
-    validity = np.full((shifts.n_dv, shifts.n_du), OUT_OF_BOUNDS, dtype=np.uint8)
-
-    if du_lo > du_hi or dv_lo > dv_hi:
-        return CorrelationMap(shifts=shifts, values=values, validity=validity)
+    t_mean, t_var = block_stats(t_diag)
+    t_c = t_diag - t_mean
 
     dus = np.arange(du_lo, du_hi + 1)
     dvs = np.arange(dv_lo, dv_hi + 1)
@@ -311,13 +299,4 @@ def ncc_diag_fast(
     r_var = tables.window_var_sum(
         (x0 + dus)[None, :], (y0 + dvs)[:, None], d, orientation
     )
-
-    iu = slice(du_lo - shifts.du_min, du_lo - shifts.du_min + len(dus))
-    iv = slice(dv_lo - shifts.dv_min, dv_lo - shifts.dv_min + len(dvs))
-    ok = (r_var >= EPS_VAR) & (t_var >= EPS_VAR)
-    block_values = np.zeros_like(numerators)
-    np.divide(numerators, np.sqrt(np.where(ok, r_var * t_var, 1.0)), out=block_values, where=ok)
-    values[iv, iu] = block_values
-    validity[iv, iu] = np.where(ok, VALID, ZERO_VARIANCE).astype(np.uint8)
-
-    return CorrelationMap(shifts=shifts, values=values, validity=validity)
+    return _correlation_map(shifts, bounds, numerators, r_var, t_var)

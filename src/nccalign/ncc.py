@@ -86,19 +86,11 @@ class ShiftRange:
         return self.du_min <= du <= self.du_max and self.dv_min <= dv <= self.dv_max
 
 
-@dataclass(frozen=True)
-class BlockStats:
-    """Mean and zero-mean variance sum of one block."""
-
-    mean: float
-    variance_sum: float
-
-
-def block_stats(values: np.ndarray) -> BlockStats:
-    """Two-pass mean and sum of squared deviations."""
+def block_stats(values: np.ndarray) -> tuple[float, float]:
+    """Two-pass (mean, sum of squared deviations from the mean)."""
     mean = float(np.mean(values))
     centered = np.asarray(values, dtype=np.float64) - mean
-    return BlockStats(mean=mean, variance_sum=float(np.sum(centered * centered)))
+    return mean, float(np.sum(centered * centered))
 
 
 @dataclass
@@ -223,6 +215,12 @@ def _inbounds_ranges(
     return du_lo, du_hi, dv_lo, dv_hi
 
 
+def _check_tables(tables, reference: np.ndarray) -> None:
+    """Raise ValueError unless sum or diagonal ``tables`` match ``reference``."""
+    if tables.shape != reference.shape:
+        raise ValueError(f"tables built for {tables.shape}, reference is {reference.shape}")
+
+
 def _check_template_fits(template: np.ndarray, reference: np.ndarray) -> None:
     if template.shape[0] > reference.shape[0] or template.shape[1] > reference.shape[1]:
         raise ValueError(
@@ -256,6 +254,27 @@ def _validate_kernel_inputs(
     return t, ref, bounds
 
 
+def _correlation_map(shifts: ShiftRange, bounds, numerators=None, r_var=None, t_var=0.0,
+                     ok=True) -> CorrelationMap:
+    """Flag, divide and scatter: the tail of every vectorised kernel.
+
+    ``numerators``, window variance sums ``r_var`` and extra flags ``ok``
+    cover the in-bounds shifts ``bounds`` (see :func:`_inbounds_ranges`).
+    With no numerators every shift is out of bounds.
+    """
+    values = np.zeros((shifts.n_dv, shifts.n_du))
+    validity = np.full((shifts.n_dv, shifts.n_du), OUT_OF_BOUNDS, dtype=np.uint8)
+    if numerators is not None:
+        du_lo, du_hi, dv_lo, dv_hi = bounds
+        inbounds = (slice(dv_lo - shifts.dv_min, dv_hi - shifts.dv_min + 1),
+                    slice(du_lo - shifts.du_min, du_hi - shifts.du_min + 1))
+        ok = ok & (r_var >= EPS_VAR) & (t_var >= EPS_VAR)
+        np.divide(numerators, np.sqrt(np.where(ok, r_var * t_var, 1.0)),
+                  out=values[inbounds], where=ok)
+        validity[inbounds] = np.where(ok, VALID, ZERO_VARIANCE)
+    return CorrelationMap(shifts=shifts, values=values, validity=validity)
+
+
 def ncc_full_naive(
     template_block: GrayImage,
     reference: GrayImage,
@@ -272,9 +291,8 @@ def ncc_full_naive(
     h, w = ref.shape
     x0, y0 = origin
 
-    t_stats = block_stats(t)
-    t_c = t - t_stats.mean
-    t_var = t_stats.variance_sum
+    t_mean, t_var = block_stats(t)
+    t_c = t - t_mean
 
     values = np.zeros((shifts.n_dv, shifts.n_du))
     validity = np.full((shifts.n_dv, shifts.n_du), OUT_OF_BOUNDS, dtype=np.uint8)
@@ -290,13 +308,13 @@ def ncc_full_naive(
             if counter is not None:
                 counter.tally(1, th * tw)
             window = ref[ys:ys + th, xs:xs + tw]
-            w_stats = block_stats(window)
-            if w_stats.variance_sum < EPS_VAR or t_var < EPS_VAR:
+            w_mean, w_var = block_stats(window)
+            if w_var < EPS_VAR or t_var < EPS_VAR:
                 validity[iv, iu] = ZERO_VARIANCE
                 continue
-            w_c = window - w_stats.mean
+            w_c = window - w_mean
             num = float(np.sum(w_c * t_c))
-            values[iv, iu] = num / math.sqrt(w_stats.variance_sum * t_var)
+            values[iv, iu] = num / math.sqrt(w_var * t_var)
             validity[iv, iu] = VALID
 
     return CorrelationMap(shifts=shifts, values=values, validity=validity)
@@ -317,28 +335,18 @@ def ncc_full_fast(
     evaluated as one direct cross-correlation sweep over the in-bounds shifts.
     Validates the template block and the reference region it reads.
     """
-    t, ref, (du_lo, du_hi, dv_lo, dv_hi) = _validate_kernel_inputs(
-        template_block, reference, origin, shifts
-    )
-    if tables.shape != ref.shape:
-        raise ValueError(f"sum tables built for {tables.shape}, reference is {ref.shape}")
+    t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
+    _check_tables(tables, ref)
+    du_lo, du_hi, dv_lo, dv_hi = bounds
+    if du_lo > du_hi or dv_lo > dv_hi:
+        return _correlation_map(shifts, bounds)
     th, tw = t.shape
     x0, y0 = origin
 
-    t_stats = block_stats(t)
-    t_c = t - t_stats.mean
-    t_var = t_stats.variance_sum
-
-    values = np.zeros((shifts.n_dv, shifts.n_du))
-    validity = np.full((shifts.n_dv, shifts.n_du), OUT_OF_BOUNDS, dtype=np.uint8)
-
-    if du_lo > du_hi or dv_lo > dv_hi:
-        return CorrelationMap(shifts=shifts, values=values, validity=validity)
-
-    n_du_in = du_hi - du_lo + 1
-    n_dv_in = dv_hi - dv_lo + 1
+    t_mean, t_var = block_stats(t)
+    t_c = t - t_mean
     if counter is not None:
-        counter.tally(n_du_in * n_dv_in, th * tw)
+        counter.tally((du_hi - du_lo + 1) * (dv_hi - dv_lo + 1), th * tw)
 
     region = ref[y0 + dv_lo:y0 + dv_hi + th, x0 + du_lo:x0 + du_hi + tw]
     numerators = correlate2d(region, t_c, mode="valid")
@@ -346,16 +354,7 @@ def ncc_full_fast(
     xs = x0 + np.arange(du_lo, du_hi + 1)
     ys = y0 + np.arange(dv_lo, dv_hi + 1)
     r_var = tables.window_var_sum(xs[None, :], ys[:, None], tw, th)
-
-    iu = slice(du_lo - shifts.du_min, du_lo - shifts.du_min + n_du_in)
-    iv = slice(dv_lo - shifts.dv_min, dv_lo - shifts.dv_min + n_dv_in)
-    ok = (r_var >= EPS_VAR) & (t_var >= EPS_VAR)
-    block_values = np.zeros_like(numerators)
-    np.divide(numerators, np.sqrt(np.where(ok, r_var * t_var, 1.0)), out=block_values, where=ok)
-    values[iv, iu] = block_values
-    validity[iv, iu] = np.where(ok, VALID, ZERO_VARIANCE).astype(np.uint8)
-
-    return CorrelationMap(shifts=shifts, values=values, validity=validity)
+    return _correlation_map(shifts, bounds, numerators, r_var, t_var)
 
 
 def best_shift(cmap: CorrelationMap) -> BestShift | None:

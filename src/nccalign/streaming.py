@@ -24,7 +24,6 @@ from .diagonal import (
     DiagTables,
     _check_orientation,
     _check_square,
-    _check_tables,
     build_diag_tables,
     extract_diagonal,
     gather_window_diagonals,
@@ -32,12 +31,11 @@ from .diagonal import (
 from .images import GrayImage
 from .ncc import (
     EPS_VAR,
-    OUT_OF_BOUNDS,
-    VALID,
-    ZERO_VARIANCE,
     CorrelationMap,
     OpCounter,
     ShiftRange,
+    _check_tables,
+    _correlation_map,
     _validate_kernel_inputs,
     block_stats,
 )
@@ -96,8 +94,6 @@ def _moving_average_batch(signals: np.ndarray, config: MovingAverageConfig) -> n
     """Moving average along the last axis of a (..., N) array."""
     x = np.asarray(signals, dtype=np.float64)
     n = x.shape[-1]
-    if n == 0:
-        raise ValueError("signal must be non-empty")
     if config.kind == "boxcar":
         length = config.window_len
         c = np.cumsum(x, axis=-1)
@@ -124,9 +120,7 @@ def moving_average(signal, config: MovingAverageConfig) -> np.ndarray:
 def zero_mean_stream(signal, config: MovingAverageConfig) -> np.ndarray:
     """Signal minus its causal moving average."""
     x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"signal must be a non-empty 1D sequence, got shape {x.shape}")
-    return x - _moving_average_batch(x, config)
+    return x - moving_average(x, config)
 
 
 def rms(signal) -> float:
@@ -166,47 +160,31 @@ class NoiseModel:
         return np.random.default_rng((self.seed, stage) + tuple(stream_id))
 
 
-def multiply_stream(
-    a,
-    b,
+def multiply_integrate(
+    b_zm: np.ndarray,
+    t_zm: np.ndarray,
     noise: NoiseModel,
-    rms_a: float,
-    rms_b: float,
     stream_id: tuple[int, ...] = (0,),
 ) -> np.ndarray:
-    """Analog multiplier output: elementwise products plus scaled Gaussian noise."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"stream length mismatch: {a.shape} vs {b.shape}")
-    if rms_a < 0 or rms_b < 0:
-        raise ValueError("rms values must be >= 0")
-    products = a * b
+    """The n integrated products of the (n, D) streams ``b_zm`` with the (D,)
+    stream ``t_zm``, plus noise scaled by each row's clean product RMS.
+
+    The multiplier stage draws (n, D) values, or (n, 1) for the "per-stream"
+    cadence; the integrator stage then draws n readout values scaled by
+    sqrt(D). Each stage reads ``noise.rng(stage, stream_id)``.
+    """
+    n, d = b_zm.shape
+    rms_p = np.sqrt(np.sum(b_zm * b_zm, axis=1) / d) * rms(t_zm)
+    products = b_zm * t_zm[None, :]
     if noise.multiplier_fraction > 0:
         rng = noise.rng(MULTIPLIER_STAGE, stream_id)
-        if noise.cadence == "per-sample":
-            g = rng.standard_normal(products.shape)
-        else:
-            g = rng.standard_normal()
-        products = products + g * noise.multiplier_fraction * (rms_a * rms_b)
-    return products
-
-
-def multiply_integrate(
-    a,
-    b,
-    noise: NoiseModel,
-    rms_a: float,
-    rms_b: float,
-    stream_id: tuple[int, ...] = (0,),
-) -> float:
-    """Integrated product stream plus one readout noise draw scaled by sqrt(N)."""
-    products = multiply_stream(a, b, noise, rms_a, rms_b, stream_id)
-    total = float(products.sum())
+        shape = products.shape if noise.cadence == "per-sample" else (n, 1)
+        products = products + rng.standard_normal(shape) * noise.multiplier_fraction * rms_p[:, None]
+    numerators = products.sum(axis=1)
     if noise.integrator_fraction > 0:
-        g = noise.rng(INTEGRATOR_STAGE, stream_id).standard_normal()
-        total += float(g) * noise.integrator_fraction * (rms_a * rms_b) * math.sqrt(products.size)
-    return total
+        g = noise.rng(INTEGRATOR_STAGE, stream_id).standard_normal(n)
+        numerators = numerators + g * noise.integrator_fraction * rms_p * math.sqrt(d)
+    return numerators
 
 
 def ncc_stream(
@@ -223,20 +201,19 @@ def ncc_stream(
 ) -> CorrelationMap:
     """Diagonal NCC with the streaming numerator and noiseless digital denominator.
 
-    Numerator per shift: multiply-integrate of the zero-mean streams of the
-    template diagonal and the shifted window diagonal, with circuit noise
-    from the (seed, stage, block_id) stream, consumed over in-bounds shifts
-    in row-major order. Denominators are the exact diagonal variance sums
-    (template two-pass, reference from tables). Values are clamped to
-    [-1, 1]; clamps are recorded per shift. Shifts whose zero-mean stream
+    Numerator per shift: :func:`multiply_integrate` of the zero-mean stream
+    of the shifted window diagonal against the template's, with circuit
+    noise from the (seed, stage, block_id) stream, consumed over in-bounds
+    shifts in row-major order. Denominators are the exact diagonal variance
+    sums (template two-pass, reference from tables). Values are clamped to
+    [-1, 1]; ``clamped`` records the shifts whose value was pulled back and
+    is all False when no shift is in bounds. Shifts whose zero-mean stream
     carries no energy (e.g. a degenerate alpha=1 filter) flag zero-variance.
     Validates the template block and the reference region it reads; when
     ``tables`` is None, building them validates the whole reference.
     """
     _check_orientation(orientation)
-    t, ref, (du_lo, du_hi, dv_lo, dv_hi) = _validate_kernel_inputs(
-        template_block, reference, origin, shifts
-    )
+    t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
     d = _check_square(t)
     if noise is None:
         noise = NoiseModel()
@@ -245,68 +222,38 @@ def ncc_stream(
     if tables is None:
         tables = build_diag_tables(ref, (orientation,))
     else:
-        _check_tables(tables, ref, orientation)
+        _check_tables(tables, ref)
+        tables.orientation_tables(orientation)
+    du_lo, du_hi, dv_lo, dv_hi = bounds
+    if du_lo > du_hi or dv_lo > dv_hi:
+        return _clamp(_correlation_map(shifts, bounds))
     x0, y0 = origin
 
     t_diag = extract_diagonal(t, orientation)
-    t_stats = block_stats(t_diag)
-    t_var = t_stats.variance_sum
+    t_var = block_stats(t_diag)[1]
     t_zm = zero_mean_stream(t_diag, ma_config)
     t_energy = float(np.sum(t_zm * t_zm))
-    rms_t = rms(t_zm)
-
-    values = np.zeros((shifts.n_dv, shifts.n_du))
-    validity = np.full((shifts.n_dv, shifts.n_du), OUT_OF_BOUNDS, dtype=np.uint8)
-    clamped = np.zeros((shifts.n_dv, shifts.n_du), dtype=bool)
-
-    if du_lo > du_hi or dv_lo > dv_hi:
-        return CorrelationMap(shifts=shifts, values=values, validity=validity, clamped=clamped)
 
     dus = np.arange(du_lo, du_hi + 1)
     dvs = np.arange(dv_lo, dv_hi + 1)
-    n_in = len(dus) * len(dvs)
     if counter is not None:
-        counter.tally(n_in, d)
+        counter.tally(len(dvs) * len(dus), d)
 
-    samples = gather_window_diagonals(ref, origin, d, dus, dvs, orientation)
-    flat = samples.reshape(n_in, d)
-    b_zm = flat - _moving_average_batch(flat, ma_config)
-    b_energy = np.sum(b_zm * b_zm, axis=1)
-    rms_b = np.sqrt(b_energy / d)
+    samples = gather_window_diagonals(ref, origin, d, dus, dvs, orientation).reshape(-1, d)
+    b_zm = samples - _moving_average_batch(samples, ma_config)
+    r_var = tables.window_var_sum((x0 + dus), (y0 + dvs)[:, None], d, orientation)
+    numerators = multiply_integrate(b_zm, t_zm, noise, (block_id,)).reshape(r_var.shape)
+    b_energy = np.sum(b_zm * b_zm, axis=1).reshape(r_var.shape)
+    ok = (b_energy >= EPS_VAR) & (t_energy >= EPS_VAR)
+    return _clamp(_correlation_map(shifts, bounds, numerators, r_var, t_var, ok))
 
-    products = b_zm * t_zm[None, :]
-    rms_p = rms_b * rms_t
-    if noise.multiplier_fraction > 0:
-        rng = noise.rng(MULTIPLIER_STAGE, (block_id,))
-        if noise.cadence == "per-sample":
-            g = rng.standard_normal(products.shape)
-        else:
-            g = rng.standard_normal((n_in, 1))
-        products = products + g * noise.multiplier_fraction * rms_p[:, None]
-    numerators = products.sum(axis=1)
-    if noise.integrator_fraction > 0:
-        g = noise.rng(INTEGRATOR_STAGE, (block_id,)).standard_normal(n_in)
-        numerators = numerators + g * noise.integrator_fraction * rms_p * math.sqrt(d)
 
-    r_var = tables.window_var_sum((x0 + dus), (y0 + dvs)[:, None], d, orientation).reshape(n_in)
-
-    ok = (
-        (r_var >= EPS_VAR)
-        & (t_var >= EPS_VAR)
-        & (b_energy >= EPS_VAR)
-        & (t_energy >= EPS_VAR)
-    )
-    raw = np.zeros(n_in)
-    np.divide(numerators, np.sqrt(np.where(ok, r_var * t_var, 1.0)), out=raw, where=ok)
-    clipped = np.clip(raw, -1.0, 1.0)
-
-    iu = slice(du_lo - shifts.du_min, du_lo - shifts.du_min + len(dus))
-    iv = slice(dv_lo - shifts.dv_min, dv_lo - shifts.dv_min + len(dvs))
-    values[iv, iu] = clipped.reshape(len(dvs), len(dus))
-    validity[iv, iu] = np.where(ok, VALID, ZERO_VARIANCE).astype(np.uint8).reshape(len(dvs), len(dus))
-    clamped[iv, iu] = (ok & (raw != clipped)).reshape(len(dvs), len(dus))
-
-    return CorrelationMap(shifts=shifts, values=values, validity=validity, clamped=clamped)
+def _clamp(cmap: CorrelationMap) -> CorrelationMap:
+    """Clip ``cmap.values`` into [-1, 1] in place, recording in
+    ``cmap.clamped`` which shifts moved."""
+    cmap.clamped = np.abs(cmap.values) > 1.0
+    np.clip(cmap.values, -1.0, 1.0, out=cmap.values)
+    return cmap
 
 
 def dynamic_range_to_noise(db: float) -> float:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from nccalign import load_pgm
 from nccalign.cli import argv_from_header, main
@@ -147,6 +148,17 @@ class TestBench:
         assert int(rows1["full-fast"]["multiplies_per_shift"]) == 256
         assert int(rows1["diag-fast"]["multiplies_per_shift"]) == 16
 
+    def test_empty_search_range_exits_1(self, tmp_path, capsys):
+        code = main([
+            "bench", "--width", "64", "--height", "64", "--block", "16", "--crop", "0",
+            "--search-du=100:101", "--search-dv=0:0", "--runs", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "empty search range --search-du=100:101" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
 
 class TestNoiseSweep:
     def test_zero_fraction_matches_noiseless_align(self, tmp_path):
@@ -169,6 +181,18 @@ class TestNoiseSweep:
         rows = csv_rows(out / "noise_sweep.csv")
         assert [r["multiplier_fraction"] for r in rows] == ["0.2", "0.01"]
         assert all(r["seeds"] == "10;11" for r in rows)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--seeds", "0"], "--seeds"),
+        (["--seeds", "-3"], "--seeds"),
+        (["--fractions", ""], "--fractions"),
+        (["--fractions", ","], "--fractions"),
+    ], ids=["seeds-zero", "seeds-negative", "fractions-empty", "fractions-comma"])
+    def test_empty_sweep_is_usage_error(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "sweep"
+        assert main(["noise-sweep", *SMALL_ALIGN, *flags, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRobustness:

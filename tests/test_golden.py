@@ -1,10 +1,13 @@
 """Golden-output regression test for ``nccalign align``.
 
-Three small synthetic runs go through ``cli.main`` in-process. The SHA-256
-of each output body (``#`` header lines stripped) must equal the hash
-recorded before the per-frame fast paths (region-only validation, strided
-diagonal gather, separable interpolation, ``map_coordinates`` warp) went in,
-so later performance work keeps the outputs byte-identical. A changed hash
+Small synthetic runs go through ``cli.main`` in-process, one per method and
+noise setting, some over a search range that edge blocks only partly keep
+in bounds. The SHA-256 of each output body (``#`` header lines stripped)
+must equal the recorded hash. The first three were recorded before the
+per-frame fast paths (region-only validation, strided diagonal gather,
+separable interpolation, ``map_coordinates`` warp) went in, the others
+before the kernels were moved onto one shared flag/divide/scatter tail, so
+later performance and design work keeps the outputs byte-identical. A changed hash
 means the numbers changed: find the cause rather than re-recording it.
 
 The hashes were recorded with numpy 2.4 and OpenBLAS on x86-64; another BLAS
@@ -22,6 +25,9 @@ PAIR = [
     "--noise-floor", "0.01", "--gen-seed", "11",
 ]
 ALIGN = ["--block", "32", "--crop", "0.1", "--search-du=-6:6", "--search-dv=-6:6"]
+# A range wider than the pair: edge blocks keep only part of it in bounds,
+# so the kernels' scatter into a partial slice of the map is checked too.
+CLIPPED = ["--search-du=-40:40", "--search-dv=-2:30"]
 
 GOLDEN = {
     "diag-fast-main": (
@@ -52,6 +58,86 @@ GOLDEN = {
             "disparity_x.pgm": "3e5ed7c7b9afe3787c1e74ff212222b2a2a8a0feb00d4d2d9c13fe154812c124",
             "disparity_y.pgm": "86fdd6b442ec2e0efe19715c56c9d1dfa1e2d58aba7ab7192918db822111cbd2",
             "aligned.pgm": "ec7df32ef9acbfbc2f49b9d3a8568d94d7264db105aa2dc5a9adfd667531c416",
+        },
+    ),
+    "full": (
+        ["--method", "full"],
+        {
+            "disparity.csv": "3a924099c6710c90cb76401488dc7b94ca57a5816a8a1f7ac57958605953c528",
+            "metrics.csv": "416d4aa18ed512fe982016bff0749eff528c07303d396c9af629aca155c69cc8",
+            "disparity_x.pgm": "11fe3cf907e3c702451f1b04a8f5c280176d6c509b33456c0aef9a55e0dc9386",
+            "disparity_y.pgm": "885fdb5388845ec8d57eef76a17d83fe2c50465ba710ebdfde07d1f7d5ad6916",
+            "aligned.pgm": "3d6ea64e19d329be61e2f2aa8344b0b27e801616c23fc9713c0021af68da7f66",
+        },
+    ),
+    "full-fast": (
+        ["--method", "full-fast"],
+        {
+            "disparity.csv": "3a924099c6710c90cb76401488dc7b94ca57a5816a8a1f7ac57958605953c528",
+            "metrics.csv": "416d4aa18ed512fe982016bff0749eff528c07303d396c9af629aca155c69cc8",
+            "disparity_x.pgm": "11fe3cf907e3c702451f1b04a8f5c280176d6c509b33456c0aef9a55e0dc9386",
+            "disparity_y.pgm": "885fdb5388845ec8d57eef76a17d83fe2c50465ba710ebdfde07d1f7d5ad6916",
+            "aligned.pgm": "3d6ea64e19d329be61e2f2aa8344b0b27e801616c23fc9713c0021af68da7f66",
+        },
+    ),
+    "diag-main": (
+        ["--method", "diag"],
+        {
+            "disparity.csv": "3b2d71a81b6d1186dddc9dc7673a7a47a9f65be93d50f128b016a53509302ddc",
+            "metrics.csv": "d441dd2f4f410c75f080e5c5ac682f4055da51cc377216292b6276e5ddc4c07c",
+            "disparity_x.pgm": "de911537825eccefcbd6b493b48734a5f43c7fe160e07eb4b3a4058d0bd43e13",
+            "disparity_y.pgm": "7efa84f5ace7cb2f2923b8b97dbcf29cc57f3c13ba06701ccaa748dd45e2d6bd",
+            "aligned.pgm": "1c877343b5e90f1da607335579f47ac0a26fb588bd7ccd6728c41b2e351476cd",
+        },
+    ),
+    "stream-noiseless": (
+        ["--method", "stream", "--noise-int", "0"],
+        {
+            "disparity.csv": "3053aa1b38d8146168f0ce62001df7a5f259856179dbd77cba916fb9609d9bb8",
+            "metrics.csv": "d441dd2f4f410c75f080e5c5ac682f4055da51cc377216292b6276e5ddc4c07c",
+            "disparity_x.pgm": "de911537825eccefcbd6b493b48734a5f43c7fe160e07eb4b3a4058d0bd43e13",
+            "disparity_y.pgm": "7efa84f5ace7cb2f2923b8b97dbcf29cc57f3c13ba06701ccaa748dd45e2d6bd",
+            "aligned.pgm": "1c877343b5e90f1da607335579f47ac0a26fb588bd7ccd6728c41b2e351476cd",
+        },
+    ),
+    "stream-pole": (
+        ["--method", "stream", "--ma", "pole:0.25", "--noise-mult", "0.05"],
+        {
+            "disparity.csv": "11dcef8295b3e1b10805b33724235aa7287407d19fe33fdcad1963e2a7d570f8",
+            "metrics.csv": "bce39b819cd72d464b11d4b01b8a52547c8eecccd3dd4366ed96e5e086d1b2b4",
+            "disparity_x.pgm": "0491e262661aa1ca5defab5b7f1e42ad958305048cb6a85e549098337356af66",
+            "disparity_y.pgm": "6662d9a2217bc731195d9915555110e5fb380eed9907b21e9e389f275134df8c",
+            "aligned.pgm": "154c1a8f48c2408163bd94e3dddcfae3a88b3d2039c6b4fb814eff70cb8d86e1",
+        },
+    ),
+    "diag-fast-clipped": (
+        ["--method", "diag-fast", *CLIPPED],
+        {
+            "disparity.csv": "0478b9dccd111bdc85c7aa450e1f679e89adad074877c4cca37425172b459b63",
+            "metrics.csv": "7d773cb9267c7736c0e72b4bd48f7d654751349afab45ab4351e435c433ca881",
+            "disparity_x.pgm": "11fa9121dfecf09b9a1518f439698fe9ec88f32e2959da9a3aa3b3c577daa83a",
+            "disparity_y.pgm": "5db1a59329c2263c34ba684df5a76c63aa8bded19e29d3973db37b18724dfea5",
+            "aligned.pgm": "0c0d054b711559763a278fb9f828949d4986da94f84fe22aeea7d2e812f1afd7",
+        },
+    ),
+    "full-fast-clipped": (
+        ["--method", "full-fast", *CLIPPED],
+        {
+            "disparity.csv": "c5bcc55ac325ef467f9026977e96120952746dd4afa65989e3bb6ece92cb8a02",
+            "metrics.csv": "f75af38d0cf6d85eff3f81604c6f2f65fae40a7eac19711cd698e4dc925cac00",
+            "disparity_x.pgm": "11fe3cf907e3c702451f1b04a8f5c280176d6c509b33456c0aef9a55e0dc9386",
+            "disparity_y.pgm": "535d1b906813cf30a0ce9de91519982ad03067163f264d9fdc0842628d68cbec",
+            "aligned.pgm": "0c4dba5051c84765c2744780f11b1d3c148026ad41b7a4b7a16fb4352ed0180d",
+        },
+    ),
+    "stream-noisy-clipped": (
+        ["--method", "stream", "--noise-mult", "0.1", "--noise-int", "0.2", *CLIPPED],
+        {
+            "disparity.csv": "5a64e44f1bc8090afd6bbf7bd1e372650766cbf8feb1ac451488efbe6ebbe885",
+            "metrics.csv": "66d3d4b8e93789e5fffcb0ea076008203e5c502af13ad78c9b27c734042e46ca",
+            "disparity_x.pgm": "fae6e7908e010cd6457dbab4fe19d2d67743244c073752fdcc5473e35dcb5f9c",
+            "disparity_y.pgm": "7149a6911c69b47ec50f67e0cb812247dd95de6fe34ce4fbf963e2c4771d03e9",
+            "aligned.pgm": "3094b568490c7a2866fde16a30e2abc04f5358012b29fdf1a9cfaea2df90a4d9",
         },
     ),
 }

@@ -9,9 +9,12 @@ from nccalign import (
     ZERO_VARIANCE,
     ShiftRange,
     best_shift,
+    build_diag_tables,
     build_sum_tables,
+    ncc_diag_fast,
     ncc_full_fast,
     ncc_full_naive,
+    ncc_stream,
 )
 from nccalign.ncc import CorrelationMap, OpCounter
 
@@ -104,9 +107,17 @@ class TestNccFullFast:
     def test_fully_out_of_bounds_range(self):
         ref = random_image(7, 16, 16)
         block = ref[0:8, 0:8].copy()
-        cmap = ncc_full_fast(block, ref, (0, 0), ShiftRange(-5, -3, -5, -3), build_sum_tables(ref))
-        assert np.all(cmap.validity == OUT_OF_BOUNDS)
-        assert best_shift(cmap) is None
+        shifts = ShiftRange(-5, -3, -5, -3)
+        full = ncc_full_fast(block, ref, (0, 0), shifts, build_sum_tables(ref))
+        diag = ncc_diag_fast(block, ref, (0, 0), shifts, build_diag_tables(ref))
+        stream = ncc_stream(block, ref, (0, 0), shifts)
+        for cmap in (full, diag, stream):
+            assert cmap.validity.shape == (shifts.n_dv, shifts.n_du)
+            assert np.all(cmap.validity == OUT_OF_BOUNDS)
+            assert best_shift(cmap) is None
+        assert stream.clamped.dtype == bool
+        assert stream.clamped.shape == (shifts.n_dv, shifts.n_du)
+        assert not stream.clamped.any()
 
 
 class TestBestShift:

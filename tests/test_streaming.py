@@ -11,7 +11,6 @@ from nccalign import (
     dynamic_range_to_noise,
     moving_average,
     multiply_integrate,
-    multiply_stream,
     ncc_stream,
     power_budget,
     rms,
@@ -96,53 +95,57 @@ class TestMultiplyIntegrate:
     NOISELESS = NoiseModel()
 
     def test_exact_dot_product(self):
-        assert multiply_integrate([1.0, 2.0], [3.0, 4.0], self.NOISELESS, 1.0, 1.0) == pytest.approx(11.0)
+        out = multiply_integrate(np.array([[1.0, 2.0], [0.5, -1.0]]), np.array([3.0, 4.0]), self.NOISELESS)
+        np.testing.assert_allclose(out, [11.0, -2.5])
 
     def test_self_correlation_is_variance_sum(self):
         x = random_image(40, 1, 9)[0]
         xc = x - x.mean()
         expected = float(np.sum(xc * xc))
-        assert multiply_integrate(xc, xc, self.NOISELESS, rms(xc), rms(xc)) == pytest.approx(expected)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            multiply_integrate([1.0], [1.0, 2.0], self.NOISELESS, 1.0, 1.0)
+        assert multiply_integrate(xc[None, :], xc, self.NOISELESS)[0] == pytest.approx(expected)
 
     def test_multiplier_noise_std_matches_fraction(self):
+        # Every row is the same stream, so the rows share one clean sum and
+        # one product RMS; a row's D per-sample draws sum to sqrt(D) times
+        # the std of one.
         rng = np.random.default_rng(3)
-        a = rng.random(100_000)
-        b = rng.random(100_000)
-        ra, rb = rms(a), rms(b)
+        d = 16
+        a = rng.random(d)
+        b = rng.random(d)
+        rows = np.tile(a, (40_000, 1))
         noise = NoiseModel(multiplier_fraction=0.01, seed=9)
-        noisy = multiply_stream(a, b, noise, ra, rb, (1,))
-        sd = float(np.std(noisy - a * b))
-        assert sd == pytest.approx(0.01 * ra * rb, rel=0.02)
+        noisy = multiply_integrate(rows, b, noise, (1,))
+        sd = float(np.std(noisy - a @ b))
+        assert sd == pytest.approx(0.01 * rms(a) * rms(b) * np.sqrt(d), rel=0.02)
 
     def test_integrator_noise_scales_with_sqrt_n(self):
-        n = 64
-        a = np.zeros(n)
+        # Alternating signs: the clean sum is 0 and both RMS values are 1.
         noise = NoiseModel(integrator_fraction=0.5, seed=4)
-        value = multiply_integrate(a, a, noise, 1.0, 1.0, (2,))
-        g = noise.rng(1, (2,)).standard_normal()
-        assert value == pytest.approx(g * 0.5 * np.sqrt(n))
+        g = noise.rng(1, (2,)).standard_normal(1)[0]
+        for n in (16, 64, 256):
+            t = np.resize([1.0, -1.0], n)
+            value = multiply_integrate(np.ones((1, n)), t, noise, (2,))[0]
+            assert value == pytest.approx(g * 0.5 * np.sqrt(n))
 
     def test_streams_deterministic_and_distinct(self):
-        a = random_image(41, 1, 32)[0]
-        b = random_image(42, 1, 32)[0]
+        b = random_image(41, 3, 32)
+        t = random_image(42, 1, 32)[0]
         noise = NoiseModel(0.1, 0.2, seed=7)
-        first = multiply_integrate(a, b, noise, rms(a), rms(b), (3, 1))
-        second = multiply_integrate(a, b, noise, rms(a), rms(b), (3, 1))
-        other = multiply_integrate(a, b, noise, rms(a), rms(b), (3, 2))
-        assert first == second
-        assert first != other
+        first = multiply_integrate(b, t, noise, (3, 1))
+        second = multiply_integrate(b, t, noise, (3, 1))
+        other = multiply_integrate(b, t, noise, (3, 2))
+        np.testing.assert_array_equal(first, second)
+        assert np.all(first != other)
 
     def test_per_stream_cadence_broadcasts_one_draw(self):
-        a = np.ones(16)
+        # Unit streams: each product is 1 plus its row's single draw, so a
+        # row integrates to D * (1 + 0.2 * g_row).
+        d, n = 16, 5
         noise = NoiseModel(multiplier_fraction=0.2, seed=5, cadence="per-stream")
-        products = multiply_stream(a, a, noise, 1.0, 1.0, (0,))
-        offsets = products - 1.0
-        assert np.all(offsets == offsets[0])
-        assert offsets[0] != 0.0
+        out = multiply_integrate(np.ones((n, d)), np.ones(d), noise, (0,))
+        g = noise.rng(0, (0,)).standard_normal((n, 1))[:, 0]
+        np.testing.assert_allclose(out, d * (1.0 + 0.2 * g), rtol=1e-12)
+        assert np.all(g != 0.0) and len(set(g)) == n
 
 
 class TestNccStream:
