@@ -11,11 +11,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .diagonal import build_diag_tables, ncc_diag, ncc_diag_fast
 from .errors import UnalignableError, UndefinedMetricError
-from .images import GrayImage, validate_image
+from .images import GrayImage, chunk_rows, row_chunks, validate_image
 from .ncc import (
     OpCounter,
     ShiftRange,
@@ -219,6 +218,28 @@ class DenseDisparity:
     dv: np.ndarray
 
 
+def _in_row_bands(height: int, work, make_scratch) -> None:
+    """Call ``work(start, stop, scratch)`` for bands of rows covering
+    [0, height), one band per CPU this process may run on
+    (``os.sched_getaffinity`` where the platform has it, else
+    ``os.cpu_count``; at most one band per row), each on its own thread.
+
+    Band sizes differ by at most one row. ``make_scratch()`` runs here, on
+    the calling thread, once per band, so a worker allocates nothing and
+    writes through ``out=`` only. The band count has no option: every band
+    computes the same per-pixel formulas, so no output depends on it. A
+    worker's exception is raised here.
+    """
+    # The affinity set is Linux-only; elsewhere count every CPU.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    bands = max(1, min(cpus, height))
+    edges = [height * i // bands for i in range(bands + 1)]
+    scratch = [make_scratch() for _ in range(bands)]
+    with ThreadPoolExecutor(max_workers=bands) as pool:
+        # list() re-raises any worker's exception here.
+        list(pool.map(work, edges[:-1], edges[1:], scratch))
+
+
 def _axis_weights(centers: np.ndarray, queries: np.ndarray):
     """Lower/upper indices and blend weight for 1D linear interpolation.
 
@@ -235,6 +256,33 @@ def _axis_weights(centers: np.ndarray, queries: np.ndarray):
     return idx, upper, weight
 
 
+def _grid_sample(centers_x, centers_y, components, query_x, query_y) -> list[np.ndarray]:
+    """:func:`bilinear_grid_sample` of each array of ``components`` over
+    one set of weights and one pool of row bands."""
+    j0, j1, wx = _axis_weights(np.asarray(centers_x, dtype=np.float64), np.asarray(query_x, dtype=np.float64))
+    i0, i1, wy = _axis_weights(np.asarray(centers_y, dtype=np.float64), np.asarray(query_y, dtype=np.float64))
+    ux = 1.0 - wx
+    # The y-blend is small (len(qy) x len(cx)); the x-blend is the full-size pass.
+    grids = [values[i0] * (1.0 - wy)[:, None] + values[i1] * wy[:, None] for values in components]
+    height, width = len(i0), len(j0)
+    outs = [np.empty((height, width)) for _ in components]
+    rows = chunk_rows(height, width)
+
+    def blend_band(start: int, stop: int, upper: np.ndarray) -> None:
+        for a, b in row_chunks(start, stop, rows):
+            up = upper[:b - a]
+            for grid, out in zip(grids, outs):
+                lower = out[a:b]
+                np.take(grid[a:b], j0, axis=1, out=lower, mode="clip")
+                lower *= ux
+                np.take(grid[a:b], j1, axis=1, out=up, mode="clip")
+                up *= wx
+                lower += up
+
+    _in_row_bands(height, blend_band, lambda: np.empty((rows, width)))
+    return outs
+
+
 def bilinear_grid_sample(
     centers_x: np.ndarray,
     centers_y: np.ndarray,
@@ -246,18 +294,11 @@ def bilinear_grid_sample(
     at the outer product of query coordinates; constant beyond the hull.
 
     Separable: values are first interpolated along y at every query row
-    (a len(qy) x len(cx) grid), then along x, in place, so the x-blend
-    holds two full-size arrays. Equal to the four-corner blend up to
-    rounding, and exactly so when the products are exact.
+    (a len(qy) x len(cx) grid), then along x, a chunk of rows at a time on
+    the row bands of :func:`_in_row_bands`. Equal to the four-corner blend
+    up to rounding, and exactly so when the products are exact.
     """
-    j0, j1, wx = _axis_weights(np.asarray(centers_x, dtype=np.float64), np.asarray(query_x, dtype=np.float64))
-    i0, i1, wy = _axis_weights(np.asarray(centers_y, dtype=np.float64), np.asarray(query_y, dtype=np.float64))
-    rows = values[i0] * (1.0 - wy)[:, None] + values[i1] * wy[:, None]
-    out = rows.take(j0, axis=1)
-    out *= 1.0 - wx
-    upper = rows.take(j1, axis=1)
-    upper *= wx
-    out += upper
+    (out,) = _grid_sample(centers_x, centers_y, (values,), query_x, query_y)
     return out
 
 
@@ -270,7 +311,8 @@ def interpolate_disparity(
 
     ``extent`` is (width, height) of the output; pixels beyond the outermost
     centers take the nearest-center value. The field must be complete
-    (no invalid blocks; run fill_invalid first).
+    (no invalid blocks; run fill_invalid first). Both components share one
+    pool of row bands.
     """
     if np.any(field.status == BLOCK_INVALID):
         raise ValueError("disparity field still has invalid blocks; fill_invalid first")
@@ -278,54 +320,109 @@ def interpolate_disparity(
     cx, cy = grid.center_coords()
     qx = np.arange(width, dtype=np.float64)
     qy = np.arange(height, dtype=np.float64)
-    dense_du = bilinear_grid_sample(cx, cy, field.du, qx, qy)
-    dense_dv = bilinear_grid_sample(cx, cy, field.dv, qx, qy)
+    dense_du, dense_dv = _grid_sample(cx, cy, (field.du, field.dv), qx, qy)
     return DenseDisparity(du=dense_du, dv=dense_dv)
 
 
 def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndarray]:
     """Resample the template through the dense field (inverse mapping).
 
-    output(x, y) = template(x - du(x, y), y - dv(x, y)), bilinear, via
-    ``map_coordinates(order=1)``. Returns the warped image and a validity
-    mask; samples falling outside the template are masked out (and set
-    to 0). Validates the whole template.
+    output(x, y) = template(x - du(x, y), y - dv(x, y)), bilinear. Returns
+    the warped image and a validity mask; samples falling outside the
+    template, or at a non-finite shift, are masked out (and set to 0).
+    Validates the whole template.
 
-    The rows are split into one band per CPU this process may run on
-    (``os.sched_getaffinity`` where the platform has it, else
-    ``os.cpu_count``; at most one band per row), each sampled
-    on its own thread; ``map_coordinates`` releases the GIL. The band
-    count has no option: every band computes the same per-pixel formula,
-    so the output does not depend on it. The sample coordinates and the
-    mask are built once, here; the workers allocate nothing large.
+    Works a chunk of rows at a time on the row bands of
+    :func:`_in_row_bands`, through scratch made here; see
+    :func:`_warp_rows` for the per-chunk formula.
     """
     t = validate_image(template)
     h, w = t.shape
     if dense.du.shape != t.shape or dense.dv.shape != t.shape:
         raise ValueError(f"dense field {dense.du.shape} does not match template {t.shape}")
-    coords = np.empty((2, h, w))
-    sy, sx = coords
-    np.subtract(np.arange(h)[:, None], dense.dv, out=sy)
-    np.subtract(np.arange(w), dense.du, out=sx)
-    mask = sx >= 0
-    mask &= sx <= w - 1
-    mask &= sy >= 0
-    mask &= sy <= h - 1
-
+    flat = t.ravel()
+    xs = np.arange(w, dtype=np.float64)
+    ys = np.arange(h, dtype=np.float64)[:, None]
     out = np.empty((h, w))
-    # The affinity set is Linux-only; elsewhere count every CPU.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    bands = min(cpus, h)
-    edges = [h * i // bands for i in range(bands + 1)]
+    mask = np.empty((h, w), dtype=bool)
+    rows = chunk_rows(h, w)
 
-    def sample_band(a: int, b: int) -> None:
-        map_coordinates(t, coords[:, a:b], output=out[a:b], order=1, mode="nearest")
+    def scratch():
+        return (
+            np.empty((6, rows, w)),
+            np.empty((3, rows, w), dtype=np.int64),
+            np.empty((2, rows, w), dtype=bool),
+        )
 
-    with ThreadPoolExecutor(max_workers=bands) as pool:
-        # list() re-raises any worker's exception here.
-        list(pool.map(sample_band, edges[:-1], edges[1:]))
-    out[~mask] = 0.0
+    def warp_band(start: int, stop: int, buffers) -> None:
+        for a, b in row_chunks(start, stop, rows):
+            _warp_rows(flat, h, w, xs, ys[a:b], dense.du[a:b], dense.dv[a:b], out[a:b], mask[a:b], buffers)
+
+    _in_row_bands(h, warp_band, scratch)
     return out, mask
+
+
+def _warp_rows(flat, h, w, xs, ys, du, dv, out, mask, buffers) -> None:
+    """Warp one chunk of rows into ``out``/``mask`` through ``buffers``.
+
+    The sample coordinates are clamped to the template (``fmax``/``fmin``,
+    which also send NaN to 0 and +-inf to an edge), and a pixel is in the
+    mask when clamping left both unchanged. ``modf`` of the clamped
+    coordinates gives the lower taps and the weights; the +1 taps stay on
+    the last column and row. The blend order,
+    ((v00*uy)*ux + (v01*uy)*wx) + (v10*wy)*ux + (v11*wy)*wx, is that of
+    ``scipy.ndimage.map_coordinates(order=1)``, so the result is
+    bit-identical to it. Every step writes into ``buffers`` and mixes no
+    dtypes, so numpy needs no cast buffer of its own.
+    """
+    n = len(out)
+    floats, ints, bools = (buf[:, :n] for buf in buffers)
+    sx, sy, wx, wy, x0, y0 = floats
+    tap00, tap01, tap = ints
+    last_x, last_y = bools
+    np.subtract(xs, du, out=sx)
+    np.subtract(ys, dv, out=sy)
+    np.fmax(sx, 0.0, out=wx)
+    np.fmin(wx, w - 1, out=wx)
+    np.fmax(sy, 0.0, out=wy)
+    np.fmin(wy, h - 1, out=wy)
+    np.equal(wx, sx, out=mask)
+    np.equal(wy, sy, out=last_y)
+    mask &= last_y
+    np.modf(wx, out=(wx, x0))
+    np.modf(wy, out=(wy, y0))
+    np.equal(x0, w - 1, out=last_x)
+    np.equal(y0, h - 1, out=last_y)
+    y0 *= w
+    y0 += x0
+    np.copyto(tap00, y0, casting="unsafe")
+    ux, uy, value = sx, sy, x0
+    np.subtract(1.0, wx, out=ux)
+    np.subtract(1.0, wy, out=uy)
+
+    np.take(flat, tap00, out=out, mode="clip")
+    out *= uy
+    out *= ux
+    np.add(tap00, 1, out=tap01)
+    np.copyto(tap01, tap00, where=last_x)
+    np.take(flat, tap01, out=value, mode="clip")
+    value *= uy
+    value *= wx
+    out += value
+    np.add(tap00, w, out=tap)
+    np.copyto(tap, tap00, where=last_y)
+    np.take(flat, tap, out=value, mode="clip")
+    value *= wy
+    value *= ux
+    out += value
+    np.add(tap01, w, out=tap)
+    np.copyto(tap, tap01, where=last_y)
+    np.take(flat, tap, out=value, mode="clip")
+    value *= wy
+    value *= wx
+    out += value
+    np.logical_not(mask, out=last_y)
+    np.copyto(out, 0.0, where=last_y)
 
 
 def _masked_copy(arr: np.ndarray, mask: np.ndarray | None) -> np.ndarray:

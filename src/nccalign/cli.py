@@ -387,7 +387,10 @@ def cmd_bench(args) -> int:
 
 def cmd_noise_sweep(args) -> int:
     args.method = "stream"
-    fractions = [float(f) for f in args.fractions.split(",") if f != ""]
+    try:
+        fractions = [float(f) for f in args.fractions.split(",") if f != ""]
+    except ValueError as exc:
+        raise ValueError(f"--fractions must be comma-separated numbers, got {args.fractions!r}") from exc
     if not fractions:
         raise ValueError(f"--fractions must name at least one fraction, got {args.fractions!r}")
     if args.seeds < 1:

@@ -18,6 +18,21 @@ GrayImage = np.ndarray
 
 SUPPORTED_MAXVALS = (255, 65535)
 
+# Whole-image stages work through chunks of rows holding about this many
+# pixels, so a chunk's temporaries stay in cache.
+CHUNK_PIXELS = 1 << 15
+
+
+def chunk_rows(height: int, width: int) -> int:
+    """Rows per chunk of a height x width image: at least one, at most all."""
+    return max(1, min(height, CHUNK_PIXELS // max(width, 1)))
+
+
+def row_chunks(start: int, stop: int, rows: int):
+    """Yield the (a, b) row ranges, ``rows`` rows each, that cover [start, stop)."""
+    for a in range(start, stop, rows):
+        yield a, min(a + rows, stop)
+
 
 def image_array(image: GrayImage, name: str = "image") -> np.ndarray:
     """Check the GrayImage shape invariants and return the array as float64.
@@ -100,7 +115,7 @@ def load_pgm(path) -> GrayImage:
         )
 
     raw = np.frombuffer(payload, dtype=dtype).reshape(height, width)
-    return raw.astype(np.float64) / maxval
+    return np.true_divide(raw, maxval, dtype=np.float64)
 
 
 def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | None = None) -> None:
@@ -108,20 +123,30 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
 
     Values are clamped to [0, 1] and quantized with round-half-up; 16-bit
     samples are written most-significant-byte first. ``comments`` become
-    '#' header lines (no newlines allowed inside them).
+    '#' header lines (no newlines allowed inside them). A non-finite pixel
+    raises ``ValueError`` before the file is opened.
+
+    The image is checked and quantized a chunk of rows at a time through
+    two chunk-sized buffers, straight into the output array.
     """
     if maxval not in SUPPORTED_MAXVALS:
         raise PgmError(f"unsupported maxval {maxval}, expected 255 or 65535")
-    arr = validate_image(image)
-    dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
-    # floor(c * maxval + 0.5) <= maxval for c <= 1, so the cast cannot wrap.
-    # The clip makes the one full-size copy; the rest works in place on it.
-    scaled = np.clip(arr, 0.0, 1.0)
-    scaled *= maxval
-    scaled += 0.5
-    np.floor(scaled, out=scaled)
-    quantized = scaled.astype(dtype)
+    arr = image_array(image)
     height, width = arr.shape
+    dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
+    quantized = np.empty((height, width), dtype=dtype)
+    rows = chunk_rows(height, width)
+    scaled = np.empty((rows, width))
+    finite = np.empty((rows, width), dtype=bool)
+    for a, b in row_chunks(0, height, rows):
+        chunk, s = arr[a:b], scaled[:b - a]
+        if not np.isfinite(chunk, out=finite[:b - a]).all():
+            raise ValueError("image contains non-finite intensities")
+        # floor(c * maxval + 0.5) <= maxval for c <= 1, so the cast cannot wrap.
+        np.clip(chunk, 0.0, 1.0, out=s)
+        s *= maxval
+        s += 0.5
+        np.floor(s, out=quantized[a:b], casting="unsafe")
     header = "P5\n"
     for comment in comments or ():
         if "\n" in comment or "\r" in comment:
@@ -130,7 +155,7 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
     header += f"{width} {height}\n{maxval}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(quantized.tobytes())
+        fh.write(quantized)
 
 
 @dataclass(frozen=True)

@@ -173,8 +173,13 @@ def multiply_integrate(
     cadence; the integrator stage then draws n readout values scaled by
     sqrt(D). Each stage reads ``noise.rng(stage, stream_id)``.
     """
+    return _multiply_integrate(b_zm, t_zm, noise, stream_id, np.sum(b_zm * b_zm, axis=1))
+
+
+def _multiply_integrate(b_zm, t_zm, noise, stream_id, b_energy) -> np.ndarray:
+    """:func:`multiply_integrate` given each row's energy, ``sum(b_zm**2)``."""
     n, d = b_zm.shape
-    rms_p = np.sqrt(np.sum(b_zm * b_zm, axis=1) / d) * rms(t_zm)
+    rms_p = np.sqrt(b_energy / d) * rms(t_zm)
     products = b_zm * t_zm[None, :]
     if noise.multiplier_fraction > 0:
         rng = noise.rng(MULTIPLIER_STAGE, stream_id)
@@ -242,9 +247,9 @@ def ncc_stream(
     samples = gather_window_diagonals(ref, origin, d, dus, dvs, orientation).reshape(-1, d)
     b_zm = samples - _moving_average_batch(samples, ma_config)
     r_var = tables.window_var_sum((x0 + dus), (y0 + dvs)[:, None], d, orientation)
-    numerators = multiply_integrate(b_zm, t_zm, noise, (block_id,)).reshape(r_var.shape)
-    b_energy = np.sum(b_zm * b_zm, axis=1).reshape(r_var.shape)
-    ok = (b_energy >= EPS_VAR) & (t_energy >= EPS_VAR)
+    b_energy = np.sum(b_zm * b_zm, axis=1)
+    numerators = _multiply_integrate(b_zm, t_zm, noise, (block_id,), b_energy).reshape(r_var.shape)
+    ok = (b_energy.reshape(r_var.shape) >= EPS_VAR) & (t_energy >= EPS_VAR)
     return _clamp(_correlation_map(shifts, bounds, numerators, r_var, t_var, ok))
 
 

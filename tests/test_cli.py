@@ -194,6 +194,13 @@ class TestNoiseSweep:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unparsable_fraction_names_flag(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["noise-sweep", *SMALL_ALIGN, "--fractions", "0.1,abc", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--fractions" in err and "0.1,abc" in err
+        assert not out.exists()
+
 
 class TestRobustness:
     def test_uniform_scale_keeps_field_identical(self, tmp_path):

@@ -4,7 +4,7 @@ Whole images are validated once, at the pipeline boundary
 (``estimate_disparity``, ``build_diag_tables``, ``build_sum_tables``); each
 kernel validates its template block and the reference region it reads. The
 strided diagonal gather, the separable grid interpolation, the
-``map_coordinates`` warp and the PGM quantization are each compared with a
+bilinear warp and the PGM quantization are each compared with a
 test-local copy of the direct formula they replaced.
 """
 
@@ -301,7 +301,7 @@ class TestSeparableInterpolation:
                                       four_corner_sample(cx, cy, values, qx, qy))
 
 
-# -- map_coordinates warp --------------------------------------------------
+# -- bilinear warp ---------------------------------------------------------
 
 @st.composite
 def warp_cases(draw):

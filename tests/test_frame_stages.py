@@ -1,11 +1,14 @@
-"""Per-frame stages that do each whole-image pass once.
+"""Per-frame stages that do each whole-image pass once, in cache-sized
+chunks of rows.
 
-The warp samples its rows in one band per usable CPU; the correlation
-centres the reference side once for a tuple of images; the diagonal
-tables are built only for the orientations a run reads. Each is compared
-with the form it replaced: the one-band warp and the ``np.indices``
-oracle, one ``global_correlation`` call per image, and the
-both-orientation table build.
+The warp and the dense interpolation work in one band of rows per usable
+CPU; the correlation centres the reference side once for a tuple of
+images; the diagonal tables are built only for the orientations a run
+reads; PGM files are checked, quantised and read a chunk at a time. Each
+is compared with the form it replaced: the one-band warp and the
+``np.indices`` oracle, the whole-array interpolation and quantisation,
+one ``global_correlation`` call per image, and the both-orientation table
+build.
 """
 
 from types import SimpleNamespace
@@ -18,12 +21,13 @@ from nccalign import (
     UndefinedMetricError,
     build_diag_tables,
     global_correlation,
+    load_pgm,
     ncc_diag_fast,
     ncc_stream,
     save_pgm,
 )
-from nccalign import alignment
-from nccalign.alignment import DenseDisparity, warp
+from nccalign import alignment, images
+from nccalign.alignment import DenseDisparity, DisparityField, warp
 from nccalign.cli import _normalized_map
 from nccalign.diagonal import ORIENTATIONS
 
@@ -34,17 +38,20 @@ from test_fast_paths import indices_warp
 # -- warp bands ------------------------------------------------------------
 
 def _fake_cpus(monkeypatch, n):
-    """Make ``nccalign.alignment`` see ``n`` usable CPUs, and count the
-    ``map_coordinates`` calls (one per band) it then makes."""
+    """Make ``nccalign.alignment`` see ``n`` usable CPUs, and record the
+    rows of each band (one entry per band) its row-band helper then runs."""
     monkeypatch.setattr(alignment, "os", SimpleNamespace(sched_getaffinity=lambda pid: set(range(n))))
     calls = []
-    real = alignment.map_coordinates
+    real = alignment._in_row_bands
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["output"].shape[0])
-        return real(*args, **kwargs)
+    def counted(height, work, make_scratch):
+        def counted_work(start, stop, scratch):
+            calls.append(stop - start)
+            return work(start, stop, scratch)
 
-    monkeypatch.setattr(alignment, "map_coordinates", counted)
+        return real(height, counted_work, make_scratch)
+
+    monkeypatch.setattr(alignment, "_in_row_bands", counted)
     return calls
 
 
@@ -94,10 +101,100 @@ class TestWarpBands:
         def failing(*args, **kwargs):
             raise RuntimeError("band failed")
 
-        monkeypatch.setattr(alignment, "map_coordinates", failing)
+        monkeypatch.setattr(alignment, "_warp_rows", failing)
         template, du, dv = _warp_case(3, 6, 6, 1.0)
         with pytest.raises(RuntimeError, match="band failed"):
             warp(template, DenseDisparity(du=du, dv=dv))
+
+    @pytest.mark.parametrize("cpus", (1, 3))
+    @pytest.mark.parametrize("chunk", (1, 7, 40, images.CHUNK_PIXELS))
+    def test_chunks_equal_oracle(self, monkeypatch, cpus, chunk):
+        # Chunks of one row, of part of a band, and one chunk per band.
+        _fake_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(images, "CHUNK_PIXELS", chunk)
+        template, du, dv = _warp_case(4, 29, 13, 9.0)
+        got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
+        oracle, oracle_mask = indices_warp(template, du, dv)
+        np.testing.assert_array_equal(got_mask, oracle_mask)
+        np.testing.assert_array_equal(got, oracle)
+
+    def test_edge_taps_keep_signed_zeros(self):
+        # On the last column or row a +1 tap has weight 0, so only the sign
+        # of a zero shows which pixel it read: the clamped one (-0.0 here),
+        # not the next row's first pixel or the image's last one (0.75).
+        template = np.full((6, 5), -0.0)
+        template[:, 0] = template[5, 4] = 0.75
+        du, dv = np.zeros((6, 5)), np.zeros((6, 5))
+        du[0, 0], dv[0, 0] = -4.0, -1.5  # samples (4, 1.5): last column
+        du[0, 1], dv[0, 1] = -0.5, -5.0  # samples (1.5, 5): last row
+        got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
+        oracle, oracle_mask = indices_warp(template, du, dv)
+        assert got_mask[0, :2].all() and np.signbit(got[0, :2]).all()
+        np.testing.assert_array_equal(got_mask, oracle_mask)
+        np.testing.assert_array_equal(got.view(np.uint64), oracle.view(np.uint64))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cpus", (1, 2))
+    def test_non_finite_field_masked_out(self, monkeypatch, cpus):
+        _fake_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(images, "CHUNK_PIXELS", 30)
+        template, du, dv = _warp_case(5, 12, 10, 3.0)
+        bad = np.zeros((12, 10), dtype=bool)
+        for i, value in enumerate((np.nan, np.inf, -np.inf)):
+            du[i, i] = dv[i + 4, 9 - i] = value
+            du[11 - i, 2] = dv[11 - i, 2] = value
+            du[i + 7, 5] = value
+            dv[i + 7, 5] = -value
+            bad[i, i] = bad[i + 4, 9 - i] = bad[11 - i, 2] = bad[i + 7, 5] = True
+        got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
+
+        assert not got_mask[bad].any()
+        assert np.all(got[bad] == 0.0)
+        finite_du, finite_dv = np.where(bad, 0.0, du), np.where(bad, 0.0, dv)
+        oracle, oracle_mask = indices_warp(template, finite_du, finite_dv)
+        np.testing.assert_array_equal(got_mask[~bad], oracle_mask[~bad])
+        np.testing.assert_array_equal(got[~bad], oracle[~bad])
+
+
+# -- banded interpolation --------------------------------------------------
+
+def whole_array_sample(centers_x, centers_y, values, query_x, query_y):
+    """The separable interpolation as one whole-array y-blend and x-blend."""
+    j0, j1, wx = alignment._axis_weights(np.asarray(centers_x, dtype=np.float64), np.asarray(query_x, dtype=np.float64))
+    i0, i1, wy = alignment._axis_weights(np.asarray(centers_y, dtype=np.float64), np.asarray(query_y, dtype=np.float64))
+    rows = values[i0] * (1.0 - wy)[:, None] + values[i1] * wy[:, None]
+    return rows.take(j0, axis=1) * (1.0 - wx) + rows.take(j1, axis=1) * wx
+
+
+class TestBandedInterpolation:
+    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    @pytest.mark.parametrize("chunk", (1, 50, images.CHUNK_PIXELS))
+    @pytest.mark.parametrize("height, width", ((1, 1), (1, 70), (45, 1), (31, 37)))
+    def test_equals_whole_array_formula(self, monkeypatch, cpus, chunk, height, width):
+        _fake_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(images, "CHUNK_PIXELS", chunk)
+        rng = np.random.default_rng(height * 100 + width)
+        cx = np.sort(rng.uniform(0, width, 5))
+        cy = np.sort(rng.uniform(0, height, 4))
+        values = rng.uniform(-8, 8, (4, 5))
+        qx = np.arange(width, dtype=np.float64)
+        qy = np.arange(height, dtype=np.float64)
+        np.testing.assert_array_equal(alignment.bilinear_grid_sample(cx, cy, values, qx, qy),
+                                      whole_array_sample(cx, cy, values, qx, qy))
+
+    def test_full_size_field_in_one_pool(self, monkeypatch):
+        # Each 200-row band of a 400 x 200 field spans two chunks; both
+        # components share one pool, so there is one call per band.
+        calls = _fake_cpus(monkeypatch, 2)
+        field = DisparityField(*np.random.default_rng(6).uniform(-4, 4, (2, 5, 6)),
+                               coeff=np.ones((5, 6)), status=np.zeros((5, 6), dtype=np.uint8))
+        grid = alignment.BlockGrid(block_size=32, margin_x=4, margin_y=15, rows=5, cols=6)
+        dense = alignment.interpolate_disparity(field, grid, (200, 400))
+        assert calls == [200, 200]
+        cx, cy = grid.center_coords()
+        qx, qy = np.arange(200, dtype=np.float64), np.arange(400, dtype=np.float64)
+        np.testing.assert_array_equal(dense.du, whole_array_sample(cx, cy, field.du, qx, qy))
+        np.testing.assert_array_equal(dense.dv, whole_array_sample(cx, cy, field.dv, qx, qy))
 
 
 # -- tuple correlation -----------------------------------------------------
@@ -206,7 +303,12 @@ class TestOrientationTables:
             build_diag_tables(random_image(13, 8, 8), orientations)
 
 
-# -- in-place quantisation -------------------------------------------------
+# -- chunked PGM I/O -------------------------------------------------------
+
+def whole_array_pgm_body(image, maxval):
+    dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
+    return np.floor(np.clip(image, 0.0, 1.0) * maxval + 0.5).astype(dtype).tobytes()
+
 
 def test_quantisation_leaves_input_unmodified(tmp_path):
     image = np.random.default_rng(14).uniform(-0.5, 1.5, (9, 11))
@@ -215,3 +317,41 @@ def test_quantisation_leaves_input_unmodified(tmp_path):
     normalized = _normalized_map(image)
     np.testing.assert_array_equal(image, before)
     np.testing.assert_array_equal(normalized, (before - before.min()) / (before.max() - before.min()))
+
+
+# Heights and widths on both sides of one chunk (images.CHUNK_PIXELS).
+CHUNK_SHAPES = ((1, 1), (1, 40_000), (32_768, 1), (32_769, 1), (128, 256), (129, 256), (200, 170), (3, 33_000))
+
+
+class TestChunkedPgm:
+    @pytest.mark.parametrize("maxval", (255, 65535))
+    @pytest.mark.parametrize("shape", CHUNK_SHAPES)
+    def test_save_equals_whole_array_quantisation(self, tmp_path, maxval, shape):
+        image = np.random.default_rng(shape[0] * 7 + shape[1]).uniform(-0.3, 1.3, shape)
+        image.flat[:4] = [1.0, 0.0, 0.5 / maxval, 1.0 - 0.5 / maxval][:image.size]
+        path = tmp_path / "q.pgm"
+        save_pgm(image, path, maxval=maxval)
+        header = f"P5\n{shape[1]} {shape[0]}\n{maxval}\n".encode("ascii")
+        assert path.read_bytes() == header + whole_array_pgm_body(image, maxval)
+
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("where", ((0, 0), (199, 169), (195, 3)))
+    def test_non_finite_raises_before_file_exists(self, tmp_path, value, where):
+        image = np.random.default_rng(15).random((200, 170))
+        image[where] = value
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_pgm(image, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("maxval", (255, 65535))
+    @pytest.mark.parametrize("shape", ((1, 1), (3, 1), (1, 5), (131, 257)))
+    def test_load_equals_float_division(self, tmp_path, maxval, shape):
+        dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
+        raw = np.random.default_rng(maxval + shape[1]).integers(0, maxval, shape, endpoint=True).astype(dtype)
+        raw.flat[0] = maxval
+        path = tmp_path / "raw.pgm"
+        path.write_bytes(f"P5\n{shape[1]} {shape[0]}\n{maxval}\n".encode("ascii") + raw.tobytes())
+        loaded = load_pgm(path)
+        assert loaded.dtype == np.float64
+        np.testing.assert_array_equal(loaded, raw.astype(np.float64) / maxval)
