@@ -14,7 +14,7 @@ import numpy as np
 
 from .diagonal import build_diag_tables, ncc_diag, ncc_diag_fast
 from .errors import UnalignableError, UndefinedMetricError
-from .images import GrayImage, chunk_rows, row_chunks, validate_image
+from .images import GrayImage, chunk_rows, image_array, row_chunks, validate_image
 from .ncc import (
     OpCounter,
     ShiftRange,
@@ -69,8 +69,9 @@ def partition_template(image: GrayImage, block_size: int, crop_fraction: float =
 
     ``crop_fraction`` is the total cropped fraction per axis (half per side,
     floored to whole pixels); partial blocks at the right/bottom are dropped.
+    Reads the image's shape only, not its pixels.
     """
-    arr = validate_image(image)
+    arr = image_array(image)
     if block_size < 8:
         raise ValueError(f"block_size must be >= 8, got {block_size}")
     if not (0.0 <= crop_fraction <= 0.10):
@@ -152,9 +153,8 @@ def estimate_disparity(
             cmap = ncc_diag_fast(block, ref, origin, shifts, diag_tables, orientation, counter=counter)
         else:
             cmap = ncc_stream(
-                block, ref, origin, shifts, orientation,
-                ma_config=ma_config, noise=noise, tables=diag_tables,
-                block_id=row * grid.cols + col, counter=counter,
+                block, ref, origin, shifts, diag_tables, orientation,
+                ma_config=ma_config, noise=noise, block_id=row * grid.cols + col, counter=counter,
             )
         best = best_shift(cmap)
         if best is not None:

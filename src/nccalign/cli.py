@@ -22,6 +22,7 @@ import numpy as np
 
 from .alignment import (
     BLOCK_STATUS_NAMES,
+    BLOCK_VALID,
     METHODS,
     BlockGrid,
     DenseDisparity,
@@ -79,9 +80,6 @@ class RunConfig:
 
     def header_lines(self, schema: str) -> list[str]:
         return [f"# {line}" for line in self.comment_lines(schema)]
-
-    def argv(self) -> list[str]:
-        return [self.command] + [f"{flag}={value}" for flag, value in self.options]
 
 
 def _canonical(value) -> str:
@@ -170,14 +168,17 @@ def _load_or_generate(args) -> tuple[np.ndarray, np.ndarray, GroundTruth | None]
             if not Path(path).is_file():
                 raise FileNotFoundError(f"input image not found: {path}")
         return load_pgm(args.template), load_pgm(args.reference), None
-    spec = SyntheticSpec(
+    return make_synthetic_stereo(_synthetic_spec(args))
+
+
+def _synthetic_spec(args) -> SyntheticSpec:
+    return SyntheticSpec(
         width=args.width,
         height=args.height,
         regions=_parse_pattern(args.pattern, args.width, args.height),
         texture_seed=args.gen_seed,
         noise_floor=args.noise_floor,
     )
-    return make_synthetic_stereo(spec)
 
 
 def _shift_range(args) -> ShiftRange:
@@ -205,8 +206,6 @@ def _block_truth(truth: GroundTruth, grid: BlockGrid) -> tuple[np.ndarray, np.nd
 
 def match_rate(field: DisparityField, truth: GroundTruth, grid: BlockGrid) -> float:
     """Fraction of blocks whose estimated shift equals the ground truth exactly."""
-    from .alignment import BLOCK_VALID
-
     tdu, tdv = _block_truth(truth, grid)
     hits = (field.status == BLOCK_VALID) & (field.du == tdu) & (field.dv == tdv)
     return float(hits.mean())
@@ -274,13 +273,7 @@ def _out_dir(args) -> Path:
 
 def cmd_gen(args) -> int:
     config = RunConfig.from_args(args)
-    spec = SyntheticSpec(
-        width=args.width,
-        height=args.height,
-        regions=_parse_pattern(args.pattern, args.width, args.height),
-        texture_seed=args.gen_seed,
-        noise_floor=args.noise_floor,
-    )
+    spec = _synthetic_spec(args)
     template, reference, _ = make_synthetic_stereo(spec)
     out = _out_dir(args)
     comments = config.comment_lines("image")

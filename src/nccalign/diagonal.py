@@ -51,13 +51,15 @@ def extract_diagonal(block: GrayImage, orientation: str = "main") -> np.ndarray:
     """
     _check_orientation(orientation)
     arr = validate_image(block, "block")
-    d = _check_square(arr)
+    _check_square(arr)
+    return _diagonal(arr, orientation)
+
+
+def _diagonal(arr: np.ndarray, orientation: str) -> np.ndarray:
+    """:func:`extract_diagonal` of a checked square float64 block."""
     if orientation == "main":
-        samples = np.ascontiguousarray(np.diagonal(arr))
-    else:
-        samples = np.ascontiguousarray(np.diagonal(arr[::-1, :]))
-    assert samples.shape == (d,)
-    return samples
+        return np.ascontiguousarray(np.diagonal(arr))
+    return np.ascontiguousarray(np.diagonal(arr[::-1, :]))
 
 
 def _diag_offsets(d: int, orientation: str) -> tuple[np.ndarray, np.ndarray]:
@@ -137,28 +139,31 @@ def build_diag_tables(reference: GrayImage, orientations: tuple[str, ...] = ORIE
     for orientation in orientations:
         _check_orientation(orientation)
     arr = validate_image(reference)
-    h, w = arr.shape
-    sq = arr * arr
-
     main_sum = main_sumsq = anti_sum = anti_sumsq = None
     if "main" in orientations:
-        main_sum = np.zeros((h + 1, w + 1))
-        main_sumsq = np.zeros((h + 1, w + 1))
-        for y in range(h):
-            main_sum[y + 1, 1:] = arr[y] + main_sum[y, :-1]
-            main_sumsq[y + 1, 1:] = sq[y] + main_sumsq[y, :-1]
-
+        main_sum, main_sumsq = _diag_prefix(arr)
     if "anti" in orientations:
-        anti_sum = np.zeros((h + 1, w + 1))
-        anti_sumsq = np.zeros((h + 1, w + 1))
-        for y in range(h - 1, -1, -1):
-            anti_sum[y, 1:] = arr[y] + anti_sum[y + 1, :-1]
-            anti_sumsq[y, 1:] = sq[y] + anti_sumsq[y + 1, :-1]
-
+        # The anti tables are the main tables of the upside-down image, read
+        # upside down: anti[y, x] = main'[h - y, x]. Each entry is the same
+        # additions in the same order, so the values are bit-identical to a
+        # per-row loop up from the bottom row.
+        anti_sum, anti_sumsq = (table[::-1] for table in _diag_prefix(arr[::-1]))
     return DiagTables(
         main_sum=main_sum, main_sumsq=main_sumsq,
         anti_sum=anti_sum, anti_sumsq=anti_sumsq,
     )
+
+
+def _diag_prefix(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Main-orientation (sum, sum of squares) prefix tables of ``arr``."""
+    h, w = arr.shape
+    sq = arr * arr
+    total = np.zeros((h + 1, w + 1))
+    total_sq = np.zeros((h + 1, w + 1))
+    for y in range(h):
+        total[y + 1, 1:] = arr[y] + total[y, :-1]
+        total_sq[y + 1, 1:] = sq[y] + total_sq[y, :-1]
+    return total, total_sq
 
 
 def ncc_diag(
@@ -180,7 +185,7 @@ def ncc_diag(
     d = _check_square(t)
     x0, y0 = origin
 
-    t_diag = extract_diagonal(t, orientation)
+    t_diag = _diagonal(t, orientation)
     t_mean, t_var = block_stats(t_diag)
     t_c = t_diag - t_mean
 
@@ -212,51 +217,72 @@ def ncc_diag(
     return CorrelationMap(shifts=shifts, values=values, validity=validity)
 
 
-def _run_start(values, name: str) -> int:
-    """First element of a non-empty run of consecutive ascending integers."""
-    values = np.asarray(values)
-    if values.ndim != 1 or values.size == 0 or np.any(np.diff(values) != 1):
-        raise ValueError(f"{name} must be a non-empty run of consecutive shifts")
-    return int(values[0])
-
-
 def gather_window_diagonals(
     reference: np.ndarray,
     origin: tuple[int, int],
     d: int,
-    du_values: np.ndarray,
-    dv_values: np.ndarray,
+    bounds: tuple[int, int, int, int],
     orientation: str,
 ) -> np.ndarray:
     """Diagonal samples of every shifted window: shape (n_dv, n_du, D).
 
-    ``du_values``/``dv_values`` are runs of consecutive ascending shifts.
-    The samples are read through a strided view of ``reference``: strides
-    (row, col, row + col) for the main diagonal, and (row, col, col - row)
-    from row y + D - 1 for the anti-diagonal. A strided view is not bounds
-    checked, so a window that would leave the reference raises ValueError
-    first. The result is a C-contiguous copy. Reads pixels without
-    validating them; the calling kernel validates the region.
+    ``bounds`` is the (du_lo, du_hi, dv_lo, dv_hi) shift run of
+    :func:`~nccalign.ncc._inbounds_ranges`. The samples are read through a
+    strided view of ``reference``: strides (row, col, row + col) for the
+    main diagonal, and (row, col, col - row) from row y + D - 1 for the
+    anti-diagonal. A strided view is not bounds checked, so a window that
+    would leave the reference raises ValueError first. The result is a
+    C-contiguous copy. Reads pixels without validating them; the calling
+    kernel validates the region.
     """
     _check_orientation(orientation)
     h, w = reference.shape
     x0, y0 = origin
-    left = x0 + _run_start(du_values, "du_values")
-    top = y0 + _run_start(dv_values, "dv_values")
-    n_du, n_dv = len(du_values), len(dv_values)
-    if left < 0 or top < 0 or left + n_du - 1 + d > w or top + n_dv - 1 + d > h:
+    du_lo, du_hi, dv_lo, dv_hi = bounds
+    left, right, top, bottom = x0 + du_lo, x0 + du_hi, y0 + dv_lo, y0 + dv_hi
+    if left < 0 or top < 0 or right + d > w or bottom + d > h:
         raise ValueError(
-            f"{d}x{d} windows at columns {left}..{left + n_du - 1}, rows {top}..{top + n_dv - 1} "
+            f"{d}x{d} windows at columns {left}..{right}, rows {top}..{bottom} "
             f"leave the {h}x{w} reference"
         )
+    shape = (bottom - top + 1, right - left + 1, d)
     row, col = reference.strides
     if orientation == "main":
-        view = as_strided(reference[top:, left:], (n_dv, n_du, d), (row, col, row + col),
-                          writeable=False)
+        view = as_strided(reference[top:, left:], shape, (row, col, row + col), writeable=False)
     else:
-        view = as_strided(reference[top + d - 1:, left:], (n_dv, n_du, d), (row, col, col - row),
+        view = as_strided(reference[top + d - 1:, left:], shape, (row, col, col - row),
                           writeable=False)
     return np.ascontiguousarray(view)
+
+
+def _diag_windows(template_block, reference, origin, shifts, tables, orientation, counter):
+    """The checks, tally, gather and table variances that open both vectorised
+    diagonal kernels, :func:`ncc_diag_fast` and ``streaming.ncc_stream``.
+
+    Returns the clipped shift bounds and, unless no shift is in bounds (then
+    None), the template diagonal, its mean and variance sum, the
+    (n_dv, n_du, D) window diagonals and their variance sums.
+    """
+    _check_orientation(orientation)
+    t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
+    d = _check_square(t)
+    _check_tables(tables, ref)
+    tables.orientation_tables(orientation)
+    du_lo, du_hi, dv_lo, dv_hi = bounds
+    if du_lo > du_hi or dv_lo > dv_hi:
+        return bounds, None
+    x0, y0 = origin
+
+    t_diag = _diagonal(t, orientation)
+    t_mean, t_var = block_stats(t_diag)
+    if counter is not None:
+        counter.tally((du_hi - du_lo + 1) * (dv_hi - dv_lo + 1), d)
+
+    samples = gather_window_diagonals(ref, origin, d, bounds, orientation)
+    xs = x0 + np.arange(du_lo, du_hi + 1)
+    ys = y0 + np.arange(dv_lo, dv_hi + 1)
+    r_var = tables.window_var_sum(xs, ys[:, None], d, orientation)
+    return bounds, (t_diag, t_mean, t_var, samples, r_var)
 
 
 def ncc_diag_fast(
@@ -274,29 +300,9 @@ def ncc_diag_fast(
     window's diagonal sum and sum of squares. Validates the template block
     and the reference region it reads, not the whole reference.
     """
-    _check_orientation(orientation)
-    t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
-    d = _check_square(t)
-    _check_tables(tables, ref)
-    tables.orientation_tables(orientation)
-    du_lo, du_hi, dv_lo, dv_hi = bounds
-    if du_lo > du_hi or dv_lo > dv_hi:
+    bounds, windows = _diag_windows(template_block, reference, origin, shifts, tables,
+                                    orientation, counter)
+    if windows is None:
         return _correlation_map(shifts, bounds)
-    x0, y0 = origin
-
-    t_diag = extract_diagonal(t, orientation)
-    t_mean, t_var = block_stats(t_diag)
-    t_c = t_diag - t_mean
-
-    dus = np.arange(du_lo, du_hi + 1)
-    dvs = np.arange(dv_lo, dv_hi + 1)
-    if counter is not None:
-        counter.tally(len(dus) * len(dvs), d)
-
-    samples = gather_window_diagonals(ref, origin, d, dus, dvs, orientation)
-    numerators = samples @ t_c
-
-    r_var = tables.window_var_sum(
-        (x0 + dus)[None, :], (y0 + dvs)[:, None], d, orientation
-    )
-    return _correlation_map(shifts, bounds, numerators, r_var, t_var)
+    t_diag, t_mean, t_var, samples, r_var = windows
+    return _correlation_map(shifts, bounds, samples @ (t_diag - t_mean), r_var, t_var)

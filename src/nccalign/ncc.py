@@ -76,12 +76,6 @@ class ShiftRange:
     def n_dv(self) -> int:
         return self.dv_max - self.dv_min + 1
 
-    def du_values(self) -> np.ndarray:
-        return np.arange(self.du_min, self.du_max + 1)
-
-    def dv_values(self) -> np.ndarray:
-        return np.arange(self.dv_min, self.dv_max + 1)
-
     def contains(self, du: int, dv: int) -> bool:
         return self.du_min <= du <= self.du_max and self.dv_min <= dv <= self.dv_max
 
@@ -146,14 +140,6 @@ class SumTables:
     @property
     def shape(self) -> tuple[int, int]:
         return self.sum_table.shape[0] - 1, self.sum_table.shape[1] - 1
-
-    @property
-    def running_sum(self) -> np.ndarray:
-        return self.sum_table[1:, 1:]
-
-    @property
-    def running_sumsq(self) -> np.ndarray:
-        return self.sumsq_table[1:, 1:]
 
     def window_sum(self, x0, y0, width: int, height: int):
         """Sum over windows with top-left (x0, y0); x0/y0 broadcast."""
@@ -238,8 +224,8 @@ def _validate_kernel_inputs(
 
     The reference is checked only over
     ``ref[y0+dv_lo : y0+dv_hi+th, x0+du_lo : x0+du_hi+tw]``, the union of
-    the in-bounds shifted windows; the pipeline validates whole images once,
-    at its boundary. Returns the template, the reference (both float64) and
+    the in-bounds shifted windows; ``estimate_disparity`` validates the
+    whole images. Returns the template, the reference (both float64) and
     the clipped shift bounds of :func:`_inbounds_ranges`.
     """
     t = validate_image(template_block, "template_block")

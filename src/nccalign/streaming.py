@@ -20,30 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .diagonal import (
-    DiagTables,
-    _check_orientation,
-    _check_square,
-    build_diag_tables,
-    extract_diagonal,
-    gather_window_diagonals,
-)
+from .diagonal import DiagTables, _diag_windows
 from .images import GrayImage
-from .ncc import (
-    EPS_VAR,
-    CorrelationMap,
-    OpCounter,
-    ShiftRange,
-    _check_tables,
-    _correlation_map,
-    _validate_kernel_inputs,
-    block_stats,
-)
+from .ncc import EPS_VAR, CorrelationMap, OpCounter, ShiftRange, _correlation_map
 
 MULTIPLIER_STAGE = 0
 INTEGRATOR_STAGE = 1
-
-NOISE_CADENCES = ("per-sample", "per-stream")
 
 
 @dataclass(frozen=True)
@@ -137,14 +119,12 @@ class NoiseModel:
 
     Streams are counter-based: each (seed, stage, stream id) pair yields an
     independent deterministic generator, so evaluation order cannot change
-    results. cadence "per-sample" draws one value per product sample;
-    "per-stream" draws a single value broadcast over the stream.
+    results.
     """
 
     multiplier_fraction: float = 0.0
     integrator_fraction: float = 0.0
     seed: int = 0
-    cadence: str = "per-sample"
 
     def __post_init__(self):
         if not (np.isfinite(self.multiplier_fraction) and self.multiplier_fraction >= 0):
@@ -153,8 +133,6 @@ class NoiseModel:
             raise ValueError(f"integrator_fraction must be finite and >= 0, got {self.integrator_fraction}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.cadence not in NOISE_CADENCES:
-            raise ValueError(f"unknown noise cadence {self.cadence!r}")
 
     def rng(self, stage: int, stream_id: tuple[int, ...]) -> np.random.Generator:
         return np.random.default_rng((self.seed, stage) + tuple(stream_id))
@@ -169,9 +147,9 @@ def multiply_integrate(
     """The n integrated products of the (n, D) streams ``b_zm`` with the (D,)
     stream ``t_zm``, plus noise scaled by each row's clean product RMS.
 
-    The multiplier stage draws (n, D) values, or (n, 1) for the "per-stream"
-    cadence; the integrator stage then draws n readout values scaled by
-    sqrt(D). Each stage reads ``noise.rng(stage, stream_id)``.
+    The multiplier stage draws (n, D) values; the integrator stage then
+    draws n readout values scaled by sqrt(D). Each stage reads
+    ``noise.rng(stage, stream_id)``.
     """
     return _multiply_integrate(b_zm, t_zm, noise, stream_id, np.sum(b_zm * b_zm, axis=1))
 
@@ -183,8 +161,7 @@ def _multiply_integrate(b_zm, t_zm, noise, stream_id, b_energy) -> np.ndarray:
     products = b_zm * t_zm[None, :]
     if noise.multiplier_fraction > 0:
         rng = noise.rng(MULTIPLIER_STAGE, stream_id)
-        shape = products.shape if noise.cadence == "per-sample" else (n, 1)
-        products = products + rng.standard_normal(shape) * noise.multiplier_fraction * rms_p[:, None]
+        products = products + rng.standard_normal((n, d)) * noise.multiplier_fraction * rms_p[:, None]
     numerators = products.sum(axis=1)
     if noise.integrator_fraction > 0:
         g = noise.rng(INTEGRATOR_STAGE, stream_id).standard_normal(n)
@@ -197,10 +174,10 @@ def ncc_stream(
     reference: GrayImage,
     origin: tuple[int, int],
     shifts: ShiftRange,
+    tables: DiagTables,
     orientation: str = "main",
     ma_config: MovingAverageConfig | None = None,
     noise: NoiseModel | None = None,
-    tables: DiagTables | None = None,
     block_id: int = 0,
     counter: OpCounter | None = None,
 ) -> CorrelationMap:
@@ -210,43 +187,28 @@ def ncc_stream(
     of the shifted window diagonal against the template's, with circuit
     noise from the (seed, stage, block_id) stream, consumed over in-bounds
     shifts in row-major order. Denominators are the exact diagonal variance
-    sums (template two-pass, reference from tables). Values are clamped to
-    [-1, 1]; ``clamped`` records the shifts whose value was pulled back and
-    is all False when no shift is in bounds. Shifts whose zero-mean stream
-    carries no energy (e.g. a degenerate alpha=1 filter) flag zero-variance.
-    Validates the template block and the reference region it reads; when
-    ``tables`` is None, building them validates the whole reference.
+    sums (template two-pass, reference from ``tables``). Values are clamped
+    to [-1, 1]; ``clamped`` records the shifts whose value was pulled back
+    and is all False when no shift is in bounds. Shifts whose zero-mean
+    stream carries no energy (e.g. a degenerate alpha=1 filter) flag
+    zero-variance. Validates the template block and the reference region
+    it reads.
     """
-    _check_orientation(orientation)
-    t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
-    d = _check_square(t)
+    bounds, windows = _diag_windows(template_block, reference, origin, shifts, tables,
+                                    orientation, counter)
+    if windows is None:
+        return _clamp(_correlation_map(shifts, bounds))
+    t_diag, _, t_var, samples, r_var = windows
+    d = len(t_diag)
     if noise is None:
         noise = NoiseModel()
     if ma_config is None:
         ma_config = MovingAverageConfig.boxcar(d)
-    if tables is None:
-        tables = build_diag_tables(ref, (orientation,))
-    else:
-        _check_tables(tables, ref)
-        tables.orientation_tables(orientation)
-    du_lo, du_hi, dv_lo, dv_hi = bounds
-    if du_lo > du_hi or dv_lo > dv_hi:
-        return _clamp(_correlation_map(shifts, bounds))
-    x0, y0 = origin
 
-    t_diag = extract_diagonal(t, orientation)
-    t_var = block_stats(t_diag)[1]
     t_zm = zero_mean_stream(t_diag, ma_config)
     t_energy = float(np.sum(t_zm * t_zm))
-
-    dus = np.arange(du_lo, du_hi + 1)
-    dvs = np.arange(dv_lo, dv_hi + 1)
-    if counter is not None:
-        counter.tally(len(dvs) * len(dus), d)
-
-    samples = gather_window_diagonals(ref, origin, d, dus, dvs, orientation).reshape(-1, d)
+    samples = samples.reshape(-1, d)
     b_zm = samples - _moving_average_batch(samples, ma_config)
-    r_var = tables.window_var_sum((x0 + dus), (y0 + dvs)[:, None], d, orientation)
     b_energy = np.sum(b_zm * b_zm, axis=1)
     numerators = _multiply_integrate(b_zm, t_zm, noise, (block_id,), b_energy).reshape(r_var.shape)
     ok = (b_energy.reshape(r_var.shape) >= EPS_VAR) & (t_energy >= EPS_VAR)

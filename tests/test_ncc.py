@@ -24,15 +24,15 @@ from conftest import random_image
 class TestSumTables:
     def test_constant_image(self):
         tables = build_sum_tables(np.full((3, 3), 0.5))
-        assert tables.running_sum[2, 2] == pytest.approx(4.5)
+        assert tables.sum_table[1:, 1:][2, 2] == pytest.approx(4.5)
         for y0 in range(2):
             for x0 in range(2):
                 assert tables.window_sum(x0, y0, 2, 2) == pytest.approx(2.0)
 
     def test_single_pixel(self):
         tables = build_sum_tables(np.array([[0.7]]))
-        assert tables.running_sum[0, 0] == pytest.approx(0.7)
-        assert tables.running_sumsq[0, 0] == pytest.approx(0.49)
+        assert tables.sum_table[1:, 1:][0, 0] == pytest.approx(0.7)
+        assert tables.sumsq_table[1:, 1:][0, 0] == pytest.approx(0.49)
 
     def test_window_variance_matches_two_pass(self):
         img = random_image(0, 16, 16)
@@ -109,8 +109,9 @@ class TestNccFullFast:
         block = ref[0:8, 0:8].copy()
         shifts = ShiftRange(-5, -3, -5, -3)
         full = ncc_full_fast(block, ref, (0, 0), shifts, build_sum_tables(ref))
-        diag = ncc_diag_fast(block, ref, (0, 0), shifts, build_diag_tables(ref))
-        stream = ncc_stream(block, ref, (0, 0), shifts)
+        diag_tables = build_diag_tables(ref)
+        diag = ncc_diag_fast(block, ref, (0, 0), shifts, diag_tables)
+        stream = ncc_stream(block, ref, (0, 0), shifts, diag_tables)
         for cmap in (full, diag, stream):
             assert cmap.validity.shape == (shifts.n_dv, shifts.n_du)
             assert np.all(cmap.validity == OUT_OF_BOUNDS)

@@ -137,16 +137,6 @@ class TestMultiplyIntegrate:
         np.testing.assert_array_equal(first, second)
         assert np.all(first != other)
 
-    def test_per_stream_cadence_broadcasts_one_draw(self):
-        # Unit streams: each product is 1 plus its row's single draw, so a
-        # row integrates to D * (1 + 0.2 * g_row).
-        d, n = 16, 5
-        noise = NoiseModel(multiplier_fraction=0.2, seed=5, cadence="per-stream")
-        out = multiply_integrate(np.ones((n, d)), np.ones(d), noise, (0,))
-        g = noise.rng(0, (0,)).standard_normal((n, 1))[:, 0]
-        np.testing.assert_allclose(out, d * (1.0 + 0.2 * g), rtol=1e-12)
-        assert np.all(g != 0.0) and len(set(g)) == n
-
 
 class TestNccStream:
     def test_noiseless_self_match_near_one(self):
@@ -156,14 +146,15 @@ class TestNccStream:
         spec = SyntheticSpec(200, 200, uniform_pattern(200, 200, 0, 0), texture_seed=3)
         _, reference, _ = make_synthetic_stereo(spec)
         block = reference[30:158, 40:168].copy()
-        cmap = ncc_stream(block, reference, (40, 30), ShiftRange(0, 0, 0, 0))
+        cmap = ncc_stream(block, reference, (40, 30), ShiftRange(0, 0, 0, 0),
+                          build_diag_tables(reference))
         assert cmap.value_at(0, 0) == pytest.approx(1.0, abs=0.05)
 
     def test_degenerate_pole_flags_everything(self):
         ref = random_image(43, 32, 32)
         block = ref[8:16, 8:16].copy()
         cmap = ncc_stream(
-            block, ref, (8, 8), ShiftRange.symmetric(2),
+            block, ref, (8, 8), ShiftRange.symmetric(2), build_diag_tables(ref),
             ma_config=MovingAverageConfig.single_pole(1.0),
         )
         inbounds = cmap.validity != 2
@@ -176,7 +167,7 @@ class TestNccStream:
         ref = random_image(5, 64, 64)
         block = ref[10:42, 20:52].copy()
         cmap = ncc_stream(
-            block, ref, (20, 10), ShiftRange(0, 0, 0, 0),
+            block, ref, (20, 10), ShiftRange(0, 0, 0, 0), build_diag_tables(ref),
             ma_config=MovingAverageConfig.single_pole(0.01),
         )
         assert cmap.value_at(0, 0) == 1.0
@@ -185,7 +176,7 @@ class TestNccStream:
     def test_values_stay_in_unit_range(self):
         ref = random_image(44, 40, 40)
         block = ref[10:26, 12:28].copy()
-        cmap = ncc_stream(block, ref, (12, 10), ShiftRange.symmetric(4),
+        cmap = ncc_stream(block, ref, (12, 10), ShiftRange.symmetric(4), build_diag_tables(ref),
                           noise=NoiseModel(0.2, 0.2, seed=11))
         valid = cmap.valid_mask
         assert np.all(np.abs(cmap.values[valid]) <= 1.0)
@@ -307,7 +298,3 @@ class TestNoiseModelValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(seed=-1)
-
-    def test_unknown_cadence_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseModel(cadence="per-block")
