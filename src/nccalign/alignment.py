@@ -132,7 +132,7 @@ def estimate_disparity(
         raise ValueError(f"reference {ref.shape} smaller than template {t.shape}")
 
     sum_tables = build_sum_tables(ref) if method == "full-fast" else None
-    diag_tables = build_diag_tables(ref, (orientation,)) if method in ("diag-fast", "stream") else None
+    diag_tables = build_diag_tables(ref, orientation) if method in ("diag-fast", "stream") else None
 
     b = grid.block_size
     du = np.zeros((grid.rows, grid.cols))
@@ -150,10 +150,10 @@ def estimate_disparity(
         elif method == "diag":
             cmap = ncc_diag(block, ref, origin, shifts, orientation, counter=counter)
         elif method == "diag-fast":
-            cmap = ncc_diag_fast(block, ref, origin, shifts, diag_tables, orientation, counter=counter)
+            cmap = ncc_diag_fast(block, ref, origin, shifts, diag_tables, counter=counter)
         else:
             cmap = ncc_stream(
-                block, ref, origin, shifts, diag_tables, orientation,
+                block, ref, origin, shifts, diag_tables,
                 ma_config=ma_config, noise=noise, block_id=row * grid.cols + col, counter=counter,
             )
         best = best_shift(cmap)

@@ -70,7 +70,7 @@ class RunConfig:
             if key in ("func", "command") or value is None:
                 continue
             flag = "--" + key.replace("_", "-")
-            pairs.append((flag, _canonical(value)))
+            pairs.append((flag, str(value)))
         return cls(command=args.command, options=tuple(pairs))
 
     def comment_lines(self, schema: str) -> list[str]:
@@ -80,16 +80,6 @@ class RunConfig:
 
     def header_lines(self, schema: str) -> list[str]:
         return [f"# {line}" for line in self.comment_lines(schema)]
-
-
-def _canonical(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def argv_from_header(path) -> list[str]:
@@ -379,7 +369,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
-    args.method = "stream"
     try:
         fractions = [float(f) for f in args.fractions.split(",") if f != ""]
     except ValueError as exc:
@@ -389,6 +378,7 @@ def cmd_noise_sweep(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     config = RunConfig.from_args(args)
+    args.method = "stream"  # after the header, so it lists only flags noise-sweep takes
     template, reference, truth = _load_or_generate(args)
     seeds = [args.seed + i for i in range(args.seeds)]
 
@@ -495,8 +485,7 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--reference", default=None, help="reference PGM path (default: synthetic)")
 
 
-def _add_align_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=METHODS, default="diag")
+def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--block", type=int, default=128, help="square block size in pixels")
     parser.add_argument("--crop", type=float, default=0.10,
                         help="total cropped fraction of the template per axis")
@@ -504,14 +493,23 @@ def _add_align_flags(parser: argparse.ArgumentParser) -> None:
                         help="horizontal shift range MIN:MAX (default +/- block/8)")
     parser.add_argument("--search-dv", dest="search_dv", default=None,
                         help="vertical shift range MIN:MAX (default +/- block/8)")
+    parser.add_argument("--orientation", choices=("main", "anti"), default="main")
+
+
+def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ma", default=None,
                         help="moving average for the stream method: boxcar:L or pole:ALPHA (default boxcar:block)")
-    parser.add_argument("--noise-mult", dest="noise_mult", type=float, default=0.0,
-                        help="multiplier noise fraction for the stream method")
     parser.add_argument("--noise-int", dest="noise_int", type=float, default=0.20,
                         help="integrator noise fraction for the stream method")
     parser.add_argument("--seed", type=int, default=0, help="noise / perturbation seed")
-    parser.add_argument("--orientation", choices=("main", "anti"), default="main")
+
+
+def _add_align_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--method", choices=METHODS, default="diag")
+    _add_search_flags(parser)
+    _add_stream_flags(parser)
+    parser.add_argument("--noise-mult", dest="noise_mult", type=float, default=0.0,
+                        help="multiplier noise fraction for the stream method")
 
 
 def _add_out_flag(parser: argparse.ArgumentParser) -> None:
@@ -540,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time full-fast vs diag-fast and count operations")
     _add_input_flags(p)
     _add_synthetic_flags(p)
-    _add_align_flags(p)
+    _add_search_flags(p)
     p.add_argument("--runs", type=int, default=5, help="timed runs per method (after one warmup)")
     _add_out_flag(p)
     p.set_defaults(func=cmd_bench)
@@ -548,7 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise-sweep", help="stream alignment across multiplier noise fractions")
     _add_input_flags(p)
     _add_synthetic_flags(p)
-    _add_align_flags(p)
+    _add_search_flags(p)
+    _add_stream_flags(p)
     p.add_argument("--fractions", default=DEFAULT_FRACTIONS,
                    help="comma-separated multiplier noise fractions")
     p.add_argument("--seeds", type=int, default=10, help="number of seeds per fraction")

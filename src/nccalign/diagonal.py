@@ -72,86 +72,61 @@ def _diag_offsets(d: int, orientation: str) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DiagTables:
-    """Prefix tables along the 45-degree directions, for O(1) diagonal stats.
+    """Prefix tables of one orientation, for O(1) diagonal window stats.
 
-    Main tables accumulate from the up-left neighbor:
-    main[y + 1, x + 1] = r[y, x] + main[y, x]. Anti tables accumulate from the
-    down-left neighbor: anti[y, x + 1] = r[y, x] + anti[y + 1, x]. Out-of-image
-    terms are zero via padding. The two tables of an orientation that was
-    not built are None; the window lookups raise ValueError for it.
+    The diagonal counterpart of :class:`~nccalign.ncc.SumTables`. Main
+    tables accumulate from the up-left neighbor:
+    table[y + 1, x + 1] = r[y, x] + table[y, x]. Anti tables accumulate from
+    the down-left neighbor: table[y, x + 1] = r[y, x] + table[y + 1, x].
+    Out-of-image terms are zero via padding.
     """
 
-    main_sum: np.ndarray | None
-    main_sumsq: np.ndarray | None
-    anti_sum: np.ndarray | None
-    anti_sumsq: np.ndarray | None
+    orientation: str
+    sum_table: np.ndarray
+    sumsq_table: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        table = self.main_sum if self.main_sum is not None else self.anti_sum
-        return table.shape[0] - 1, table.shape[1] - 1
+        return self.sum_table.shape[0] - 1, self.sum_table.shape[1] - 1
 
-    def orientation_tables(self, orientation: str) -> tuple[np.ndarray, np.ndarray]:
-        """(sum, sum of squares) tables of ``orientation``; ValueError if not built."""
-        _check_orientation(orientation)
-        if orientation == "main":
-            pair = self.main_sum, self.main_sumsq
-        else:
-            pair = self.anti_sum, self.anti_sumsq
-        if pair[0] is None:
-            raise ValueError(f"diag tables were not built for the {orientation!r} orientation")
-        return pair
-
-    def _window(self, index: int, x0, y0, length: int, orientation: str):
-        table = self.orientation_tables(orientation)[index]
+    def _window(self, table: np.ndarray, x0, y0, length: int):
         x0 = np.asarray(x0)
         y0 = np.asarray(y0)
-        if orientation == "main":
+        if self.orientation == "main":
             return table[y0 + length, x0 + length] - table[y0, x0]
         return table[y0, x0 + length] - table[y0 + length, x0]
 
-    def window_sum(self, x0, y0, length: int, orientation: str):
+    def window_sum(self, x0, y0, length: int):
         """Sum of ``length`` consecutive diagonal samples starting at (x0, y0).
 
         For the anti orientation the window's samples are
         r[y0 + length - 1 - k, x0 + k]. x0/y0 broadcast; two lookups each.
         """
-        return self._window(0, x0, y0, length, orientation)
+        return self._window(self.sum_table, x0, y0, length)
 
-    def window_sumsq(self, x0, y0, length: int, orientation: str):
-        return self._window(1, x0, y0, length, orientation)
+    def window_sumsq(self, x0, y0, length: int):
+        return self._window(self.sumsq_table, x0, y0, length)
 
-    def window_var_sum(self, x0, y0, length: int, orientation: str):
-        s = self.window_sum(x0, y0, length, orientation)
-        sq = self.window_sumsq(x0, y0, length, orientation)
+    def window_var_sum(self, x0, y0, length: int):
+        s = self.window_sum(x0, y0, length)
+        sq = self.window_sumsq(x0, y0, length)
         return sq - s * s / length
 
 
-def build_diag_tables(reference: GrayImage, orientations: tuple[str, ...] = ORIENTATIONS) -> DiagTables:
-    """Diagonal prefix tables of the whole reference, which is validated here.
-
-    Only the tables of ``orientations`` are built (both by default); the
-    fields of the others are None. A run reads one orientation, so the
-    alignment pipeline asks for that one alone.
-    """
-    if not orientations:
-        raise ValueError("build_diag_tables needs at least one orientation")
-    for orientation in orientations:
-        _check_orientation(orientation)
+def build_diag_tables(reference: GrayImage, orientation: str = "main") -> DiagTables:
+    """Diagonal prefix tables of ``orientation`` over the whole reference,
+    which is validated here."""
+    _check_orientation(orientation)
     arr = validate_image(reference)
-    main_sum = main_sumsq = anti_sum = anti_sumsq = None
-    if "main" in orientations:
-        main_sum, main_sumsq = _diag_prefix(arr)
-    if "anti" in orientations:
+    if orientation == "main":
+        sum_table, sumsq_table = _diag_prefix(arr)
+    else:
         # The anti tables are the main tables of the upside-down image, read
         # upside down: anti[y, x] = main'[h - y, x]. Each entry is the same
         # additions in the same order, so the values are bit-identical to a
         # per-row loop up from the bottom row.
-        anti_sum, anti_sumsq = (table[::-1] for table in _diag_prefix(arr[::-1]))
-    return DiagTables(
-        main_sum=main_sum, main_sumsq=main_sumsq,
-        anti_sum=anti_sum, anti_sumsq=anti_sumsq,
-    )
+        sum_table, sumsq_table = (table[::-1] for table in _diag_prefix(arr[::-1]))
+    return DiagTables(orientation=orientation, sum_table=sum_table, sumsq_table=sumsq_table)
 
 
 def _diag_prefix(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,6 +147,7 @@ def ncc_diag(
     origin: tuple[int, int],
     shifts: ShiftRange,
     orientation: str = "main",
+    *,
     counter: OpCounter | None = None,
 ) -> CorrelationMap:
     """Per shift, NCC restricted to the D diagonal samples of the window.
@@ -255,33 +231,32 @@ def gather_window_diagonals(
     return np.ascontiguousarray(view)
 
 
-def _diag_windows(template_block, reference, origin, shifts, tables, orientation, counter):
+def _diag_windows(template_block, reference, origin, shifts, tables, counter):
     """The checks, tally, gather and table variances that open both vectorised
-    diagonal kernels, :func:`ncc_diag_fast` and ``streaming.ncc_stream``.
+    diagonal kernels, :func:`ncc_diag_fast` and ``streaming.ncc_stream``, in
+    the orientation of ``tables``.
 
     Returns the clipped shift bounds and, unless no shift is in bounds (then
     None), the template diagonal, its mean and variance sum, the
     (n_dv, n_du, D) window diagonals and their variance sums.
     """
-    _check_orientation(orientation)
     t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
     d = _check_square(t)
-    _check_tables(tables, ref)
-    tables.orientation_tables(orientation)
+    _check_tables(tables, DiagTables, ref)
     du_lo, du_hi, dv_lo, dv_hi = bounds
     if du_lo > du_hi or dv_lo > dv_hi:
         return bounds, None
     x0, y0 = origin
 
-    t_diag = _diagonal(t, orientation)
+    t_diag = _diagonal(t, tables.orientation)
     t_mean, t_var = block_stats(t_diag)
     if counter is not None:
         counter.tally((du_hi - du_lo + 1) * (dv_hi - dv_lo + 1), d)
 
-    samples = gather_window_diagonals(ref, origin, d, bounds, orientation)
+    samples = gather_window_diagonals(ref, origin, d, bounds, tables.orientation)
     xs = x0 + np.arange(du_lo, du_hi + 1)
     ys = y0 + np.arange(dv_lo, dv_hi + 1)
-    r_var = tables.window_var_sum(xs, ys[:, None], d, orientation)
+    r_var = tables.window_var_sum(xs, ys[:, None], d)
     return bounds, (t_diag, t_mean, t_var, samples, r_var)
 
 
@@ -291,17 +266,17 @@ def ncc_diag_fast(
     origin: tuple[int, int],
     shifts: ShiftRange,
     tables: DiagTables,
-    orientation: str = "main",
+    *,
     counter: OpCounter | None = None,
 ) -> CorrelationMap:
-    """Same contract as :func:`ncc_diag`; denominators via diagonal prefix tables.
+    """Same contract as :func:`ncc_diag`, in the orientation of ``tables``;
+    denominators via diagonal prefix tables.
 
     Per shift: D multiplies for the numerator plus O(1) table lookups for the
     window's diagonal sum and sum of squares. Validates the template block
     and the reference region it reads, not the whole reference.
     """
-    bounds, windows = _diag_windows(template_block, reference, origin, shifts, tables,
-                                    orientation, counter)
+    bounds, windows = _diag_windows(template_block, reference, origin, shifts, tables, counter)
     if windows is None:
         return _correlation_map(shifts, bounds)
     t_diag, t_mean, t_var, samples, r_var = windows

@@ -201,8 +201,11 @@ def _inbounds_ranges(
     return du_lo, du_hi, dv_lo, dv_hi
 
 
-def _check_tables(tables, reference: np.ndarray) -> None:
-    """Raise ValueError unless sum or diagonal ``tables`` match ``reference``."""
+def _check_tables(tables, kind: type, reference: np.ndarray) -> None:
+    """Raise TypeError unless ``tables`` is a ``kind`` (sum or diagonal
+    tables), and ValueError unless it matches ``reference``."""
+    if not isinstance(tables, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(tables).__name__}")
     if tables.shape != reference.shape:
         raise ValueError(f"tables built for {tables.shape}, reference is {reference.shape}")
 
@@ -266,6 +269,7 @@ def ncc_full_naive(
     reference: GrayImage,
     origin: tuple[int, int],
     shifts: ShiftRange,
+    *,
     counter: OpCounter | None = None,
 ) -> CorrelationMap:
     """Direct evaluation: per shift, two-pass window mean and explicit sums.
@@ -312,6 +316,7 @@ def ncc_full_fast(
     origin: tuple[int, int],
     shifts: ShiftRange,
     tables: SumTables,
+    *,
     counter: OpCounter | None = None,
 ) -> CorrelationMap:
     """Sum-table variant: same contract as :func:`ncc_full_naive`.
@@ -322,7 +327,7 @@ def ncc_full_fast(
     Validates the template block and the reference region it reads.
     """
     t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
-    _check_tables(tables, ref)
+    _check_tables(tables, SumTables, ref)
     du_lo, du_hi, dv_lo, dv_hi = bounds
     if du_lo > du_hi or dv_lo > dv_hi:
         return _correlation_map(shifts, bounds)

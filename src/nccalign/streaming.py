@@ -175,7 +175,7 @@ def ncc_stream(
     origin: tuple[int, int],
     shifts: ShiftRange,
     tables: DiagTables,
-    orientation: str = "main",
+    *,
     ma_config: MovingAverageConfig | None = None,
     noise: NoiseModel | None = None,
     block_id: int = 0,
@@ -183,9 +183,10 @@ def ncc_stream(
 ) -> CorrelationMap:
     """Diagonal NCC with the streaming numerator and noiseless digital denominator.
 
-    Numerator per shift: :func:`multiply_integrate` of the zero-mean stream
-    of the shifted window diagonal against the template's, with circuit
-    noise from the (seed, stage, block_id) stream, consumed over in-bounds
+    The diagonals are those of the orientation of ``tables``. Numerator
+    per shift: :func:`multiply_integrate` of the zero-mean stream of the
+    shifted window diagonal against the template's, with circuit noise
+    from the (seed, stage, block_id) stream, consumed over in-bounds
     shifts in row-major order. Denominators are the exact diagonal variance
     sums (template two-pass, reference from ``tables``). Values are clamped
     to [-1, 1]; ``clamped`` records the shifts whose value was pulled back
@@ -194,8 +195,7 @@ def ncc_stream(
     zero-variance. Validates the template block and the reference region
     it reads.
     """
-    bounds, windows = _diag_windows(template_block, reference, origin, shifts, tables,
-                                    orientation, counter)
+    bounds, windows = _diag_windows(template_block, reference, origin, shifts, tables, counter)
     if windows is None:
         return _clamp(_correlation_map(shifts, bounds))
     t_diag, _, t_var, samples, r_var = windows

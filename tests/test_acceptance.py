@@ -67,24 +67,24 @@ def test_criterion_2_diag_fast_equals_diag():
     for case in range(100):
         ref = random_image(9000 + case, 32, 32)
         block = random_image(10_000 + case, 8, 8)
-        tables = build_diag_tables(ref)
         orientation = "main" if case % 2 == 0 else "anti"
+        tables = build_diag_tables(ref, orientation)
         slow = ncc_diag(block, ref, (12, 12), shifts, orientation)
-        fast = ncc_diag_fast(block, ref, (12, 12), shifts, tables, orientation)
+        fast = ncc_diag_fast(block, ref, (12, 12), shifts, tables)
         assert np.array_equal(slow.validity, fast.validity)
         worst = max(worst, float(np.abs(slow.values - fast.values).max()))
 
     img = random_image(11_000, 32, 32)
-    tables = build_diag_tables(img)
     worst_var = 0.0
     d = 8
     k = np.arange(d)
     for orientation, rows in (("main", k), ("anti", d - 1 - k)):
+        tables = build_diag_tables(img, orientation)
         for y0 in range(32 - d):
             for x0 in range(32 - d):
                 samples = img[y0 + rows, x0 + k]
                 direct = float(np.sum((samples - samples.mean()) ** 2))
-                table = float(tables.window_var_sum(x0, y0, d, orientation))
+                table = float(tables.window_var_sum(x0, y0, d))
                 worst_var = max(worst_var, abs(table - direct))
     report(2, f"diag-fast vs diag max|dC|={worst:.2e} (<=1e-9); table variance err={worst_var:.2e} (<=1e-12)",
            worst <= 1e-9 and worst_var <= 1e-12)

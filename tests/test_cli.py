@@ -202,6 +202,55 @@ class TestNoiseSweep:
         assert not out.exists()
 
 
+BENCH_COUNTS = ("method", "blocks", "shifts_evaluated", "numerator_multiplies", "numerator_adds",
+                "multiplies_per_shift")
+
+
+def rerun_from_header(path, out):
+    argv = [a if not a.startswith("--out=") else f"--out={out}" for a in argv_from_header(path)]
+    assert main(argv) == 0
+
+
+class TestFlagsReadOnly:
+    """``bench`` and ``noise-sweep`` take only the flags they read, and their
+    headers re-run them."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("bench", ["--method", "diag"]),
+        ("bench", ["--ma", "boxcar:4"]),
+        ("bench", ["--noise-mult", "0.1"]),
+        ("bench", ["--noise-int", "0.1"]),
+        ("bench", ["--seed", "1"]),
+        ("noise-sweep", ["--method", "diag"]),
+        ("noise-sweep", ["--noise-mult", "0.9"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *SMALL_ALIGN, *flag, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bench_header_round_trip(self, tmp_path):
+        out1, out2 = tmp_path / "b1", tmp_path / "b2"
+        assert main(["bench", *SMALL_ALIGN, "--orientation", "anti", "--runs", "1",
+                     "--out", str(out1)]) == 0
+        rerun_from_header(out1 / "bench.csv", out2)
+        counts = [[r[c] for c in BENCH_COUNTS] for r in csv_rows(out1 / "bench.csv")]
+        assert counts == [[r[c] for c in BENCH_COUNTS] for r in csv_rows(out2 / "bench.csv")]
+        assert csv_body(out1 / "bench.csv")[0] == csv_body(out2 / "bench.csv")[0]
+
+    def test_noise_sweep_header_round_trip(self, tmp_path):
+        out1, out2 = tmp_path / "s1", tmp_path / "s2"
+        assert main(["noise-sweep", *SMALL_ALIGN, "--fractions", "0.05,0.2", "--seeds", "2",
+                     "--noise-int", "0.1", "--seed", "6", "--ma", "pole:0.25",
+                     "--out", str(out1)]) == 0
+        header = argv_from_header(out1 / "noise_sweep.csv")
+        assert not any(a.startswith(("--method=", "--noise-mult=")) for a in header)
+        rerun_from_header(out1 / "noise_sweep.csv", out2)
+        assert csv_body(out1 / "noise_sweep.csv") == csv_body(out2 / "noise_sweep.csv")
+
+
 class TestRobustness:
     def test_uniform_scale_keeps_field_identical(self, tmp_path):
         out = tmp_path / "rob"

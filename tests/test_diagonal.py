@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nccalign import (
+    OUT_OF_BOUNDS,
     VALID,
     ZERO_VARIANCE,
+    NoiseModel,
     ShiftRange,
     SyntheticSpec,
+    best_shift,
     build_diag_tables,
     estimate_disparity,
     extract_diagonal,
@@ -15,6 +18,7 @@ from nccalign import (
     ncc_diag,
     ncc_diag_fast,
     ncc_full_naive,
+    ncc_stream,
     partition_template,
     uniform_pattern,
 )
@@ -74,28 +78,28 @@ class TestDiagTables:
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (31, 37), (1080, 1920)])
     def test_anti_tables_bit_equal_to_per_row_loop(self, shape):
         ref = random_image(24, *shape)
-        tables = build_diag_tables(ref, ("anti",))
-        for got, want in zip((tables.anti_sum, tables.anti_sumsq), per_row_anti_tables(ref)):
+        tables = build_diag_tables(ref, "anti")
+        for got, want in zip((tables.sum_table, tables.sumsq_table), per_row_anti_tables(ref)):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_constant_image_diag_sums(self):
-        tables = build_diag_tables(np.full((8, 8), 0.5))
         for orientation in ("main", "anti"):
+            tables = build_diag_tables(np.full((8, 8), 0.5), orientation)
             for x0 in range(4):
                 for y0 in range(4):
-                    assert tables.window_sum(x0, y0, 4, orientation) == pytest.approx(2.0)
+                    assert tables.window_sum(x0, y0, 4) == pytest.approx(2.0)
 
     def test_single_row_image(self):
         img = np.array([[0.1, 0.4, 0.9, 0.2]])
-        tables = build_diag_tables(img)
+        main, anti = build_diag_tables(img, "main"), build_diag_tables(img, "anti")
         for x in range(4):
-            assert tables.window_sum(x, 0, 1, "main") == pytest.approx(img[0, x])
-            assert tables.window_sum(x, 0, 1, "anti") == pytest.approx(img[0, x])
+            assert main.window_sum(x, 0, 1) == pytest.approx(img[0, x])
+            assert anti.window_sum(x, 0, 1) == pytest.approx(img[0, x])
 
     @pytest.mark.parametrize("orientation", ["main", "anti"])
     def test_window_variance_matches_direct(self, orientation):
         img = random_image(20, 32, 32)
-        tables = build_diag_tables(img)
+        tables = build_diag_tables(img, orientation)
         d = 6
         k = np.arange(d)
         rows = k if orientation == "main" else d - 1 - k
@@ -103,7 +107,7 @@ class TestDiagTables:
             for x0 in range(0, 32 - d, 3):
                 samples = img[y0 + rows, x0 + k]
                 direct = np.sum((samples - samples.mean()) ** 2)
-                assert tables.window_var_sum(x0, y0, d, orientation) == pytest.approx(direct, abs=1e-12)
+                assert tables.window_var_sum(x0, y0, d) == pytest.approx(direct, abs=1e-12)
 
 
 class TestNccDiag:
@@ -146,10 +150,10 @@ class TestNccDiagFast:
         for seed in range(25):
             ref = random_image(500 + seed, 32, 32)
             block = random_image(600 + seed, 8, 8)
-            tables = build_diag_tables(ref)
             for orientation in ("main", "anti"):
+                tables = build_diag_tables(ref, orientation)
                 slow = ncc_diag(block, ref, (12, 12), shifts, orientation)
-                fast = ncc_diag_fast(block, ref, (12, 12), shifts, tables, orientation)
+                fast = ncc_diag_fast(block, ref, (12, 12), shifts, tables)
                 np.testing.assert_array_equal(slow.validity, fast.validity)
                 assert np.abs(slow.values - fast.values).max() <= 1e-9
 
@@ -221,3 +225,36 @@ class TestInvariants:
         interior[:-1, :-1] = True  # last row/col blocks touch the generator's clamped band
         agree = (f_full.du == f_diag.du) & (f_full.dv == f_diag.dv)
         assert agree[interior].mean() >= 0.95
+
+
+class TestHdOrientationOracle:
+    """The orientation oracles at the size the system runs: a 1920x1080
+    texture, 128-pixel blocks and +/-16 shifts, three seeded blocks per
+    orientation. Each block is the reference window at a seeded shift."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return random_image(26, 1080, 1920)
+
+    @pytest.mark.parametrize("orientation", ["main", "anti"])
+    def test_fast_kernels_match_ncc_diag(self, reference, orientation):
+        d, shifts = 128, ShiftRange.symmetric(16)
+        tables = build_diag_tables(reference, orientation)
+        rng = np.random.default_rng([27, orientation == "anti"])
+        edge_blocks = 0
+        for _ in range(3):
+            x0, y0 = int(rng.integers(0, 1920 - d + 1)), int(rng.integers(0, 1080 - d + 1))
+            du, dv = rng.integers(-16, 17, size=2)
+            # The block is the window at (x0 + du, y0 + dv), moved inside the image.
+            du = int(np.clip(x0 + du, 0, 1920 - d)) - x0
+            dv = int(np.clip(y0 + dv, 0, 1080 - d)) - y0
+            block = reference[y0 + dv:y0 + dv + d, x0 + du:x0 + du + d].copy()
+            slow = ncc_diag(block, reference, (x0, y0), shifts, orientation)
+            fast = ncc_diag_fast(block, reference, (x0, y0), shifts, tables)
+            np.testing.assert_array_equal(slow.validity, fast.validity)
+            assert np.abs(slow.values - fast.values).max() <= 1e-9
+            edge_blocks += bool((fast.validity == OUT_OF_BOUNDS).any())
+            stream = ncc_stream(block, reference, (x0, y0), shifts, tables, noise=NoiseModel())
+            want, got = best_shift(slow), best_shift(stream)
+            assert (got.du, got.dv) == (want.du, want.dv) == (du, dv)
+        assert edge_blocks >= 1  # the out-of-bounds flags are compared too

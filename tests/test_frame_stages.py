@@ -3,12 +3,11 @@ chunks of rows.
 
 The warp and the dense interpolation work in one band of rows per usable
 CPU; the correlation centres the reference side once for a tuple of
-images; the diagonal tables are built only for the orientations a run
-reads; PGM files are checked, quantised and read a chunk at a time. Each
-is compared with the form it replaced: the one-band warp and the
-``np.indices`` oracle, the whole-array interpolation and quantisation,
-one ``global_correlation`` call per image, and the both-orientation table
-build.
+images; the diagonal tables hold the one orientation a run reads; PGM
+files are checked, quantised and read a chunk at a time. Each is compared
+with the form it replaced: the one-band warp and the ``np.indices``
+oracle, the whole-array interpolation and quantisation, and one
+``global_correlation`` call per image.
 """
 
 from types import SimpleNamespace
@@ -17,19 +16,15 @@ import numpy as np
 import pytest
 
 from nccalign import (
-    ShiftRange,
     UndefinedMetricError,
     build_diag_tables,
     global_correlation,
     load_pgm,
-    ncc_diag_fast,
-    ncc_stream,
     save_pgm,
 )
 from nccalign import alignment, images
 from nccalign.alignment import DenseDisparity, DisparityField, warp
 from nccalign.cli import _normalized_map
-from nccalign.diagonal import ORIENTATIONS
 
 from conftest import random_image
 from test_fast_paths import indices_warp
@@ -252,43 +247,11 @@ class TestTupleCorrelation:
             global_correlation((image, image), np.full((10, 10), 0.5))
 
 
-# -- orientation-only diagonal tables --------------------------------------
-
-FIELDS = {"main": ("main_sum", "main_sumsq"), "anti": ("anti_sum", "anti_sumsq")}
-SHIFTS = ShiftRange.symmetric(3)
-
+# -- one-orientation diagonal tables --------------------------------------
 
 class TestOrientationTables:
-    @pytest.mark.parametrize("orientation", ORIENTATIONS)
-    def test_equal_to_both_orientation_build(self, orientation):
-        ref = random_image(10, 30, 27)
-        one = build_diag_tables(ref, (orientation,))
-        both = build_diag_tables(ref)
-        for name in FIELDS[orientation]:
-            np.testing.assert_array_equal(getattr(one, name), getattr(both, name))
-        (other,) = set(ORIENTATIONS) - {orientation}
-        for name in FIELDS[other]:
-            assert getattr(one, name) is None
-        assert one.shape == both.shape == ref.shape
-        xs, ys = np.meshgrid(np.arange(20), np.arange(22))
-        np.testing.assert_array_equal(one.window_var_sum(xs, ys, 6, orientation),
-                                      both.window_var_sum(xs, ys, 6, orientation))
-
-    @pytest.mark.parametrize("orientation", ORIENTATIONS)
-    def test_unbuilt_orientation_raises_value_error(self, orientation):
-        (other,) = set(ORIENTATIONS) - {orientation}
-        ref = random_image(11, 24, 24)
-        tables = build_diag_tables(ref, (orientation,))
-        for lookup in (tables.window_sum, tables.window_sumsq, tables.window_var_sum):
-            with pytest.raises(ValueError, match="not built"):
-                lookup(2, 3, 5, other)
-        block = ref[8:16, 8:16].copy()
-        with pytest.raises(ValueError, match="not built"):
-            ncc_diag_fast(block, ref, (8, 8), SHIFTS, tables, other)
-        with pytest.raises(ValueError, match="not built"):
-            ncc_stream(block, ref, (8, 8), SHIFTS, tables, other)
-
-    @pytest.mark.parametrize("orientations", ((), ("sideways",), ("main", "sideways")))
+    @pytest.mark.parametrize("orientations", ("", "sideways", ("main",)),
+                             ids=("orientations0", "orientations1", "orientations2"))
     def test_bad_orientations_rejected(self, orientations):
         with pytest.raises(ValueError):
             build_diag_tables(random_image(13, 8, 8), orientations)

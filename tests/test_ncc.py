@@ -11,6 +11,7 @@ from nccalign import (
     best_shift,
     build_diag_tables,
     build_sum_tables,
+    ncc_diag,
     ncc_diag_fast,
     ncc_full_fast,
     ncc_full_naive,
@@ -119,6 +120,51 @@ class TestNccFullFast:
         assert stream.clamped.dtype == bool
         assert stream.clamped.shape == (shifts.n_dv, shifts.n_du)
         assert not stream.clamped.any()
+
+
+class TestTableArguments:
+    """The three fast kernels share one call form; the tables are checked by type."""
+
+    REF = random_image(8, 24, 24)
+    BLOCK = REF[8:16, 8:16].copy()
+    SHIFTS = ShiftRange.symmetric(2)
+    KERNELS = {"ncc_full_fast": ncc_full_fast, "ncc_diag_fast": ncc_diag_fast,
+               "ncc_stream": ncc_stream}
+    EXPECTED = {"ncc_full_fast": "SumTables", "ncc_diag_fast": "DiagTables",
+                "ncc_stream": "DiagTables"}
+
+    def _call(self, name, *args, **kwargs):
+        return self.KERNELS[name](self.BLOCK, self.REF, (8, 8), self.SHIFTS, *args, **kwargs)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_string_tables_rejected(self, name):
+        with pytest.raises(TypeError, match=f"expected {self.EXPECTED[name]}, got str"):
+            self._call(name, "anti")
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_wrong_table_kind_rejected(self, name):
+        wrong = build_diag_tables(self.REF) if name == "ncc_full_fast" else build_sum_tables(self.REF)
+        with pytest.raises(TypeError, match=f"expected {self.EXPECTED[name]}, got {type(wrong).__name__}"):
+            self._call(name, wrong)
+
+    @pytest.mark.parametrize("name", ("ncc_diag_fast", "ncc_stream"))
+    def test_positional_orientation_rejected(self, name):
+        with pytest.raises(TypeError):
+            self._call(name, build_diag_tables(self.REF, "main"), "anti")
+
+    def test_diag_table_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="tables built for"):
+            self._call("ncc_diag_fast", build_diag_tables(self.REF[:20]))
+
+    def test_counter_is_keyword_only(self):
+        counter = OpCounter()
+        with pytest.raises(TypeError):
+            ncc_full_naive(self.BLOCK, self.REF, (8, 8), self.SHIFTS, counter)
+        with pytest.raises(TypeError):
+            self._call("ncc_full_fast", build_sum_tables(self.REF), counter)
+        with pytest.raises(TypeError):
+            ncc_diag(self.BLOCK, self.REF, (8, 8), self.SHIFTS, "main", counter)
+        assert counter.shifts == 0
 
 
 class TestBestShift:
