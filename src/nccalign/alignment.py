@@ -6,8 +6,6 @@ perturbations used for robustness runs.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,28 +216,6 @@ class DenseDisparity:
     dv: np.ndarray
 
 
-def _in_row_bands(height: int, work, make_scratch) -> None:
-    """Call ``work(start, stop, scratch)`` for bands of rows covering
-    [0, height), one band per CPU this process may run on
-    (``os.sched_getaffinity`` where the platform has it, else
-    ``os.cpu_count``; at most one band per row), each on its own thread.
-
-    Band sizes differ by at most one row. ``make_scratch()`` runs here, on
-    the calling thread, once per band, so a worker allocates nothing and
-    writes through ``out=`` only. The band count has no option: every band
-    computes the same per-pixel formulas, so no output depends on it. A
-    worker's exception is raised here.
-    """
-    # The affinity set is Linux-only; elsewhere count every CPU.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    bands = max(1, min(cpus, height))
-    edges = [height * i // bands for i in range(bands + 1)]
-    scratch = [make_scratch() for _ in range(bands)]
-    with ThreadPoolExecutor(max_workers=bands) as pool:
-        # list() re-raises any worker's exception here.
-        list(pool.map(work, edges[:-1], edges[1:], scratch))
-
-
 def _axis_weights(centers: np.ndarray, queries: np.ndarray):
     """Lower/upper indices and blend weight for 1D linear interpolation.
 
@@ -256,33 +232,6 @@ def _axis_weights(centers: np.ndarray, queries: np.ndarray):
     return idx, upper, weight
 
 
-def _grid_sample(centers_x, centers_y, components, query_x, query_y) -> list[np.ndarray]:
-    """:func:`bilinear_grid_sample` of each array of ``components`` over
-    one set of weights and one pool of row bands."""
-    j0, j1, wx = _axis_weights(np.asarray(centers_x, dtype=np.float64), np.asarray(query_x, dtype=np.float64))
-    i0, i1, wy = _axis_weights(np.asarray(centers_y, dtype=np.float64), np.asarray(query_y, dtype=np.float64))
-    ux = 1.0 - wx
-    # The y-blend is small (len(qy) x len(cx)); the x-blend is the full-size pass.
-    grids = [values[i0] * (1.0 - wy)[:, None] + values[i1] * wy[:, None] for values in components]
-    height, width = len(i0), len(j0)
-    outs = [np.empty((height, width)) for _ in components]
-    rows = chunk_rows(height, width)
-
-    def blend_band(start: int, stop: int, upper: np.ndarray) -> None:
-        for a, b in row_chunks(start, stop, rows):
-            up = upper[:b - a]
-            for grid, out in zip(grids, outs):
-                lower = out[a:b]
-                np.take(grid[a:b], j0, axis=1, out=lower, mode="clip")
-                lower *= ux
-                np.take(grid[a:b], j1, axis=1, out=up, mode="clip")
-                up *= wx
-                lower += up
-
-    _in_row_bands(height, blend_band, lambda: np.empty((rows, width)))
-    return outs
-
-
 def bilinear_grid_sample(
     centers_x: np.ndarray,
     centers_y: np.ndarray,
@@ -294,11 +243,26 @@ def bilinear_grid_sample(
     at the outer product of query coordinates; constant beyond the hull.
 
     Separable: values are first interpolated along y at every query row
-    (a len(qy) x len(cx) grid), then along x, a chunk of rows at a time on
-    the row bands of :func:`_in_row_bands`. Equal to the four-corner blend
-    up to rounding, and exactly so when the products are exact.
+    (a len(qy) x len(cx) grid), then along x, a chunk of rows at a time
+    through one chunk of scratch. Equal to the four-corner blend up to
+    rounding, and exactly so when the products are exact.
     """
-    (out,) = _grid_sample(centers_x, centers_y, (values,), query_x, query_y)
+    j0, j1, wx = _axis_weights(np.asarray(centers_x, dtype=np.float64), np.asarray(query_x, dtype=np.float64))
+    i0, i1, wy = _axis_weights(np.asarray(centers_y, dtype=np.float64), np.asarray(query_y, dtype=np.float64))
+    ux = 1.0 - wx
+    # The y-blend is small (len(qy) x len(cx)); the x-blend is the full-size pass.
+    grid = values[i0] * (1.0 - wy)[:, None] + values[i1] * wy[:, None]
+    height, width = len(i0), len(j0)
+    out = np.empty((height, width))
+    rows = chunk_rows(height, width)
+    upper = np.empty((rows, width))
+    for a, b in row_chunks(0, height, rows):
+        lower, up = out[a:b], upper[:b - a]
+        np.take(grid[a:b], j0, axis=1, out=lower, mode="clip")
+        lower *= ux
+        np.take(grid[a:b], j1, axis=1, out=up, mode="clip")
+        up *= wx
+        lower += up
     return out
 
 
@@ -311,8 +275,8 @@ def interpolate_disparity(
 
     ``extent`` is (width, height) of the output; pixels beyond the outermost
     centers take the nearest-center value. The field must be complete
-    (no invalid blocks; run fill_invalid first). Both components share one
-    pool of row bands.
+    (no invalid blocks; run fill_invalid first). Each component is one
+    :func:`bilinear_grid_sample`.
     """
     if np.any(field.status == BLOCK_INVALID):
         raise ValueError("disparity field still has invalid blocks; fill_invalid first")
@@ -320,8 +284,10 @@ def interpolate_disparity(
     cx, cy = grid.center_coords()
     qx = np.arange(width, dtype=np.float64)
     qy = np.arange(height, dtype=np.float64)
-    dense_du, dense_dv = _grid_sample(cx, cy, (field.du, field.dv), qx, qy)
-    return DenseDisparity(du=dense_du, dv=dense_dv)
+    return DenseDisparity(
+        du=bilinear_grid_sample(cx, cy, field.du, qx, qy),
+        dv=bilinear_grid_sample(cx, cy, field.dv, qx, qy),
+    )
 
 
 def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndarray]:
@@ -332,9 +298,8 @@ def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndar
     template, or at a non-finite shift, are masked out (and set to 0).
     Validates the whole template.
 
-    Works a chunk of rows at a time on the row bands of
-    :func:`_in_row_bands`, through scratch made here; see
-    :func:`_warp_rows` for the per-chunk formula.
+    Works a chunk of rows at a time through one set of scratch buffers;
+    see :func:`_warp_rows` for the per-chunk formula.
     """
     t = validate_image(template)
     h, w = t.shape
@@ -346,19 +311,13 @@ def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndar
     out = np.empty((h, w))
     mask = np.empty((h, w), dtype=bool)
     rows = chunk_rows(h, w)
-
-    def scratch():
-        return (
-            np.empty((6, rows, w)),
-            np.empty((3, rows, w), dtype=np.int64),
-            np.empty((2, rows, w), dtype=bool),
-        )
-
-    def warp_band(start: int, stop: int, buffers) -> None:
-        for a, b in row_chunks(start, stop, rows):
-            _warp_rows(flat, h, w, xs, ys[a:b], dense.du[a:b], dense.dv[a:b], out[a:b], mask[a:b], buffers)
-
-    _in_row_bands(h, warp_band, scratch)
+    buffers = (
+        np.empty((6, rows, w)),
+        np.empty((3, rows, w), dtype=np.int64),
+        np.empty((2, rows, w), dtype=bool),
+    )
+    for a, b in row_chunks(0, h, rows):
+        _warp_rows(flat, h, w, xs, ys[a:b], dense.du[a:b], dense.dv[a:b], out[a:b], mask[a:b], buffers)
     return out, mask
 
 

@@ -281,20 +281,23 @@ def make_synthetic_stereo(spec: SyntheticSpec) -> tuple[GrayImage, GrayImage, Gr
     lo, hi = blurred.min(), blurred.max()
     reference = (blurred - lo) / (hi - lo) if hi > lo else np.zeros_like(blurred)
 
-    du_map = np.zeros((h, w), dtype=np.int64)
-    dv_map = np.zeros((h, w), dtype=np.int64)
+    # Each region has one constant shift, so its source pixels are the
+    # outer product of two clipped 1D index vectors.
+    template = np.empty((h, w))
+    du_map = np.empty((h, w), dtype=np.int64)
+    dv_map = np.empty((h, w), dtype=np.int64)
     for region in spec.regions:
-        du_map[region.y0:region.y0 + region.height, region.x0:region.x0 + region.width] = region.du
-        dv_map[region.y0:region.y0 + region.height, region.x0:region.x0 + region.width] = region.dv
-
-    ys, xs = np.indices((h, w))
-    src_x = np.clip(xs + du_map, 0, w - 1)
-    src_y = np.clip(ys + dv_map, 0, h - 1)
-    template = reference[src_y, src_x]
+        rows = slice(region.y0, region.y0 + region.height)
+        cols = slice(region.x0, region.x0 + region.width)
+        src_y = np.clip(np.arange(rows.start, rows.stop) + region.dv, 0, h - 1)
+        src_x = np.clip(np.arange(cols.start, cols.stop) + region.du, 0, w - 1)
+        template[rows, cols] = reference[np.ix_(src_y, src_x)]
+        du_map[rows, cols] = region.du
+        dv_map[rows, cols] = region.dv
     if spec.noise_floor > 0:
-        template = template + spec.noise_floor * rng.standard_normal((h, w))
-        template = np.clip(template, 0.0, 1.0)
-    else:
-        template = template.copy()
+        noise = rng.standard_normal((h, w))
+        noise *= spec.noise_floor
+        template += noise
+        np.clip(template, 0.0, 1.0, out=template)
 
     return template, reference, GroundTruth(du=du_map, dv=dv_map)

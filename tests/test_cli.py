@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,17 @@ class TestAlign:
         assert code == 0
         row = csv_rows(out / "metrics.csv")[0]
         assert float(row["corr_after"]) > float(row["corr_before"])
+
+    @pytest.mark.parametrize("method", ("diag-fast", "stream"))
+    def test_frame_starts_no_thread(self, tmp_path, monkeypatch, method):
+        # A frame runs on the calling thread (numpy/BLAS threads are not
+        # Python threads), so a thread start anywhere in it is an error.
+        def refuse(thread):
+            raise RuntimeError(f"a frame started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        out = tmp_path / "align"
+        assert main(["align", *SMALL_ALIGN, "--method", method, "--out", str(out)]) == 0
 
     def test_missing_input_exits_2_naming_path(self, tmp_path, capsys):
         code = main([

@@ -1,16 +1,14 @@
 """Per-frame stages that do each whole-image pass once, in cache-sized
 chunks of rows.
 
-The warp and the dense interpolation work in one band of rows per usable
-CPU; the correlation centres the reference side once for a tuple of
-images; the diagonal tables hold the one orientation a run reads; PGM
-files are checked, quantised and read a chunk at a time. Each is compared
-with the form it replaced: the one-band warp and the ``np.indices``
-oracle, the whole-array interpolation and quantisation, and one
+The warp and the dense interpolation loop over bands (chunks) of rows on
+the calling thread; the correlation centres the reference side once for a
+tuple of images; the diagonal tables hold the one orientation a run
+reads; PGM files are checked, quantised and read a chunk at a time. Each
+is compared with the form it replaced: the ``np.indices`` warp oracle,
+the whole-array interpolation and quantisation, and one
 ``global_correlation`` call per image.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,24 +30,6 @@ from test_fast_paths import indices_warp
 
 # -- warp bands ------------------------------------------------------------
 
-def _fake_cpus(monkeypatch, n):
-    """Make ``nccalign.alignment`` see ``n`` usable CPUs, and record the
-    rows of each band (one entry per band) its row-band helper then runs."""
-    monkeypatch.setattr(alignment, "os", SimpleNamespace(sched_getaffinity=lambda pid: set(range(n))))
-    calls = []
-    real = alignment._in_row_bands
-
-    def counted(height, work, make_scratch):
-        def counted_work(start, stop, scratch):
-            calls.append(stop - start)
-            return work(start, stop, scratch)
-
-        return real(height, counted_work, make_scratch)
-
-    monkeypatch.setattr(alignment, "_in_row_bands", counted)
-    return calls
-
-
 def _warp_case(seed, h, w, reach):
     rng = np.random.default_rng(seed)
     template = rng.random((h, w))
@@ -58,20 +38,16 @@ def _warp_case(seed, h, w, reach):
 
 
 class TestWarpBands:
-    @pytest.mark.parametrize("cpus", (1, 2, 3, 8))
+    @pytest.mark.parametrize("band", (1, 2, 3, 8))
     @pytest.mark.parametrize("h, w, reach", ((1, 9, 3.0), (2, 5, 1.5), (5, 7, 4.0), (24, 19, 8.0), (37, 41, 30.0)))
-    def test_equals_one_band_and_oracle(self, monkeypatch, cpus, h, w, reach):
+    def test_equals_one_band_and_oracle(self, monkeypatch, band, h, w, reach):
+        # Bands of ``band`` rows against one band of the whole image.
         template, du, dv = _warp_case(1000 * h + w, h, w, reach)
         inputs = (template.copy(), du.copy(), dv.copy())
-        with monkeypatch.context() as one:
-            _fake_cpus(one, 1)
-            want, want_mask = warp(template, DenseDisparity(du=du, dv=dv))
-        calls = _fake_cpus(monkeypatch, cpus)
+        want, want_mask = warp(template, DenseDisparity(du=du, dv=dv))
+        monkeypatch.setattr(images, "CHUNK_PIXELS", band * w)
         got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
 
-        assert len(calls) == min(cpus, h)
-        assert max(calls) - min(calls) <= 1
-        assert sum(calls) == h
         np.testing.assert_array_equal(got_mask, want_mask)
         np.testing.assert_array_equal(got, want)
         oracle, oracle_mask = indices_warp(template, du, dv)
@@ -80,34 +56,12 @@ class TestWarpBands:
         for before, after in zip(inputs, (template, du, dv)):
             np.testing.assert_array_equal(before, after)
 
-    def test_cpu_count_without_affinity_api(self, monkeypatch):
-        calls = _fake_cpus(monkeypatch, 1)
-        monkeypatch.setattr(alignment, "os", SimpleNamespace(cpu_count=lambda: 3))
-        template, du, dv = _warp_case(2, 7, 5, 2.0)
-        got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
-        assert len(calls) == 3
-        oracle, oracle_mask = indices_warp(template, du, dv)
-        np.testing.assert_array_equal(got_mask, oracle_mask)
-        np.testing.assert_array_equal(got, oracle)
-
-    def test_worker_error_reaches_caller(self, monkeypatch):
-        _fake_cpus(monkeypatch, 2)
-
-        def failing(*args, **kwargs):
-            raise RuntimeError("band failed")
-
-        monkeypatch.setattr(alignment, "_warp_rows", failing)
-        template, du, dv = _warp_case(3, 6, 6, 1.0)
-        with pytest.raises(RuntimeError, match="band failed"):
-            warp(template, DenseDisparity(du=du, dv=dv))
-
-    @pytest.mark.parametrize("cpus", (1, 3))
+    @pytest.mark.parametrize("seed", (1, 3))
     @pytest.mark.parametrize("chunk", (1, 7, 40, images.CHUNK_PIXELS))
-    def test_chunks_equal_oracle(self, monkeypatch, cpus, chunk):
-        # Chunks of one row, of part of a band, and one chunk per band.
-        _fake_cpus(monkeypatch, cpus)
+    def test_chunks_equal_oracle(self, monkeypatch, seed, chunk):
+        # Chunks of one row, of a few rows, and one chunk for the image.
         monkeypatch.setattr(images, "CHUNK_PIXELS", chunk)
-        template, du, dv = _warp_case(4, 29, 13, 9.0)
+        template, du, dv = _warp_case(seed, 29, 13, 9.0)
         got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
         oracle, oracle_mask = indices_warp(template, du, dv)
         np.testing.assert_array_equal(got_mask, oracle_mask)
@@ -129,11 +83,10 @@ class TestWarpBands:
         np.testing.assert_array_equal(got.view(np.uint64), oracle.view(np.uint64))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("cpus", (1, 2))
-    def test_non_finite_field_masked_out(self, monkeypatch, cpus):
-        _fake_cpus(monkeypatch, cpus)
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_non_finite_field_masked_out(self, monkeypatch, seed):
         monkeypatch.setattr(images, "CHUNK_PIXELS", 30)
-        template, du, dv = _warp_case(5, 12, 10, 3.0)
+        template, du, dv = _warp_case(seed, 12, 10, 3.0)
         bad = np.zeros((12, 10), dtype=bool)
         for i, value in enumerate((np.nan, np.inf, -np.inf)):
             du[i, i] = dv[i + 4, 9 - i] = value
@@ -162,13 +115,12 @@ def whole_array_sample(centers_x, centers_y, values, query_x, query_y):
 
 
 class TestBandedInterpolation:
-    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    @pytest.mark.parametrize("seed", (1, 2, 3))
     @pytest.mark.parametrize("chunk", (1, 50, images.CHUNK_PIXELS))
     @pytest.mark.parametrize("height, width", ((1, 1), (1, 70), (45, 1), (31, 37)))
-    def test_equals_whole_array_formula(self, monkeypatch, cpus, chunk, height, width):
-        _fake_cpus(monkeypatch, cpus)
+    def test_equals_whole_array_formula(self, monkeypatch, seed, chunk, height, width):
         monkeypatch.setattr(images, "CHUNK_PIXELS", chunk)
-        rng = np.random.default_rng(height * 100 + width)
+        rng = np.random.default_rng((seed, height, width))
         cx = np.sort(rng.uniform(0, width, 5))
         cy = np.sort(rng.uniform(0, height, 4))
         values = rng.uniform(-8, 8, (4, 5))
@@ -177,15 +129,12 @@ class TestBandedInterpolation:
         np.testing.assert_array_equal(alignment.bilinear_grid_sample(cx, cy, values, qx, qy),
                                       whole_array_sample(cx, cy, values, qx, qy))
 
-    def test_full_size_field_in_one_pool(self, monkeypatch):
-        # Each 200-row band of a 400 x 200 field spans two chunks; both
-        # components share one pool, so there is one call per band.
-        calls = _fake_cpus(monkeypatch, 2)
+    def test_full_size_field_equals_whole_array_formula(self):
+        # A 400 x 200 field spans several chunks of rows.
         field = DisparityField(*np.random.default_rng(6).uniform(-4, 4, (2, 5, 6)),
                                coeff=np.ones((5, 6)), status=np.zeros((5, 6), dtype=np.uint8))
         grid = alignment.BlockGrid(block_size=32, margin_x=4, margin_y=15, rows=5, cols=6)
         dense = alignment.interpolate_disparity(field, grid, (200, 400))
-        assert calls == [200, 200]
         cx, cy = grid.center_coords()
         qx, qy = np.arange(200, dtype=np.float64), np.arange(400, dtype=np.float64)
         np.testing.assert_array_equal(dense.du, whole_array_sample(cx, cy, field.du, qx, qy))

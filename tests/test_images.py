@@ -13,6 +13,7 @@ from nccalign import (
     save_pgm,
     uniform_pattern,
 )
+from nccalign.images import GroundTruth, _box_blur
 
 
 def write_pgm_bytes(path, header: bytes, payload: bytes):
@@ -151,3 +152,44 @@ class TestMakeSyntheticStereo:
         template, reference, _ = make_synthetic_stereo(spec)
         for img in (template, reference):
             assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+def indices_synthetic_stereo(spec):
+    """The generator as one whole-image gather through ``np.indices`` and
+    two clipped per-pixel index maps."""
+    h, w = spec.height, spec.width
+    rng = np.random.default_rng(spec.texture_seed)
+    blurred = _box_blur(rng.random((h, w)), radius=2)
+    lo, hi = blurred.min(), blurred.max()
+    reference = (blurred - lo) / (hi - lo) if hi > lo else np.zeros_like(blurred)
+    du_map = np.zeros((h, w), dtype=np.int64)
+    dv_map = np.zeros((h, w), dtype=np.int64)
+    for region in spec.regions:
+        du_map[region.y0:region.y0 + region.height, region.x0:region.x0 + region.width] = region.du
+        dv_map[region.y0:region.y0 + region.height, region.x0:region.x0 + region.width] = region.dv
+    ys, xs = np.indices((h, w))
+    template = reference[np.clip(ys + dv_map, 0, h - 1), np.clip(xs + du_map, 0, w - 1)]
+    if spec.noise_floor > 0:
+        template = np.clip(template + spec.noise_floor * rng.standard_normal((h, w)), 0.0, 1.0)
+    return template, reference, GroundTruth(du=du_map, dv=dv_map)
+
+
+class TestRegionGenerator:
+    # Shifts of 9, near the bound min(w, h) / 4, of both signs: the
+    # outward ones clamp at every image edge, the inward ones at none.
+    @pytest.mark.parametrize("regions", (
+        uniform_pattern(41, 37, 9, -9),
+        uniform_pattern(41, 37, -9, 9),
+        quadrant_pattern(41, 37, [(-9, -9), (9, -9), (-9, 9), (9, 9)]),
+        quadrant_pattern(41, 37, [(9, 9), (-9, 9), (9, -9), (-9, -9)]),
+    ))
+    @pytest.mark.parametrize("noise_floor", (0.0, 0.05))
+    def test_bit_identical_to_indices_gather(self, regions, noise_floor):
+        spec = SyntheticSpec(41, 37, regions, texture_seed=11, noise_floor=noise_floor)
+        got = make_synthetic_stereo(spec)
+        want = indices_synthetic_stereo(spec)
+        for a, b in ((got[0], want[0]), (got[1], want[1])):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+        for a, b in ((got[2].du, want[2].du), (got[2].dv, want[2].dv)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
