@@ -384,9 +384,19 @@ def _warp_rows(flat, h, w, xs, ys, du, dv, out, mask, buffers) -> None:
     np.copyto(out, 0.0, where=last_y)
 
 
-def _masked_copy(arr: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """The masked pixels (all of them when ``mask`` is None) as a new 1D array."""
-    return arr[mask] if mask is not None else arr.flatten()
+# A variance sum this small, relative to ``n * mean**2``, is the rounding
+# of a flat image's centring, not a signal.
+_FLAT_VARIANCE = (4096 * np.finfo(np.float64).eps) ** 2
+
+
+def _fsum(parts: list) -> float:
+    """The correctly rounded total of per-chunk sums, or NaN when it or a
+    part is not finite."""
+    try:
+        total = math.fsum(parts)
+    except (OverflowError, ValueError):  # an overflowing total, or inf + -inf
+        return math.nan
+    return total if math.isfinite(total) else math.nan
 
 
 def global_correlation(
@@ -395,33 +405,79 @@ def global_correlation(
     """Pearson correlation between two images over the masked pixels.
 
     ``a`` may also be a tuple of images; the result is then the tuple of
-    their correlations with ``b``. The masked, centred ``b`` and its sum of
-    squares are computed once for the whole tuple, and each image of the
-    tuple is centred and multiplied in place in a masked copy of its own,
-    so each value is bit-identical to a single call. No input is modified.
+    their correlations with ``b``, each equal to that of a single call.
+    ``mask`` must be boolean. No input is modified.
+
+    Two passes over chunks of rows, with the mask as 0/1 weights in one
+    chunk of scratch: the first sums each image's masked pixels for its
+    mean, the second sums the centred squares and products (centring
+    first keeps the sums accurate). A chunk is summed by ``np.einsum``,
+    which uses no BLAS, and the chunk sums are added by ``math.fsum``; no
+    masked copy or full-size temporary is made. A non-finite pixel, masked
+    out or not, makes its image's first sum non-finite (NaN * 0 is NaN),
+    and only then is that image scanned for the error. A variance sum of
+    at most ``n * (4096 * eps * mean)**2`` counts as zero: a flat image
+    leaves that much from rounding.
     """
     single = not isinstance(a, tuple)
-    images = [validate_image(img, "a") for img in ((a,) if single else a)]
-    bb = validate_image(b, "b")
+    images = [image_array(img, "a") for img in ((a,) if single else a)]
+    bb = image_array(b, "b")
     for aa in images:
         if aa.shape != bb.shape:
             raise ValueError(f"image extents differ: {aa.shape} vs {bb.shape}")
-    if mask is not None and mask.shape != bb.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match images {bb.shape}")
-    bc = _masked_copy(bb, mask)
-    if bc.size < 2:
-        raise UndefinedMetricError(f"correlation needs >= 2 pixels, mask selects {bc.size}")
-    bc -= bc.mean()
-    var_b = float(np.sum(bc * bc))
+    if mask is not None:
+        if mask.shape != bb.shape:
+            raise ValueError(f"mask shape {mask.shape} does not match images {bb.shape}")
+        if mask.dtype != bool:
+            raise TypeError(f"mask must be boolean, got dtype {mask.dtype}")
+    h, w = bb.shape
+    rows = chunk_rows(h, w)
+    weights, cb, ca = np.ones((3, rows, w))
+
+    def chunks():
+        for r0, r1 in row_chunks(0, h, rows):
+            wt = weights[:r1 - r0]
+            if mask is not None:
+                np.copyto(wt, mask[r0:r1])
+            yield r0, r1, wt
+
+    sides = images + [bb]
+    sums = [[] for _ in sides]
+    for r0, r1, wt in chunks():
+        for x, parts in zip(sides, sums):
+            parts.append(np.einsum("ij,ij->", x[r0:r1], wt))
+    totals = []
+    for x, name, parts in zip(sides, ["a"] * len(images) + ["b"], sums):
+        total = _fsum(parts)
+        if math.isnan(total):
+            validate_image(x, name)
+            raise UndefinedMetricError("correlation undefined: intensity sums overflow")
+        totals.append(total)
+    n = h * w if mask is None else int(np.count_nonzero(mask))
+    if n < 2:
+        raise UndefinedMetricError(f"correlation needs >= 2 pixels, mask selects {n}")
+    *means, mean_b = (total / n for total in totals)
+
+    sq_b, sq_a, prods = [], [[] for _ in images], [[] for _ in images]
+    for r0, r1, wt in chunks():
+        cbk, cak = cb[:r1 - r0], ca[:r1 - r0]
+        np.subtract(bb[r0:r1], mean_b, out=cbk)
+        cbk *= wt
+        sq_b.append(np.einsum("ij,ij->", cbk, cbk))
+        for x, mean, sq, prod in zip(images, means, sq_a, prods):
+            np.subtract(x[r0:r1], mean, out=cak)
+            cak *= wt
+            sq.append(np.einsum("ij,ij->", cak, cak))
+            prod.append(np.einsum("ij,ij->", cak, cbk))
+    var_b = _fsum(sq_b)
     results = []
-    for aa in images:
-        ac = _masked_copy(aa, mask)
-        ac -= ac.mean()
-        var_a = float(np.sum(ac * ac))
-        if var_a <= 0.0 or var_b <= 0.0:
+    for mean_a, sq, prod in zip(means, sq_a, prods):
+        var_a, cov = _fsum(sq), _fsum(prod)
+        if any(map(math.isnan, (var_a, var_b, cov))):
+            raise UndefinedMetricError("correlation undefined: intensity sums overflow")
+        if var_a <= n * _FLAT_VARIANCE * mean_a**2 or var_b <= n * _FLAT_VARIANCE * mean_b**2:
             raise UndefinedMetricError("correlation undefined: zero variance under mask")
-        ac *= bc
-        results.append(float(np.sum(ac)) / math.sqrt(var_a * var_b))
+        results.append(cov / math.sqrt(var_a * var_b))
     return results[0] if single else tuple(results)
 
 

@@ -2,13 +2,17 @@
 chunks of rows.
 
 The warp and the dense interpolation loop over bands (chunks) of rows on
-the calling thread; the correlation centres the reference side once for a
-tuple of images; the diagonal tables hold the one orientation a run
-reads; PGM files are checked, quantised and read a chunk at a time. Each
-is compared with the form it replaced: the ``np.indices`` warp oracle,
-the whole-array interpolation and quantisation, and one
-``global_correlation`` call per image.
+the calling thread; the correlation sums chunks of rows in two passes,
+with no masked copy, and centres the reference side once for a tuple of
+images; the diagonal tables hold the one orientation a run reads; PGM
+files are checked, quantised and read a chunk at a time. Each is
+compared with the form it replaced: the ``np.indices`` warp oracle, the
+whole-array interpolation and quantisation, the masked-copy correlation
+and one ``global_correlation`` call per image.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +198,137 @@ class TestTupleCorrelation:
         image = random_image(9, 10, 10)
         with pytest.raises(UndefinedMetricError, match="zero variance"):
             global_correlation((image, image), np.full((10, 10), 0.5))
+
+
+# -- chunked correlation ----------------------------------------------------
+
+def masked_copy_correlation(a, b, mask=None):
+    """The masked-copy formula that the chunked correlation replaced."""
+    bc = b[mask] if mask is not None else b.flatten()
+    bc -= bc.mean()
+    var_b = float(np.sum(bc * bc))
+    ac = a[mask] if mask is not None else a.flatten()
+    ac -= ac.mean()
+    var_a = float(np.sum(ac * ac))
+    ac *= bc
+    return float(np.sum(ac)) / math.sqrt(var_a * var_b)
+
+
+def _correlated(seed, h, w):
+    """An image pair whose correlation is well away from 0."""
+    rng = np.random.default_rng(seed)
+    b = rng.random((h, w))
+    return rng.uniform(0.2, 0.8) * b + rng.random((h, w)), b
+
+
+class TestChunkedCorrelation:
+    @pytest.mark.parametrize("masked", (False, True))
+    @pytest.mark.parametrize("seed, h, w", ((1, 8, 8), (2, 33, 29), (3, 300, 7), (4, 2, 500), (5, 181, 203)))
+    def test_equals_masked_copy_formula(self, masked, seed, h, w):
+        a, b = _correlated(seed, h, w)
+        mask = np.random.default_rng(seed + 50).random((h, w)) > 0.3 if masked else None
+        assert global_correlation(a, b, mask) == pytest.approx(masked_copy_correlation(a, b, mask), rel=1e-12)
+
+    def test_full_size_warp_mask(self):
+        # A 1920 x 1080 frame: the template, its warp and the warp's mask.
+        rng = np.random.default_rng(11)
+        template = rng.random((1080, 1920))
+        du, dv = rng.uniform(-12.0, 12.0, (2, 1080, 1920))
+        du += 6.0
+        warped, mask = warp(template, DenseDisparity(du=du, dv=dv))
+        assert 0 < np.count_nonzero(~mask) < mask.size // 4
+        reference = 0.6 * warped + 0.4 * rng.random((1080, 1920))
+        got = global_correlation((template, warped), reference, mask)
+        for image, value in zip((template, warped), got):
+            assert value == pytest.approx(masked_copy_correlation(image, reference, mask), rel=1e-12)
+
+    @pytest.mark.parametrize("masked", (False, True))
+    @pytest.mark.parametrize("height", (1, 3, 4, 5))
+    def test_chunk_seams(self, monkeypatch, masked, height):
+        # Chunks of 4 rows: one short chunk, one chunk less a row, exactly
+        # one chunk, and one chunk and a row.
+        monkeypatch.setattr(images, "CHUNK_PIXELS", 4 * 9)
+        assert images.chunk_rows(height, 9) == min(4, height)
+        a, b = _correlated(100 + height, height, 9)
+        mask = np.ones((height, 9), dtype=bool)
+        if masked:
+            mask[:, ::4] = False
+        assert global_correlation(a, b, mask) == pytest.approx(masked_copy_correlation(a, b, mask), rel=1e-12)
+        assert global_correlation((b, a), b, mask) == (1.0, global_correlation(a, b, mask))
+
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("where", ("first chunk", "last chunk", "masked out"))
+    @pytest.mark.parametrize("side", ("a", "tuple a", "b"))
+    def test_non_finite_pixel_names_its_image(self, monkeypatch, value, where, side):
+        monkeypatch.setattr(images, "CHUNK_PIXELS", 3 * 10)
+        a, b = _correlated(12, 10, 10)
+        mask = np.ones((10, 10), dtype=bool)
+        mask[5, 5] = False
+        bad = b if side == "b" else a
+        bad[{"first chunk": (1, 2), "last chunk": (9, 0), "masked out": (5, 5)}[where]] = value
+        first = (b, a) if side == "tuple a" else a
+        with pytest.raises(ValueError) as info:
+            global_correlation(first, b, mask)
+        assert str(info.value) == f"{side[-1]} contains non-finite intensities"
+
+    @pytest.mark.parametrize("masked", (False, True))
+    def test_self_correlation_exact_and_inputs_unmodified(self, monkeypatch, masked):
+        monkeypatch.setattr(images, "CHUNK_PIXELS", 5 * 23)
+        image = random_image(13, 41, 23)
+        mask = image > 0.3 if masked else None
+        before = [image.copy()] + ([mask.copy()] if masked else [])
+        assert global_correlation((image, image), image, mask) == (1.0, 1.0)
+        assert global_correlation(image, image.copy(), mask) == 1.0
+        for kept, now in zip(before, (image, mask)):
+            np.testing.assert_array_equal(kept, now)
+
+    def test_full_size_call_needs_no_full_size_buffer(self):
+        a, b = _correlated(14, 1080, 1920)
+        warped = 0.5 * (a + b)
+        mask = np.ones((1080, 1920), dtype=bool)
+        mask[:, :40] = False
+        tracemalloc.start()
+        try:
+            global_correlation((a, warped), b, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
+
+    @pytest.mark.parametrize("masked", (False, True))
+    @pytest.mark.parametrize("side", ("a", "b"))
+    @pytest.mark.parametrize("shape", ((8, 8), (1080, 1920)))
+    @pytest.mark.parametrize("level", (0.1, 0.3, 1 / 3, 0.7, 1.0))
+    def test_flat_image_rejected_at_any_level(self, level, shape, side, masked):
+        # Centring a flat image on its rounded mean leaves a variance of
+        # rounding size, not 0, at most levels.
+        rng = np.random.default_rng(15)
+        flat, textured = np.full(shape, level), rng.random(shape)
+        mask = rng.random(shape) > 0.2 if masked else None
+        a, b = (flat, textured) if side == "a" else (textured, flat)
+        with pytest.raises(UndefinedMetricError, match="zero variance"):
+            global_correlation(a, b, mask)
+
+    def test_one_quantum_is_not_flat(self):
+        image = np.full((1080, 1920), 0.5)
+        image[540, 960] += 1 / 65535
+        assert global_correlation(image, image) == 1.0
+
+    @pytest.mark.parametrize("dtype", (np.int64, np.uint8, np.float64))
+    def test_non_boolean_mask_rejected(self, dtype):
+        a, b = _correlated(16, 12, 12)
+        mask = np.zeros((12, 12), dtype=bool)
+        mask[2:9, 3:11] = True
+        with pytest.raises(TypeError, match=np.dtype(dtype).name):
+            global_correlation(a, b, mask.astype(dtype))
+        assert global_correlation(a, b, mask) == pytest.approx(masked_copy_correlation(a, b, mask), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", (1e200, 1e306))
+    def test_overflowing_sums_rejected(self, scale):
+        # Squares overflow at 1e200, the pixel sums themselves at 1e306.
+        a, b = _correlated(17, 40, 40)
+        with pytest.raises(UndefinedMetricError, match="overflow"):
+            global_correlation(a, scale * b)
 
 
 # -- one-orientation diagonal tables --------------------------------------
