@@ -326,9 +326,13 @@ def _warp_rows(flat, h, w, xs, ys, du, dv, out, mask, buffers) -> None:
 
     The sample coordinates are clamped to the template (``fmax``/``fmin``,
     which also send NaN to 0 and +-inf to an edge), and a pixel is in the
-    mask when clamping left both unchanged. ``modf`` of the clamped
-    coordinates gives the lower taps and the weights; the +1 taps stay on
-    the last column and row. The blend order,
+    mask when clamping left both unchanged. The floor of a clamped
+    coordinate c gives its lower tap and ``c - floor(c)`` its weight; the
+    +1 taps stay on the last column and row. Both parts equal ``modf``'s
+    bit for bit: c is at least +0.0 (``x - du`` is -0.0 only for x = -0.0,
+    and the grid starts at +0.0), the subtraction is exact for c >= 1 by
+    Sterbenz's lemma, and for c < 1 it is ``c - 0``, so an integral c
+    gets the weight +0.0. The blend order,
     ((v00*uy)*ux + (v01*uy)*wx) + (v10*wy)*ux + (v11*wy)*wx, is that of
     ``scipy.ndimage.map_coordinates(order=1)``, so the result is
     bit-identical to it. Every step writes into ``buffers`` and mixes no
@@ -348,8 +352,10 @@ def _warp_rows(flat, h, w, xs, ys, du, dv, out, mask, buffers) -> None:
     np.equal(wx, sx, out=mask)
     np.equal(wy, sy, out=last_y)
     mask &= last_y
-    np.modf(wx, out=(wx, x0))
-    np.modf(wy, out=(wy, y0))
+    np.floor(wx, out=x0)
+    wx -= x0
+    np.floor(wy, out=y0)
+    wy -= y0
     np.equal(x0, w - 1, out=last_x)
     np.equal(y0, h - 1, out=last_y)
     y0 *= w

@@ -218,8 +218,12 @@ def run_alignment(template, reference, args, *, noise: NoiseModel | None = None)
     """The full per-run pipeline: partition, estimate, fill, warp, score.
 
     Pre/post correlations are both computed over the warp validity mask so
-    the improvement metric compares identical pixel sets.
+    the improvement metric compares identical pixel sets. The scores need
+    equal extents, so unequal ones fail before the estimate.
     """
+    if np.shape(template) != np.shape(reference):
+        raise ValueError(f"template {np.shape(template)} and reference {np.shape(reference)} "
+                         "extents differ")
     grid = partition_template(template, args.block, args.crop)
     shifts = _shift_range(args)
     if noise is None:

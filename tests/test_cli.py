@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from nccalign import load_pgm
+from nccalign import cli, load_pgm, save_pgm
 from nccalign.cli import argv_from_header, main
 
 
@@ -24,6 +24,14 @@ SMALL_PAIR = [
 SMALL_ALIGN = SMALL_PAIR + [
     "--block", "16", "--crop", "0.0", "--search-du=-4:4", "--search-dv=-4:4",
 ]
+
+
+def unequal_pair_argv(tmp_path):
+    """Input flags for a 40 x 56 template and a 48 x 64 reference."""
+    template, reference = tmp_path / "t.pgm", tmp_path / "r.pgm"
+    save_pgm(np.random.default_rng(1).random((40, 56)), template)
+    save_pgm(np.random.default_rng(2).random((48, 64)), reference)
+    return ["--template", str(template), "--reference", str(reference), "--block", "16", "--crop", "0.0"]
 
 
 class TestGen:
@@ -110,7 +118,6 @@ class TestAlign:
     def test_flat_pair_unalignable_exits_1(self, tmp_path, capsys):
         # all-flat synthetic: noise floor 0 over a zero-texture pattern is
         # impossible via gen, so use a flat PGM pair on disk.
-        from nccalign import save_pgm
         flat = tmp_path / "flat.pgm"
         save_pgm(np.full((64, 64), 0.5), flat)
         code = main([
@@ -119,6 +126,18 @@ class TestAlign:
         ])
         assert code == 1
         assert "valid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("align", "robustness", "noise-sweep"))
+    def test_unequal_extents_exit_2_before_estimate(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate_disparity ran on unequal extents")
+
+        monkeypatch.setattr(cli, "estimate_disparity", refuse)
+        code = main([command, *unequal_pair_argv(tmp_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "(40, 56)" in err and "(48, 64)" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestDeterminism:
@@ -171,6 +190,10 @@ class TestBench:
         assert "empty search range --search-du=100:101" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    def test_larger_reference_accepted(self, tmp_path):
+        # bench only estimates, so the reference may exceed the template.
+        assert main(["bench", *unequal_pair_argv(tmp_path), "--runs", "1", "--out", str(tmp_path / "o")]) == 0
 
 
 class TestNoiseSweep:

@@ -6,9 +6,10 @@ the calling thread; the correlation sums chunks of rows in two passes,
 with no masked copy, and centres the reference side once for a tuple of
 images; the diagonal tables hold the one orientation a run reads; PGM
 files are checked, quantised and read a chunk at a time. Each is
-compared with the form it replaced: the ``np.indices`` warp oracle, the
-whole-array interpolation and quantisation, the masked-copy correlation
-and one ``global_correlation`` call per image.
+compared with the form it replaced: the ``np.indices`` warp oracle and,
+bit for bit, the ``np.modf`` warp, the whole-array interpolation and
+quantisation, the masked-copy correlation and one ``global_correlation``
+call per image.
 """
 
 import math
@@ -23,6 +24,7 @@ from nccalign import (
     global_correlation,
     load_pgm,
     save_pgm,
+    validate_image,
 )
 from nccalign import alignment, images
 from nccalign.alignment import DenseDisparity, DisparityField, warp
@@ -34,44 +36,128 @@ from test_fast_paths import indices_warp
 
 # -- warp bands ------------------------------------------------------------
 
-def _warp_case(seed, h, w, reach):
+def modf_warp_rows(flat, h, w, xs, ys, du, dv, out, mask, buffers) -> None:
+    """The warp's per-chunk body as it was with ``np.modf`` splitting the
+    clamped coordinates: the bitwise oracle for the ``np.floor`` split."""
+    n = len(out)
+    floats, ints, bools = (buf[:, :n] for buf in buffers)
+    sx, sy, wx, wy, x0, y0 = floats
+    tap00, tap01, tap = ints
+    last_x, last_y = bools
+    np.subtract(xs, du, out=sx)
+    np.subtract(ys, dv, out=sy)
+    np.fmax(sx, 0.0, out=wx)
+    np.fmin(wx, w - 1, out=wx)
+    np.fmax(sy, 0.0, out=wy)
+    np.fmin(wy, h - 1, out=wy)
+    np.equal(wx, sx, out=mask)
+    np.equal(wy, sy, out=last_y)
+    mask &= last_y
+    np.modf(wx, out=(wx, x0))
+    np.modf(wy, out=(wy, y0))
+    np.equal(x0, w - 1, out=last_x)
+    np.equal(y0, h - 1, out=last_y)
+    y0 *= w
+    y0 += x0
+    np.copyto(tap00, y0, casting="unsafe")
+    ux, uy, value = sx, sy, x0
+    np.subtract(1.0, wx, out=ux)
+    np.subtract(1.0, wy, out=uy)
+
+    np.take(flat, tap00, out=out, mode="clip")
+    out *= uy
+    out *= ux
+    np.add(tap00, 1, out=tap01)
+    np.copyto(tap01, tap00, where=last_x)
+    np.take(flat, tap01, out=value, mode="clip")
+    value *= uy
+    value *= wx
+    out += value
+    np.add(tap00, w, out=tap)
+    np.copyto(tap, tap00, where=last_y)
+    np.take(flat, tap, out=value, mode="clip")
+    value *= wy
+    value *= ux
+    out += value
+    np.add(tap01, w, out=tap)
+    np.copyto(tap, tap01, where=last_y)
+    np.take(flat, tap, out=value, mode="clip")
+    value *= wy
+    value *= wx
+    out += value
+    np.logical_not(mask, out=last_y)
+    np.copyto(out, 0.0, where=last_y)
+
+
+def assert_modf_warp_bits(monkeypatch, got, got_mask, template, du, dv):
+    """``got`` and ``got_mask`` equal the ``modf`` warp's bit for bit."""
+    with monkeypatch.context() as patched:
+        patched.setattr(alignment, "_warp_rows", modf_warp_rows)
+        want, want_mask = warp(template, DenseDisparity(du=du, dv=dv))
+    np.testing.assert_array_equal(got_mask, want_mask)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# Sample coordinates a uniform field rarely hits: "halves" are integral and
+# half-integral, "last" lie exactly on the last column and row for about
+# half the pixels, "zeros" are shifts of +0.0 and -0.0, and "-0.0 template"
+# puts -0.0 in about half the template under a "halves" field.
+WARP_KINDS = ("uniform", "halves", "last", "zeros", "-0.0 template")
+
+
+def _warp_case(seed, h, w, reach, kind="uniform"):
     rng = np.random.default_rng(seed)
     template = rng.random((h, w))
     du, dv = rng.uniform(-reach, reach, (2, h, w))
+    pick = rng.random((2, h, w)) < 0.5
+    if kind in ("halves", "-0.0 template"):
+        du, dv = np.round(2 * du) / 2, np.round(2 * dv) / 2
+    if kind == "-0.0 template":
+        template[pick[0]] = -0.0
+    elif kind == "last":
+        du = np.where(pick[0], np.arange(w) - (w - 1.0), du)
+        dv = np.where(pick[1], np.arange(h)[:, None] - (h - 1.0), dv)
+    elif kind == "zeros":
+        du, dv = np.where(pick, 0.0, -0.0)
     return template, du, dv
 
 
 class TestWarpBands:
+    @pytest.mark.parametrize("kind", WARP_KINDS)
     @pytest.mark.parametrize("band", (1, 2, 3, 8))
-    @pytest.mark.parametrize("h, w, reach", ((1, 9, 3.0), (2, 5, 1.5), (5, 7, 4.0), (24, 19, 8.0), (37, 41, 30.0)))
-    def test_equals_one_band_and_oracle(self, monkeypatch, band, h, w, reach):
+    @pytest.mark.parametrize("h, w, reach", ((1, 9, 3.0), (2, 5, 1.5), (5, 7, 4.0), (6, 1, 2.0),
+                                             (24, 19, 8.0), (37, 41, 30.0)))
+    def test_equals_one_band_and_oracle(self, monkeypatch, band, h, w, reach, kind):
         # Bands of ``band`` rows against one band of the whole image.
-        template, du, dv = _warp_case(1000 * h + w, h, w, reach)
+        template, du, dv = _warp_case(1000 * h + w, h, w, reach, kind)
         inputs = (template.copy(), du.copy(), dv.copy())
         want, want_mask = warp(template, DenseDisparity(du=du, dv=dv))
         monkeypatch.setattr(images, "CHUNK_PIXELS", band * w)
         got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
 
         np.testing.assert_array_equal(got_mask, want_mask)
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert_modf_warp_bits(monkeypatch, got, got_mask, template, du, dv)
         oracle, oracle_mask = indices_warp(template, du, dv)
         np.testing.assert_array_equal(got_mask, oracle_mask)
         np.testing.assert_array_equal(got, oracle)
         for before, after in zip(inputs, (template, du, dv)):
             np.testing.assert_array_equal(before, after)
 
+    @pytest.mark.parametrize("kind", WARP_KINDS)
     @pytest.mark.parametrize("seed", (1, 3))
     @pytest.mark.parametrize("chunk", (1, 7, 40, images.CHUNK_PIXELS))
-    def test_chunks_equal_oracle(self, monkeypatch, seed, chunk):
+    def test_chunks_equal_oracle(self, monkeypatch, seed, chunk, kind):
         # Chunks of one row, of a few rows, and one chunk for the image.
         monkeypatch.setattr(images, "CHUNK_PIXELS", chunk)
-        template, du, dv = _warp_case(seed, 29, 13, 9.0)
+        template, du, dv = _warp_case(seed, 29, 13, 9.0, kind)
         got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
+        assert_modf_warp_bits(monkeypatch, got, got_mask, template, du, dv)
         oracle, oracle_mask = indices_warp(template, du, dv)
         np.testing.assert_array_equal(got_mask, oracle_mask)
         np.testing.assert_array_equal(got, oracle)
 
-    def test_edge_taps_keep_signed_zeros(self):
+    def test_edge_taps_keep_signed_zeros(self, monkeypatch):
         # On the last column or row a +1 tap has weight 0, so only the sign
         # of a zero shows which pixel it read: the clamped one (-0.0 here),
         # not the next row's first pixel or the image's last one (0.75).
@@ -81,6 +167,7 @@ class TestWarpBands:
         du[0, 0], dv[0, 0] = -4.0, -1.5  # samples (4, 1.5): last column
         du[0, 1], dv[0, 1] = -0.5, -5.0  # samples (1.5, 5): last row
         got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
+        assert_modf_warp_bits(monkeypatch, got, got_mask, template, du, dv)
         oracle, oracle_mask = indices_warp(template, du, dv)
         assert got_mask[0, :2].all() and np.signbit(got[0, :2]).all()
         np.testing.assert_array_equal(got_mask, oracle_mask)
@@ -100,6 +187,7 @@ class TestWarpBands:
             bad[i, i] = bad[i + 4, 9 - i] = bad[11 - i, 2] = bad[i + 7, 5] = True
         got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
 
+        assert_modf_warp_bits(monkeypatch, got, got_mask, template, du, dv)
         assert not got_mask[bad].any()
         assert np.all(got[bad] == 0.0)
         finite_du, finite_dv = np.where(bad, 0.0, du), np.where(bad, 0.0, dv)
@@ -372,13 +460,26 @@ class TestChunkedPgm:
         header = f"P5\n{shape[1]} {shape[0]}\n{maxval}\n".encode("ascii")
         assert path.read_bytes() == header + whole_array_pgm_body(image, maxval)
 
-    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    # Each value goes to ``where`` and the pixel beside it in the same chunk
+    # (the first or the last of 200 x 170). inf with -inf sums to NaN; two
+    # 1e308 pixels are finite but their sum overflows, so only the exact
+    # per-pixel scan can pass them.
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf, (np.inf, -np.inf), (1e308, 1e308)),
+                             ids=("nan", "inf", "-inf", "inf and -inf", "overflowing sum"))
     @pytest.mark.parametrize("where", ((0, 0), (199, 169), (195, 3)))
     def test_non_finite_raises_before_file_exists(self, tmp_path, value, where):
         image = np.random.default_rng(15).random((200, 170))
-        image[where] = value
+        y, x = where
+        image[y, x], image[y, x ^ 1] = np.broadcast_to(value, 2)
         path = tmp_path / "bad.pgm"
-        with pytest.raises(ValueError, match="non-finite"):
+        if np.all(np.isfinite(value)):
+            assert validate_image(image) is image
+            save_pgm(image, path)
+            assert path.read_bytes() == b"P5\n170 200\n255\n" + whole_array_pgm_body(image, 255)
+            return
+        with pytest.raises(ValueError, match="^image contains non-finite intensities$"):
+            build_diag_tables(image)
+        with pytest.raises(ValueError, match="^image contains non-finite intensities$"):
             save_pgm(image, path)
         assert not path.exists()
 
