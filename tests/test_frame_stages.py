@@ -460,17 +460,20 @@ class TestChunkedPgm:
         header = f"P5\n{shape[1]} {shape[0]}\n{maxval}\n".encode("ascii")
         assert path.read_bytes() == header + whole_array_pgm_body(image, maxval)
 
-    # Each value goes to ``where`` and the pixel beside it in the same chunk
-    # (the first or the last of 200 x 170). inf with -inf sums to NaN; two
-    # 1e308 pixels are finite but their sum overflows, so only the exact
-    # per-pixel scan can pass them.
+    # A single value goes to ``where`` alone; a pair goes to ``where`` and the
+    # pixel beside it in the same chunk (the first or the last of 200 x 170).
+    # inf with -inf sums to NaN; two 1e308 pixels are finite but their sum
+    # overflows, so only the exact per-pixel scan can pass them.
     @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf, (np.inf, -np.inf), (1e308, 1e308)),
                              ids=("nan", "inf", "-inf", "inf and -inf", "overflowing sum"))
     @pytest.mark.parametrize("where", ((0, 0), (199, 169), (195, 3)))
     def test_non_finite_raises_before_file_exists(self, tmp_path, value, where):
         image = np.random.default_rng(15).random((200, 170))
         y, x = where
-        image[y, x], image[y, x ^ 1] = np.broadcast_to(value, 2)
+        if isinstance(value, tuple):
+            image[y, x], image[y, x ^ 1] = value
+        else:
+            image[where] = value
         path = tmp_path / "bad.pgm"
         if np.all(np.isfinite(value)):
             assert validate_image(image) is image
