@@ -219,18 +219,22 @@ def run_alignment(template, reference, args, *, noise: NoiseModel | None = None)
 
     Pre/post correlations are both computed over the warp validity mask so
     the improvement metric compares identical pixel sets. The scores need
-    equal extents, so unequal ones fail before the estimate.
+    equal extents, so unequal ones fail before the estimate. The
+    moving-average and noise settings are read only for ``stream``.
     """
     if np.shape(template) != np.shape(reference):
         raise ValueError(f"template {np.shape(template)} and reference {np.shape(reference)} "
                          "extents differ")
     grid = partition_template(template, args.block, args.crop)
     shifts = _shift_range(args)
-    if noise is None:
-        noise = NoiseModel(args.noise_mult, args.noise_int, args.seed)
+    ma_config = None
+    if args.method == "stream":
+        ma_config = _ma_config(args)
+        if noise is None:
+            noise = NoiseModel(args.noise_mult, args.noise_int, args.seed)
     raw = estimate_disparity(
         template, reference, grid, args.method, shifts,
-        orientation=args.orientation, ma_config=_ma_config(args), noise=noise,
+        orientation=args.orientation, ma_config=ma_config, noise=noise,
     )
     filled = fill_invalid(raw)
     h, w = template.shape

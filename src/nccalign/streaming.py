@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .diagonal import DiagTables, _diag_windows
 from .images import GrayImage
@@ -85,6 +84,10 @@ def _moving_average_batch(signals: np.ndarray, config: MovingAverageConfig) -> n
         if n > length:
             out[..., length:] = (c[..., length:] - c[..., :-length]) / length
         return out
+    # Imported here so that `import nccalign` loads no scipy: importing
+    # scipy.signal takes about ten times as long as importing numpy.
+    from scipy.signal import lfilter
+
     alpha = config.alpha
     zi = (1.0 - alpha) * x[..., :1]
     out, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], x, axis=-1, zi=zi)

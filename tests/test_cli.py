@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nccalign
 from nccalign import cli, load_pgm, save_pgm
 from nccalign.cli import argv_from_header, main
 
@@ -126,6 +131,12 @@ class TestAlign:
         ])
         assert code == 1
         assert "valid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, code", [("diag", 0), ("stream", 2)])
+    def test_ma_spec_read_only_by_stream(self, tmp_path, capsys, method, code):
+        argv = ["align", *SMALL_ALIGN, "--method", method, "--ma", "bogus"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == code
+        assert ("moving-average spec 'bogus'" in capsys.readouterr().err) == (code == 2)
 
     @pytest.mark.parametrize("command", ("align", "robustness", "noise-sweep"))
     def test_unequal_extents_exit_2_before_estimate(self, tmp_path, capsys, monkeypatch, command):
@@ -321,3 +332,29 @@ class TestPower:
     def test_odd_channels_exit_2(self, tmp_path, capsys):
         assert main(["power", "--channels", "7", "--out", str(tmp_path / "p")]) == 2
         assert "even" in capsys.readouterr().err
+
+
+COLD_IMPORT = """
+import sys
+import nccalign, nccalign.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert scipy_modules() == [], scipy_modules()
+argv = sys.argv[1:]
+assert nccalign.cli.main(argv) == 0
+assert "scipy.signal" in scipy_modules()  # the pole filter loaded it
+"""
+
+
+class TestColdImport:
+    def test_import_loads_no_scipy_until_a_pole_filter_runs(self, tmp_path):
+        src = str(Path(nccalign.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["align", *SMALL_ALIGN, "--method", "stream", "--ma", "pole:0.25",
+                "--out", str(tmp_path / "o")]
+        done = subprocess.run([sys.executable, "-c", COLD_IMPORT, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "o" / "disparity.csv").exists()

@@ -7,7 +7,8 @@ only, and each kernel validates its template block and the reference region
 it reads. So a frame still scans whole images several times. The strided
 diagonal gather, the separable grid interpolation, the bilinear warp and
 the PGM quantization are each compared with a test-local copy of the direct
-formula they replaced.
+formula they replaced. The FFT numerator of ``ncc_full_fast`` is compared
+with ``ncc_full_naive``, at small odd and even sizes and at 1920x1080.
 """
 
 import numpy as np
@@ -16,15 +17,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nccalign import (
+    OUT_OF_BOUNDS,
+    VALID,
     ShiftRange,
+    SyntheticSpec,
     build_diag_tables,
     build_sum_tables,
     estimate_disparity,
     load_pgm,
+    make_synthetic_stereo,
     ncc_diag_fast,
     ncc_full_fast,
+    ncc_full_naive,
     ncc_stream,
     partition_template,
+    quadrant_pattern,
     save_pgm,
 )
 from nccalign.alignment import DenseDisparity, bilinear_grid_sample, warp
@@ -188,6 +195,73 @@ class TestBoundaryValidation:
         grid = partition_template(template, 16, 0.10)
         template[5, 7] = np.nan
         assert partition_template(template, 16, 0.10) == grid
+
+
+# -- FFT numerator of ncc_full_fast ----------------------------------------
+
+def assert_full_fast_equals_naive(block, reference, origin, shifts):
+    """Equal validity maps, coefficients within 1e-9; returns the fast map."""
+    naive = ncc_full_naive(block, reference, origin, shifts)
+    fast = ncc_full_fast(block, reference, origin, shifts, build_sum_tables(reference))
+    np.testing.assert_array_equal(naive.validity, fast.validity)
+    assert np.abs(naive.values - fast.values).max() <= 1e-9
+    return fast
+
+
+@st.composite
+def fft_cases(draw):
+    """A non-square template in a small reference, with a shift range that
+    the image edges may clip on any side, so the region the FFT covers has
+    odd or even height and width."""
+    th, tw = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    h, w = draw(st.integers(th, th + 15)), draw(st.integers(tw, tw + 15))
+    seed = draw(st.integers(0, 1000))
+    x0, y0 = draw(st.integers(0, w - tw)), draw(st.integers(0, h - th))
+    shifts = ShiftRange(
+        draw(st.integers(-8, 0)), draw(st.integers(0, 8)),
+        draw(st.integers(-8, 0)), draw(st.integers(0, 8)),
+    )
+    return random_image(seed, th, tw), random_image(seed + 1, h, w), (x0, y0), shifts
+
+
+class TestFftNumerator:
+    @given(case=fft_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_naive(self, case):
+        assert_full_fast_equals_naive(*case)
+
+    @pytest.mark.parametrize("rows, cols", [(12, 15), (12, 16), (13, 15), (13, 16)])
+    def test_odd_and_even_regions(self, rows, cols):
+        # A 5 x 8 template at (4, 4) and ±4: the edges clip the range to
+        # (rows - 4) x (cols - 7) shifts, which read the whole reference.
+        block, reference = random_image(31, 5, 8), random_image(32, rows, cols)
+        fast = assert_full_fast_equals_naive(block, reference, (4, 4), ShiftRange.symmetric(4))
+        assert (fast.validity == VALID).sum() == (rows - 4) * (cols - 7)
+
+    def test_hd_pair_blocks(self):
+        spec = SyntheticSpec(
+            width=1920, height=1080,
+            regions=quadrant_pattern(1920, 1080, [(3, 5), (-4, 2), (6, -7), (-2, -6)]),
+            texture_seed=7, noise_floor=0.01,
+        )
+        template, reference, _ = make_synthetic_stereo(spec)
+        grid = partition_template(template, 128, 0.0)
+        # The top-left corner, an interior block and the bottom-right corner.
+        picked = {(0, 0), (grid.rows // 2, grid.cols // 2), (grid.rows - 1, grid.cols - 1)}
+        edge_blocks = 0
+        for _, _, x0, y0 in (o for o in grid.origins() if o[:2] in picked):
+            block = template[y0:y0 + 128, x0:x0 + 128]
+            fast = assert_full_fast_equals_naive(block, reference, (x0, y0), ShiftRange.symmetric(16))
+            edge_blocks += bool((fast.validity == OUT_OF_BOUNDS).any())
+        assert edge_blocks == 2
+
+    def test_low_contrast_hd_reference(self):
+        rng = np.random.default_rng(33)
+        reference = 0.37 + 1e-2 * rng.standard_normal((1080, 1920))
+        x0, y0 = 1760, 920  # far from the origin: the prefix sums are largest here
+        block = reference[y0 + 3:y0 + 131, x0 - 5:x0 + 123].copy()
+        fast = assert_full_fast_equals_naive(block, reference, (x0, y0), ShiftRange.symmetric(16))
+        assert fast.flag_at(-5, 3) == VALID and fast.value_at(-5, 3) == pytest.approx(1.0)
 
 
 # -- strided diagonal gather -----------------------------------------------
