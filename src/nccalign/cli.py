@@ -513,7 +513,7 @@ def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_align_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=METHODS, default="diag")
+    parser.add_argument("--method", choices=METHODS, default="diag-fast")
     _add_search_flags(parser)
     _add_stream_flags(parser)
     parser.add_argument("--noise-mult", dest="noise_mult", type=float, default=0.0,

@@ -9,7 +9,6 @@ features miss the main diagonal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,16 +16,14 @@ from numpy.lib.stride_tricks import as_strided
 
 from .images import GrayImage, validate_image
 from .ncc import (
-    EPS_VAR,
-    OUT_OF_BOUNDS,
-    VALID,
-    ZERO_VARIANCE,
     CorrelationMap,
     OpCounter,
     ShiftRange,
     _check_tables,
     _correlation_map,
+    _direct_map,
     _validate_kernel_inputs,
+    _var_sum,
     block_stats,
 )
 
@@ -57,17 +54,7 @@ def extract_diagonal(block: GrayImage, orientation: str = "main") -> np.ndarray:
 
 def _diagonal(arr: np.ndarray, orientation: str) -> np.ndarray:
     """:func:`extract_diagonal` of a checked square float64 block."""
-    if orientation == "main":
-        return np.ascontiguousarray(np.diagonal(arr))
-    return np.ascontiguousarray(np.diagonal(arr[::-1, :]))
-
-
-def _diag_offsets(d: int, orientation: str) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column offsets of the D diagonal samples within a D x D window."""
-    k = np.arange(d)
-    if orientation == "main":
-        return k, k
-    return d - 1 - k, k
+    return np.ascontiguousarray(np.diagonal(arr if orientation == "main" else arr[::-1]))
 
 
 @dataclass(frozen=True)
@@ -90,11 +77,14 @@ class DiagTables:
         return self.sum_table.shape[0] - 1, self.sum_table.shape[1] - 1
 
     def _window(self, table: np.ndarray, x0, y0, length: int):
-        x0 = np.asarray(x0)
-        y0 = np.asarray(y0)
+        """(far entry, window sum): the main tables read the far entry at
+        (y0 + length, x0 + length), the anti tables at (y0, x0 + length)."""
+        x0, y0 = np.asarray(x0), np.asarray(y0)
         if self.orientation == "main":
-            return table[y0 + length, x0 + length] - table[y0, x0]
-        return table[y0, x0 + length] - table[y0 + length, x0]
+            far, near = table[y0 + length, x0 + length], table[y0, x0]
+        else:
+            far, near = table[y0, x0 + length], table[y0 + length, x0]
+        return far, far - near
 
     def window_sum(self, x0, y0, length: int):
         """Sum of ``length`` consecutive diagonal samples starting at (x0, y0).
@@ -102,15 +92,15 @@ class DiagTables:
         For the anti orientation the window's samples are
         r[y0 + length - 1 - k, x0 + k]. x0/y0 broadcast; two lookups each.
         """
-        return self._window(self.sum_table, x0, y0, length)
+        return self._window(self.sum_table, x0, y0, length)[1]
 
     def window_sumsq(self, x0, y0, length: int):
-        return self._window(self.sumsq_table, x0, y0, length)
+        return self._window(self.sumsq_table, x0, y0, length)[1]
 
     def window_var_sum(self, x0, y0, length: int):
-        s = self.window_sum(x0, y0, length)
-        sq = self.window_sumsq(x0, y0, length)
-        return sq - s * s / length
+        """Variance sum of the window's samples (see ``ncc._var_sum``)."""
+        far, sq = self._window(self.sumsq_table, x0, y0, length)
+        return _var_sum(self.window_sum(x0, y0, length), sq, far, length)
 
 
 def build_diag_tables(reference: GrayImage, orientation: str = "main") -> DiagTables:
@@ -157,40 +147,11 @@ def ncc_diag(
     Validates the template block and the reference region it reads.
     """
     _check_orientation(orientation)
-    t, ref, _ = _validate_kernel_inputs(template_block, reference, origin, shifts)
+    t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
     d = _check_square(t)
-    x0, y0 = origin
-
-    t_diag = _diagonal(t, orientation)
-    t_mean, t_var = block_stats(t_diag)
-    t_c = t_diag - t_mean
-
-    row_off, col_off = _diag_offsets(d, orientation)
-    values = np.zeros((shifts.n_dv, shifts.n_du))
-    validity = np.full((shifts.n_dv, shifts.n_du), OUT_OF_BOUNDS, dtype=np.uint8)
-
-    h, w = ref.shape
-    for iv, dv in enumerate(range(shifts.dv_min, shifts.dv_max + 1)):
-        ys = y0 + dv
-        if ys < 0 or ys + d > h:
-            continue
-        rows = ys + row_off
-        for iu, du in enumerate(range(shifts.du_min, shifts.du_max + 1)):
-            xs = x0 + du
-            if xs < 0 or xs + d > w:
-                continue
-            if counter is not None:
-                counter.tally(1, d)
-            r_diag = ref[rows, xs + col_off]
-            r_mean, r_var = block_stats(r_diag)
-            if r_var < EPS_VAR or t_var < EPS_VAR:
-                validity[iv, iu] = ZERO_VARIANCE
-                continue
-            num = float(np.sum((r_diag - r_mean) * t_c))
-            values[iv, iu] = num / math.sqrt(r_var * t_var)
-            validity[iv, iu] = VALID
-
-    return CorrelationMap(shifts=shifts, values=values, validity=validity)
+    return _direct_map(_diagonal(t, orientation),
+                       lambda ys, xs: _diagonal(ref[ys:ys + d, xs:xs + d], orientation),
+                       origin, shifts, bounds, counter)
 
 
 def gather_window_diagonals(

@@ -256,11 +256,21 @@ class GroundTruth:
         return int(self.du[y, x]), int(self.dv[y, x])
 
 
+def _prefix_sums(arr: np.ndarray) -> np.ndarray:
+    """Padded 2-D prefix table: ``t[y + 1, x + 1]`` is the sum of
+    ``arr[:y + 1, :x + 1]`` and row and column 0 are zero. Both cumulative
+    sums write into the table, so no full-size temporary is made."""
+    h, w = arr.shape
+    t = np.zeros((h + 1, w + 1))
+    np.cumsum(arr, axis=0, out=t[1:, 1:])
+    np.cumsum(t[1:, 1:], axis=1, out=t[1:, 1:])
+    return t
+
+
 def _box_blur(arr: np.ndarray, radius: int) -> np.ndarray:
     """Mean over the (2*radius+1)^2 neighborhood clipped to the image."""
     h, w = arr.shape
-    padded = np.zeros((h + 1, w + 1))
-    padded[1:, 1:] = np.cumsum(np.cumsum(arr, axis=0), axis=1)
+    padded = _prefix_sums(arr)
     ys = np.arange(h)
     xs = np.arange(w)
     y0 = np.maximum(ys - radius, 0)

@@ -5,7 +5,8 @@ window at shift (du, dv) is the zero-mean cross product divided by the
 square root of the product of the two variance sums. Windows that leave the
 reference are flagged out-of-bounds; windows (or templates) whose variance
 sum falls below ``EPS_VAR`` are flagged zero-variance instead of dividing
-by ~0.
+by ~0. A table variance below the tables' rounding counts as 0 (see
+:func:`_var_sum`).
 
 The accelerated variant is the fast NCC of J.P. Lewis, *Fast Normalized
 Cross-Correlation* (Vision Interface 1995): window statistics from prefix
@@ -15,12 +16,11 @@ cross-correlation of the centred template with the reference region.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .images import GrayImage, image_array, validate_image
+from .images import GrayImage, _prefix_sums, image_array, validate_image
 
 # Variance-sum threshold (on [0,1]-normalized intensities) below which a
 # window is treated as featureless.
@@ -30,8 +30,6 @@ EPS_VAR = 1e-12
 VALID = 0
 ZERO_VARIANCE = 1
 OUT_OF_BOUNDS = 2
-
-FLAG_NAMES = {VALID: "valid", ZERO_VARIANCE: "zero-variance", OUT_OF_BOUNDS: "out-of-bounds"}
 
 
 @dataclass
@@ -149,28 +147,36 @@ class SumTables:
 
     def window_sum(self, x0, y0, width: int, height: int):
         """Sum over windows with top-left (x0, y0); x0/y0 broadcast."""
-        return _window_lookup(self.sum_table, x0, y0, width, height)
+        return _window_lookup(self.sum_table, x0, y0, width, height)[1]
 
     def window_sumsq(self, x0, y0, width: int, height: int):
-        return _window_lookup(self.sumsq_table, x0, y0, width, height)
+        return _window_lookup(self.sumsq_table, x0, y0, width, height)[1]
 
     def window_var_sum(self, x0, y0, width: int, height: int):
-        """Sum of squared deviations from the window mean: sumsq - sum^2 / n."""
-        n = width * height
-        s = self.window_sum(x0, y0, width, height)
-        sq = self.window_sumsq(x0, y0, width, height)
-        return sq - s * s / n
+        """Sum of squared deviations from the window mean (see :func:`_var_sum`)."""
+        far, sq = _window_lookup(self.sumsq_table, x0, y0, width, height)
+        return _var_sum(self.window_sum(x0, y0, width, height), sq, far, width * height)
 
 
 def _window_lookup(table: np.ndarray, x0, y0, width: int, height: int):
-    x0 = np.asarray(x0)
-    y0 = np.asarray(y0)
-    return (
-        table[y0 + height, x0 + width]
-        - table[y0, x0 + width]
-        - table[y0 + height, x0]
-        + table[y0, x0]
-    )
+    """(far corner ``table[y0 + height, x0 + width]``, window sum)."""
+    x0, y0 = np.asarray(x0), np.asarray(y0)
+    far = table[y0 + height, x0 + width]
+    return far, far - table[y0, x0 + width] - table[y0 + height, x0] + table[y0, x0]
+
+
+def _var_sum(s, sq, far, n: int):
+    """Variance sum ``sq - s^2 / n`` of n-sample windows from prefix-table
+    lookups: window sums ``s`` and ``sq`` and the sum-of-squares prefix entry
+    ``far`` that the ``sq`` lookup read.
+
+    Cancellation in the subtraction (Chan, Golub & LeVeque, 1983) leaves a
+    flat window a variance of up to about 42 eps * far instead of 0 (seen
+    at 1920x1080), so a variance below 1024 eps * far counts as 0: the
+    tables cannot resolve a smaller one.
+    """
+    var = sq - s * s / n
+    return np.where(var < 1024 * np.finfo(np.float64).eps * far, 0.0, var)
 
 
 def build_sum_tables(image: GrayImage) -> SumTables:
@@ -179,12 +185,7 @@ def build_sum_tables(image: GrayImage) -> SumTables:
     Validates the whole image, as the tables cover every pixel.
     """
     arr = validate_image(image)
-    h, w = arr.shape
-    sum_table = np.zeros((h + 1, w + 1))
-    sumsq_table = np.zeros((h + 1, w + 1))
-    sum_table[1:, 1:] = np.cumsum(np.cumsum(arr, axis=0), axis=1)
-    sumsq_table[1:, 1:] = np.cumsum(np.cumsum(arr * arr, axis=0), axis=1)
-    return SumTables(sum_table=sum_table, sumsq_table=sumsq_table)
+    return SumTables(sum_table=_prefix_sums(arr), sumsq_table=_prefix_sums(arr * arr))
 
 
 def _inbounds_ranges(
@@ -216,13 +217,6 @@ def _check_tables(tables, kind: type, reference: np.ndarray) -> None:
         raise ValueError(f"tables built for {tables.shape}, reference is {reference.shape}")
 
 
-def _check_template_fits(template: np.ndarray, reference: np.ndarray) -> None:
-    if template.shape[0] > reference.shape[0] or template.shape[1] > reference.shape[1]:
-        raise ValueError(
-            f"template block {template.shape} larger than reference {reference.shape}"
-        )
-
-
 def _validate_kernel_inputs(
     template_block: GrayImage,
     reference: GrayImage,
@@ -239,7 +233,8 @@ def _validate_kernel_inputs(
     """
     t = validate_image(template_block, "template_block")
     ref = image_array(reference, "reference")
-    _check_template_fits(t, ref)
+    if t.shape[0] > ref.shape[0] or t.shape[1] > ref.shape[1]:
+        raise ValueError(f"template block {t.shape} larger than reference {ref.shape}")
     bounds = _inbounds_ranges(origin, t.shape, ref.shape, shifts)
     du_lo, du_hi, dv_lo, dv_hi = bounds
     if du_lo <= du_hi and dv_lo <= dv_hi:
@@ -251,7 +246,7 @@ def _validate_kernel_inputs(
 
 def _correlation_map(shifts: ShiftRange, bounds, numerators=None, r_var=None, t_var=0.0,
                      ok=True) -> CorrelationMap:
-    """Flag, divide and scatter: the tail of every vectorised kernel.
+    """Flag, divide and scatter: the tail of every kernel.
 
     ``numerators``, window variance sums ``r_var`` and extra flags ``ok``
     cover the in-bounds shifts ``bounds`` (see :func:`_inbounds_ranges`).
@@ -270,6 +265,35 @@ def _correlation_map(shifts: ShiftRange, bounds, numerators=None, r_var=None, t_
     return CorrelationMap(shifts=shifts, values=values, validity=validity)
 
 
+def _direct_map(t_samples: np.ndarray, window_at, origin, shifts: ShiftRange, bounds,
+                counter: OpCounter | None) -> CorrelationMap:
+    """The per-shift loop of both oracles, :func:`ncc_full_naive` and
+    ``diagonal.ncc_diag``.
+
+    For each in-bounds shift of ``bounds`` (see :func:`_inbounds_ranges`),
+    ``window_at(ys, xs)`` reads the samples of the window with top-left
+    (xs, ys), matching ``t_samples``; their two-pass variance sum and the
+    explicit numerator ``sum((window - w_mean) * t_c)`` go to the shared
+    tail, :func:`_correlation_map`.
+    """
+    du_lo, du_hi, dv_lo, dv_hi = bounds
+    if du_lo > du_hi or dv_lo > dv_hi:
+        return _correlation_map(shifts, bounds)
+    x0, y0 = origin
+    t_mean, t_var = block_stats(t_samples)
+    t_c = t_samples - t_mean
+    numerators = np.empty((dv_hi - dv_lo + 1, du_hi - du_lo + 1))
+    r_var = np.empty_like(numerators)
+    for iv, ys in enumerate(range(y0 + dv_lo, y0 + dv_hi + 1)):
+        for iu, xs in enumerate(range(x0 + du_lo, x0 + du_hi + 1)):
+            window = window_at(ys, xs)
+            w_mean, r_var[iv, iu] = block_stats(window)
+            numerators[iv, iu] = np.sum((window - w_mean) * t_c)
+    if counter is not None:
+        counter.tally(numerators.size, t_samples.size)
+    return _correlation_map(shifts, bounds, numerators, r_var, t_var)
+
+
 def ncc_full_naive(
     template_block: GrayImage,
     reference: GrayImage,
@@ -282,38 +306,10 @@ def ncc_full_naive(
 
     Validates the template block and the reference region it reads.
     """
-    t, ref, _ = _validate_kernel_inputs(template_block, reference, origin, shifts)
+    t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
     th, tw = t.shape
-    h, w = ref.shape
-    x0, y0 = origin
-
-    t_mean, t_var = block_stats(t)
-    t_c = t - t_mean
-
-    values = np.zeros((shifts.n_dv, shifts.n_du))
-    validity = np.full((shifts.n_dv, shifts.n_du), OUT_OF_BOUNDS, dtype=np.uint8)
-
-    for iv, dv in enumerate(range(shifts.dv_min, shifts.dv_max + 1)):
-        ys = y0 + dv
-        if ys < 0 or ys + th > h:
-            continue
-        for iu, du in enumerate(range(shifts.du_min, shifts.du_max + 1)):
-            xs = x0 + du
-            if xs < 0 or xs + tw > w:
-                continue
-            if counter is not None:
-                counter.tally(1, th * tw)
-            window = ref[ys:ys + th, xs:xs + tw]
-            w_mean, w_var = block_stats(window)
-            if w_var < EPS_VAR or t_var < EPS_VAR:
-                validity[iv, iu] = ZERO_VARIANCE
-                continue
-            w_c = window - w_mean
-            num = float(np.sum(w_c * t_c))
-            values[iv, iu] = num / math.sqrt(w_var * t_var)
-            validity[iv, iu] = VALID
-
-    return CorrelationMap(shifts=shifts, values=values, validity=validity)
+    return _direct_map(t, lambda ys, xs: ref[ys:ys + th, xs:xs + tw], origin, shifts, bounds,
+                       counter)
 
 
 def ncc_full_fast(

@@ -12,11 +12,13 @@ from nccalign import (
     SyntheticSpec,
     best_shift,
     build_diag_tables,
+    build_sum_tables,
     estimate_disparity,
     extract_diagonal,
     make_synthetic_stereo,
     ncc_diag,
     ncc_diag_fast,
+    ncc_full_fast,
     ncc_full_naive,
     ncc_stream,
     partition_template,
@@ -258,3 +260,29 @@ class TestHdOrientationOracle:
             want, got = best_shift(slow), best_shift(stream)
             assert (got.du, got.dv) == (want.du, want.dv) == (du, dv)
         assert edge_blocks >= 1  # the out-of-bounds flags are compared too
+
+    @pytest.fixture(scope="class")
+    def flat_patch_reference(self):
+        reference = random_image(0, 1080, 1920)
+        reference[-180:, -220:] = 0.37
+        return reference
+
+    @pytest.mark.parametrize("kind", ["full", "main", "anti"])
+    def test_flat_patch_flags_match_the_oracle(self, flat_patch_reference, kind):
+        # Every window at origin (1760, 920), +/-8, lies in the flat patch.
+        # The prefix sums are large there, so cancellation in sumsq - sum^2/n
+        # leaves the table variance of a flat window a tiny positive value;
+        # the fast kernels must still flag it zero-variance, as the oracles do.
+        reference, origin, shifts = flat_patch_reference, (1760, 920), ShiftRange.symmetric(8)
+        block = random_image(1, 128, 128)
+        if kind == "full":
+            slow = ncc_full_naive(block, reference, origin, shifts)
+            fast = [ncc_full_fast(block, reference, origin, shifts, build_sum_tables(reference))]
+        else:
+            tables = build_diag_tables(reference, kind)
+            slow = ncc_diag(block, reference, origin, shifts, kind)
+            fast = [ncc_diag_fast(block, reference, origin, shifts, tables),
+                    ncc_stream(block, reference, origin, shifts, tables, noise=NoiseModel())]
+        assert (slow.validity == ZERO_VARIANCE).all()
+        for cmap in fast:
+            np.testing.assert_array_equal(cmap.validity, slow.validity)

@@ -236,12 +236,23 @@ class TestInvariants:
 
 
 class TestOpCounter:
-    def test_naive_and_fast_tally_identically(self):
+    @pytest.mark.parametrize("origin, inbounds", [((8, 8), 49), ((1, 14), 30)])
+    @pytest.mark.parametrize("pair", ["full", "diag"])
+    def test_naive_and_fast_tally_identically(self, pair, origin, inbounds):
+        # (1, 14) clips the +/-3 range to du -1..3 and dv -3..2.
         ref = random_image(11, 24, 24)
-        block = ref[8:16, 8:16].copy()
+        x0, y0 = origin
+        block = ref[y0:y0 + 8, x0:x0 + 8].copy()
         shifts = ShiftRange.symmetric(3)
         c_naive, c_fast = OpCounter(), OpCounter()
-        ncc_full_naive(block, ref, (8, 8), shifts, counter=c_naive)
-        ncc_full_fast(block, ref, (8, 8), shifts, build_sum_tables(ref), counter=c_fast)
+        if pair == "full":
+            ncc_full_naive(block, ref, origin, shifts, counter=c_naive)
+            ncc_full_fast(block, ref, origin, shifts, build_sum_tables(ref), counter=c_fast)
+            per_shift = 64
+        else:
+            ncc_diag(block, ref, origin, shifts, counter=c_naive)
+            ncc_diag_fast(block, ref, origin, shifts, build_diag_tables(ref), counter=c_fast)
+            per_shift = 8
         assert c_naive == c_fast
-        assert c_naive.multiplies == c_naive.shifts * 64
+        assert c_naive.shifts == inbounds
+        assert c_naive.multiplies == c_naive.adds == inbounds * per_shift
