@@ -254,13 +254,18 @@ def run_alignment(template, reference, args, *, noise: NoiseModel | None = None)
     )
 
 
-def _normalized_map(values: np.ndarray) -> np.ndarray:
+def _normalized_map(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``values`` scaled onto [0, 1] (0.5 where they are flat), into ``out``:
+    a new array by default, or ``values`` itself to scale in place."""
     lo, hi = values.min(), values.max()
+    if out is None:
+        out = np.empty_like(values)
     if hi > lo:
-        out = values - lo
+        np.subtract(values, lo, out=out)
         out /= hi - lo
-        return out
-    return np.full_like(values, 0.5)
+    else:
+        out.fill(0.5)
+    return out
 
 
 def _out_dir(args) -> Path:
@@ -307,8 +312,10 @@ def cmd_align(args) -> int:
                ("block_row", "block_col", "du", "dv", "coeff", "status"), rows)
 
     comments = config.comment_lines("image")
-    save_pgm(_normalized_map(result.dense.du), out / "disparity_x.pgm", comments=comments)
-    save_pgm(_normalized_map(result.dense.dv), out / "disparity_y.pgm", comments=comments)
+    # Nothing reads the dense maps after this, so each is scaled in place.
+    dense = result.dense
+    save_pgm(_normalized_map(dense.du, out=dense.du), out / "disparity_x.pgm", comments=comments)
+    save_pgm(_normalized_map(dense.dv, out=dense.dv), out / "disparity_y.pgm", comments=comments)
     save_pgm(result.warped, out / "aligned.pgm", comments=comments)
 
     _write_csv(out / "metrics.csv", config, "metrics",

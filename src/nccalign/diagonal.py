@@ -22,6 +22,7 @@ from .ncc import (
     _check_tables,
     _correlation_map,
     _direct_map,
+    _offset,
     _validate_kernel_inputs,
     _var_sum,
     block_stats,
@@ -79,23 +80,21 @@ class DiagTables:
     def _window(self, table: np.ndarray, x0, y0, length: int):
         """(far entry, window sum): the main tables read the far entry at
         (y0 + length, x0 + length), the anti tables at (y0, x0 + length)."""
-        x0, y0 = np.asarray(x0), np.asarray(y0)
         if self.orientation == "main":
-            far, near = table[y0 + length, x0 + length], table[y0, x0]
+            far, near = table[_offset(y0, length), _offset(x0, length)], table[y0, x0]
         else:
-            far, near = table[y0, x0 + length], table[y0 + length, x0]
+            far, near = table[y0, _offset(x0, length)], table[_offset(y0, length), x0]
         return far, far - near
 
     def window_sum(self, x0, y0, length: int):
         """Sum of ``length`` consecutive diagonal samples starting at (x0, y0).
 
         For the anti orientation the window's samples are
-        r[y0 + length - 1 - k, x0 + k]. x0/y0 broadcast; two lookups each.
+        r[y0 + length - 1 - k, x0 + k]. x0/y0 are ints, or slices of
+        consecutive origins: then the result is the (rows, columns)
+        rectangle of windows. Two lookups each.
         """
         return self._window(self.sum_table, x0, y0, length)[1]
-
-    def window_sumsq(self, x0, y0, length: int):
-        return self._window(self.sumsq_table, x0, y0, length)[1]
 
     def window_var_sum(self, x0, y0, length: int):
         """Variance sum of the window's samples (see ``ncc._var_sum``)."""
@@ -122,12 +121,15 @@ def build_diag_tables(reference: GrayImage, orientation: str = "main") -> DiagTa
 def _diag_prefix(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Main-orientation (sum, sum of squares) prefix tables of ``arr``."""
     h, w = arr.shape
-    sq = arr * arr
     total = np.zeros((h + 1, w + 1))
     total_sq = np.zeros((h + 1, w + 1))
+    sq = np.empty(w)
+    # Each row is written in place from the row above, the squares through
+    # one row of scratch: no full-size temporary.
     for y in range(h):
-        total[y + 1, 1:] = arr[y] + total[y, :-1]
-        total_sq[y + 1, 1:] = sq[y] + total_sq[y, :-1]
+        np.add(arr[y], total[y, :-1], out=total[y + 1, 1:])
+        np.multiply(arr[y], arr[y], out=sq)
+        np.add(sq, total_sq[y, :-1], out=total_sq[y + 1, 1:])
     return total, total_sq
 
 
@@ -215,9 +217,8 @@ def _diag_windows(template_block, reference, origin, shifts, tables, counter):
         counter.tally((du_hi - du_lo + 1) * (dv_hi - dv_lo + 1), d)
 
     samples = gather_window_diagonals(ref, origin, d, bounds, tables.orientation)
-    xs = x0 + np.arange(du_lo, du_hi + 1)
-    ys = y0 + np.arange(dv_lo, dv_hi + 1)
-    r_var = tables.window_var_sum(xs, ys[:, None], d)
+    r_var = tables.window_var_sum(slice(x0 + du_lo, x0 + du_hi + 1),
+                                  slice(y0 + dv_lo, y0 + dv_hi + 1), d)
     return bounds, (t_diag, t_mean, t_var, samples, r_var)
 
 

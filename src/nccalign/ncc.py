@@ -146,11 +146,10 @@ class SumTables:
         return self.sum_table.shape[0] - 1, self.sum_table.shape[1] - 1
 
     def window_sum(self, x0, y0, width: int, height: int):
-        """Sum over windows with top-left (x0, y0); x0/y0 broadcast."""
+        """Sum over the window with top-left (x0, y0). x0/y0 are ints, or
+        slices of consecutive origins: then the result is the (rows,
+        columns) rectangle of windows."""
         return _window_lookup(self.sum_table, x0, y0, width, height)[1]
-
-    def window_sumsq(self, x0, y0, width: int, height: int):
-        return _window_lookup(self.sumsq_table, x0, y0, width, height)[1]
 
     def window_var_sum(self, x0, y0, width: int, height: int):
         """Sum of squared deviations from the window mean (see :func:`_var_sum`)."""
@@ -158,11 +157,18 @@ class SumTables:
         return _var_sum(self.window_sum(x0, y0, width, height), sq, far, width * height)
 
 
+def _offset(index, k: int):
+    """A table index (int or slice of consecutive entries) moved by ``k``."""
+    if isinstance(index, slice):
+        return slice(index.start + k, index.stop + k)
+    return index + k
+
+
 def _window_lookup(table: np.ndarray, x0, y0, width: int, height: int):
     """(far corner ``table[y0 + height, x0 + width]``, window sum)."""
-    x0, y0 = np.asarray(x0), np.asarray(y0)
-    far = table[y0 + height, x0 + width]
-    return far, far - table[y0, x0 + width] - table[y0 + height, x0] + table[y0, x0]
+    y1, x1 = _offset(y0, height), _offset(x0, width)
+    far = table[y1, x1]
+    return far, far - table[y0, x1] - table[y1, x0] + table[y0, x0]
 
 
 def _var_sum(s, sq, far, n: int):
@@ -350,9 +356,8 @@ def ncc_full_fast(
     spectrum = np.fft.rfft2(region) * np.conj(np.fft.rfft2(t_c, s=region.shape))
     numerators = np.fft.irfft2(spectrum, s=region.shape)[:dv_hi - dv_lo + 1, :du_hi - du_lo + 1]
 
-    xs = x0 + np.arange(du_lo, du_hi + 1)
-    ys = y0 + np.arange(dv_lo, dv_hi + 1)
-    r_var = tables.window_var_sum(xs[None, :], ys[:, None], tw, th)
+    r_var = tables.window_var_sum(slice(x0 + du_lo, x0 + du_hi + 1),
+                                  slice(y0 + dv_lo, y0 + dv_hi + 1), tw, th)
     return _correlation_map(shifts, bounds, numerators, r_var, t_var)
 
 

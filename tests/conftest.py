@@ -40,3 +40,32 @@ def quadrant_pair():
 def random_image(seed: int, height: int, width: int) -> np.ndarray:
     """Seeded uniform texture; healthy variance for NCC property tests."""
     return np.random.default_rng(seed).random((height, width))
+
+
+def edge_rectangles(height: int, width: int, win_h: int, win_w: int):
+    """(x slice, y slice) rectangles of window origins over a height x width
+    image: one inside, one clipped at each image edge (its windows reach the
+    first or last row or column), every origin, and a single window."""
+    last_x, last_y = width - win_w, height - win_h
+    mid_x, mid_y = last_x // 2, last_y // 2
+    return [
+        (slice(mid_x // 2, mid_x + 1), slice(mid_y // 2, mid_y + 1)),
+        (slice(0, mid_x + 1), slice(mid_y // 2, mid_y + 1)),
+        (slice(mid_x, last_x + 1), slice(mid_y // 2, mid_y + 1)),
+        (slice(mid_x // 2, mid_x + 1), slice(0, mid_y + 1)),
+        (slice(mid_x // 2, mid_x + 1), slice(mid_y, last_y + 1)),
+        (slice(0, last_x + 1), slice(0, last_y + 1)),
+        (slice(mid_x, mid_x + 1), slice(last_y, last_y + 1)),
+    ]
+
+
+def assert_rectangle_matches_windows(lookup, xs: slice, ys: slice) -> None:
+    """``lookup(xs, ys)`` over a rectangle equals, bit for bit, the scalar
+    ``lookup(x0, y0)`` of each of its windows."""
+    rect = lookup(xs, ys)
+    windows = [[lookup(x0, y0) for x0 in range(xs.start, xs.stop)]
+               for y0 in range(ys.start, ys.stop)]
+    assert all(np.ndim(value) == 0 for row in windows for value in row)
+    expected = np.array(windows, dtype=np.float64)
+    assert rect.shape == expected.shape
+    np.testing.assert_array_equal(rect.view(np.uint64), expected.view(np.uint64))

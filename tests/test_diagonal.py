@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from nccalign import (
 )
 from nccalign.ncc import OpCounter
 
-from conftest import random_image
+from conftest import assert_rectangle_matches_windows, edge_rectangles, random_image
 
 
 def oracle_diag_ncc(block, reference, origin, du, dv, orientation):
@@ -83,6 +85,47 @@ class TestDiagTables:
         tables = build_diag_tables(ref, "anti")
         for got, want in zip((tables.sum_table, tables.sumsq_table), per_row_anti_tables(ref)):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 97), (97, 1), (33, 70), (1080, 1920)])
+    @pytest.mark.parametrize("orientation", ["main", "anti"])
+    def test_tables_follow_recurrence_bit_for_bit(self, shape, orientation):
+        """Main: T[y + 1, x + 1] = r[y, x] + T[y, x]; anti:
+        T[y, x + 1] = r[y, x] + T[y + 1, x]; the padding is +0.0. Some
+        pixels are -0.0."""
+        rng = np.random.default_rng(33)
+        ref = rng.random(shape)
+        ref[rng.random(shape) < 0.05] = -0.0
+        ref[0, 0] = -0.0
+        tables = build_diag_tables(ref, orientation)
+        for table, values in ((tables.sum_table, ref), (tables.sumsq_table, ref * ref)):
+            if orientation == "main":
+                got, prev, pad = table[1:, 1:], table[:-1, :-1], table[0]
+            else:
+                got, prev, pad = table[:-1, 1:], table[1:, :-1], table[-1]
+            np.testing.assert_array_equal(got.view(np.uint64), (values + prev).view(np.uint64))
+            assert not pad.view(np.uint64).any() and not table[:, 0].view(np.uint64).any()
+
+    def test_build_needs_no_full_size_temporary(self):
+        ref = random_image(34, 1080, 1920)
+        tracemalloc.start()
+        try:
+            tables = build_diag_tables(ref, "main")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - tables.sum_table.nbytes - tables.sumsq_table.nbytes < 2**20
+
+    @pytest.mark.parametrize("orientation", ["main", "anti"])
+    @pytest.mark.parametrize("length", [1, 7])
+    def test_rectangle_lookups_equal_window_lookups(self, orientation, length):
+        img = random_image(35, 29, 41)
+        img[5:20, 8:30] = 0.25  # flat windows, whose variance counts as 0
+        tables = build_diag_tables(img, orientation)
+        for xs, ys in edge_rectangles(29, 41, length, length):
+            assert_rectangle_matches_windows(lambda x0, y0: tables.window_sum(x0, y0, length),
+                                             xs, ys)
+            assert_rectangle_matches_windows(lambda x0, y0: tables.window_var_sum(x0, y0, length),
+                                             xs, ys)
 
     def test_constant_image_diag_sums(self):
         for orientation in ("main", "anti"):

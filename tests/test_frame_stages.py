@@ -445,6 +445,21 @@ def test_quantisation_leaves_input_unmodified(tmp_path):
     np.testing.assert_array_equal(normalized, (before - before.min()) / (before.max() - before.min()))
 
 
+def test_normalisation_in_place_matches_new_array():
+    image = np.random.default_rng(15).uniform(-4.0, 6.0, (37, 53))
+    expected = _normalized_map(image.copy())
+    assert _normalized_map(image, out=image) is image
+    np.testing.assert_array_equal(image.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["new", "in_place"])
+def test_flat_map_normalises_to_half(in_place):
+    flat = np.full((6, 5), -2.5)
+    normalized = _normalized_map(flat, out=flat if in_place else None)
+    assert (normalized is flat) == in_place
+    np.testing.assert_array_equal(normalized, np.full((6, 5), 0.5))
+
+
 # Heights and widths on both sides of one chunk (images.CHUNK_PIXELS).
 CHUNK_SHAPES = ((1, 1), (1, 40_000), (32_768, 1), (32_769, 1), (128, 256), (129, 256), (200, 170), (3, 33_000))
 

@@ -5,10 +5,12 @@ noise setting, some over a search range that edge blocks only partly keep
 in bounds. The SHA-256 of each output body (``#`` header lines stripped)
 must equal the recorded hash. The first three were recorded before the
 per-frame fast paths (region-only validation, strided diagonal gather,
-separable interpolation, ``map_coordinates`` warp) went in, the others
-before the kernels were moved onto one shared flag/divide/scatter tail, so
-later performance and design work keeps the outputs byte-identical. A changed hash
-means the numbers changed: find the cause rather than re-recording it.
+separable interpolation, ``map_coordinates`` warp) went in, the
+``full-fast-odd-top-left`` entry before the window statistics were read as
+rectangle slices, the others before the kernels were moved onto one shared
+flag/divide/scatter tail, so later performance and design work keeps the
+outputs byte-identical. A changed hash means the numbers changed: find the
+cause rather than re-recording it.
 
 The hashes were recorded with numpy 2.4 and OpenBLAS on x86-64; another BLAS
 may round the diagonal numerators differently.
@@ -28,6 +30,11 @@ ALIGN = ["--block", "32", "--crop", "0.1", "--search-du=-6:6", "--search-dv=-6:6
 # A range wider than the pair: edge blocks keep only part of it in bounds,
 # so the kernels' scatter into a partial slice of the map is checked too.
 CLIPPED = ["--search-du=-40:40", "--search-dv=-2:30"]
+# An odd-sized pair with 24-pixel blocks, whose search ranges clip at the
+# left and the top edge: the window-statistic rectangles of edge blocks
+# start at the reference's first row or column.
+ODD_TOP_LEFT = ["--width", "203", "--height", "149", "--block", "24",
+                "--search-du=-30:4", "--search-dv=-30:5"]
 
 GOLDEN = {
     "diag-fast-main": (
@@ -128,6 +135,16 @@ GOLDEN = {
             "disparity_x.pgm": "11fe3cf907e3c702451f1b04a8f5c280176d6c509b33456c0aef9a55e0dc9386",
             "disparity_y.pgm": "535d1b906813cf30a0ce9de91519982ad03067163f264d9fdc0842628d68cbec",
             "aligned.pgm": "0c4dba5051c84765c2744780f11b1d3c148026ad41b7a4b7a16fb4352ed0180d",
+        },
+    ),
+    "full-fast-odd-top-left": (
+        ["--method", "full-fast", *ODD_TOP_LEFT],
+        {
+            "disparity.csv": "80f442c1e5d407b1ede498c9ef809b9b419a5bef20ebeb65f6488ad3fb8b880a",
+            "metrics.csv": "57fe28dd5d09a87140b8a61918a83134aa1b77cbb8c31e5a22618d19a5f44652",
+            "disparity_x.pgm": "3611b257a132601808d9a55904abeb604e4dcb4444972ac489aa63e592157fe5",
+            "disparity_y.pgm": "1bdae7d07d83d514277eb1ba2beda71672a67f293ca4b68be5ecca85cb4a7ab8",
+            "aligned.pgm": "a52b438e5867eb9bc72e73e892938cefa41704b4f8a6964c702b2396207b026e",
         },
     ),
     "stream-noisy-clipped": (

@@ -19,7 +19,7 @@ from nccalign import (
 )
 from nccalign.ncc import CorrelationMap, OpCounter
 
-from conftest import random_image
+from conftest import assert_rectangle_matches_windows, edge_rectangles, random_image
 
 
 class TestSumTables:
@@ -44,6 +44,17 @@ class TestSumTables:
                     window = img[y0:y0 + size, x0:x0 + size]
                     direct = np.sum((window - window.mean()) ** 2)
                     assert tables.window_var_sum(x0, y0, size, size) == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (7, 7), (5, 9)])
+    def test_rectangle_lookups_equal_window_lookups(self, width, height):
+        img = random_image(36, 29, 41)
+        img[5:20, 8:30] = 0.25  # flat windows, whose variance counts as 0
+        tables = build_sum_tables(img)
+        for xs, ys in edge_rectangles(29, 41, height, width):
+            assert_rectangle_matches_windows(
+                lambda x0, y0: tables.window_sum(x0, y0, width, height), xs, ys)
+            assert_rectangle_matches_windows(
+                lambda x0, y0: tables.window_var_sum(x0, y0, width, height), xs, ys)
 
 
 class TestNccFullNaive:
