@@ -1,8 +1,8 @@
 """Command-line surface: alignment runs, benchmarks, noise sweeps,
 robustness runs, the power table, and the synthetic pair generator.
 
-Every output CSV starts with '#'-prefixed header lines that serialize the
-full run configuration; re-running with the same configuration reproduces
+Every output CSV starts with '#'-prefixed UTF-8 header lines that serialize
+the flags the run reads; re-running with the same configuration reproduces
 the CSV body byte for byte (benchmark wall-clock columns excepted, since
 they measure real time). Exit statuses: 0 success, 1 computation error,
 2 usage or I/O error.
@@ -51,6 +51,9 @@ from .ncc import OpCounter, ShiftRange
 from .streaming import MovingAverageConfig, NoiseModel, power_budget
 
 SCHEMA_VERSION = "v1"
+# Flags only --method stream reads; other methods leave them out (robustness's --mode random reads --seed).
+STREAM_ONLY = {"align": {"ma", "noise_mult", "noise_int", "seed"},
+               "robustness": {"ma", "noise_mult", "noise_int"}}
 
 DEFAULT_PATTERN = "quadrant:3,5:-4,2:6,-7:-2,-6"
 DEFAULT_FRACTIONS = "0.01,0.1,0.2"
@@ -65,9 +68,10 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
+        unread = STREAM_ONLY[args.command] if getattr(args, "method", "stream") != "stream" else ()
         pairs = []
         for key, value in sorted(vars(args).items()):
-            if key in ("func", "command") or value is None:
+            if key in ("func", "command") or key in unread or value is None:
                 continue
             flag = "--" + key.replace("_", "-")
             pairs.append((flag, str(value)))
@@ -86,7 +90,7 @@ def argv_from_header(path) -> list[str]:
     """Reconstruct the argv that produced an output file from its header."""
     command = None
     flags = []
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             if not line.startswith("#"):
                 break
@@ -112,7 +116,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, config: RunConfig, schema: str, columns, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8", errors="surrogateescape") as fh:
         for line in config.header_lines(schema):
             fh.write(line + "\n")
         fh.write(",".join(columns) + "\n")
@@ -178,12 +182,6 @@ def _shift_range(args) -> ShiftRange:
     return ShiftRange(du_min=du[0], du_max=du[1], dv_min=dv[0], dv_max=dv[1])
 
 
-def _ma_config(args) -> MovingAverageConfig:
-    if args.ma:
-        return MovingAverageConfig.parse(args.ma)
-    return MovingAverageConfig.boxcar(args.block)
-
-
 def _block_truth(truth: GroundTruth, grid: BlockGrid) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth shift sampled at each block's center pixel."""
     tdu = np.zeros((grid.rows, grid.cols), dtype=np.int64)
@@ -229,7 +227,7 @@ def run_alignment(template, reference, args, *, noise: NoiseModel | None = None)
     shifts = _shift_range(args)
     ma_config = None
     if args.method == "stream":
-        ma_config = _ma_config(args)
+        ma_config = MovingAverageConfig.parse(args.ma) if args.ma else None  # None: boxcar of the block
         if noise is None:
             noise = NoiseModel(args.noise_mult, args.noise_int, args.seed)
     raw = estimate_disparity(
@@ -254,18 +252,15 @@ def run_alignment(template, reference, args, *, noise: NoiseModel | None = None)
     )
 
 
-def _normalized_map(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``values`` scaled onto [0, 1] (0.5 where they are flat), into ``out``:
-    a new array by default, or ``values`` itself to scale in place."""
+def _normalized_map(values: np.ndarray) -> np.ndarray:
+    """``values`` scaled in place onto [0, 1] (0.5 where they are flat)."""
     lo, hi = values.min(), values.max()
-    if out is None:
-        out = np.empty_like(values)
     if hi > lo:
-        np.subtract(values, lo, out=out)
-        out /= hi - lo
+        values -= lo
+        values /= hi - lo
     else:
-        out.fill(0.5)
-    return out
+        values.fill(0.5)
+    return values
 
 
 def _out_dir(args) -> Path:
@@ -314,8 +309,8 @@ def cmd_align(args) -> int:
     comments = config.comment_lines("image")
     # Nothing reads the dense maps after this, so each is scaled in place.
     dense = result.dense
-    save_pgm(_normalized_map(dense.du, out=dense.du), out / "disparity_x.pgm", comments=comments)
-    save_pgm(_normalized_map(dense.dv, out=dense.dv), out / "disparity_y.pgm", comments=comments)
+    save_pgm(_normalized_map(dense.du), out / "disparity_x.pgm", comments=comments)
+    save_pgm(_normalized_map(dense.dv), out / "disparity_y.pgm", comments=comments)
     save_pgm(result.warped, out / "aligned.pgm", comments=comments)
 
     _write_csv(out / "metrics.csv", config, "metrics",
@@ -333,6 +328,8 @@ def cmd_align(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.runs < 1:
+        raise ValueError(f"--runs must be >= 1, got {args.runs}")
     config = RunConfig.from_args(args)
     template, reference, _ = _load_or_generate(args)
     grid = partition_template(template, args.block, args.crop)

@@ -135,8 +135,9 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
 
     Values are clamped to [0, 1] and quantized with round-half-up; 16-bit
     samples are written most-significant-byte first. ``comments`` become
-    '#' header lines (no newlines allowed inside them). A non-finite pixel
-    raises ``ValueError`` before the file is opened.
+    '#' header lines (no newlines allowed inside them), UTF-8 with surrogate
+    escapes so a path keeps its bytes. A non-finite pixel or an unencodable
+    comment raises ``ValueError`` before the file is opened.
 
     The image is checked and quantized a chunk of rows at a time through
     one chunk-sized buffer, straight into the output array; a chunk is
@@ -164,9 +165,9 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
         if "\n" in comment or "\r" in comment:
             raise ValueError(f"PGM comment must be a single line: {comment!r}")
         header += f"# {comment}\n"
-    header += f"{width} {height}\n{maxval}\n"
+    header = (header + f"{width} {height}\n{maxval}\n").encode("utf-8", "surrogateescape")
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
+        fh.write(header)
         fh.write(quantized)
 
 

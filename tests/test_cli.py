@@ -13,7 +13,8 @@ from nccalign.cli import argv_from_header, main
 
 
 def csv_body(path):
-    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    return [line for line in text.splitlines() if not line.startswith("#")]
 
 
 def csv_rows(path):
@@ -29,6 +30,8 @@ SMALL_PAIR = [
 SMALL_ALIGN = SMALL_PAIR + [
     "--block", "16", "--crop", "0.0", "--search-du=-4:4", "--search-dv=-4:4",
 ]
+# The flags only the stream method reads.
+STREAM_FLAGS = ("--ma", "--noise-mult", "--noise-int", "--seed")
 
 
 def unequal_pair_argv(tmp_path):
@@ -163,14 +166,24 @@ class TestDeterminism:
         a1, a2 = load_pgm(out1 / "aligned.pgm"), load_pgm(out2 / "aligned.pgm")
         assert a1.tobytes() == a2.tobytes()
 
-    def test_header_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("command, method, unread", [
+        ("align", None, STREAM_FLAGS),
+        ("align", "stream", ()),
+        ("robustness", "diag-fast", STREAM_FLAGS[:3]),
+        ("robustness", "stream", ()),
+    ], ids=("align-default", "align-stream", "robustness-diag-fast", "robustness-stream"))
+    def test_header_round_trip(self, tmp_path, command, method, unread):
+        # Only stream runs record the stream settings; robustness keeps --seed,
+        # which --mode random reads.
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["align", *SMALL_ALIGN, "--out", str(out1)]) == 0
-        argv = argv_from_header(out1 / "disparity.csv")
-        argv = [a if not a.startswith("--out=") else f"--out={out2}" for a in argv]
-        assert main(argv) == 0
-        assert csv_body(out1 / "disparity.csv") == csv_body(out2 / "disparity.csv")
-        assert csv_body(out1 / "metrics.csv") == csv_body(out2 / "metrics.csv")
+        argv = [command, *SMALL_ALIGN, "--ma", "boxcar:16", "--noise-int", "0.3", "--seed", "2"]
+        assert main([*argv, *(["--method", method] if method else []), "--out", str(out1)]) == 0
+        name = "disparity.csv" if command == "align" else "robustness.csv"
+        flags = {a.split("=", 1)[0] for a in argv_from_header(out1 / name)}
+        assert flags.isdisjoint(unread) and flags.issuperset(set(STREAM_FLAGS) - set(unread))
+        rerun_from_header(out1 / name, out2)
+        for name in ("disparity.csv", "metrics.csv") if command == "align" else (name,):
+            assert csv_body(out1 / name) == csv_body(out2 / name)
 
 
 class TestBench:
@@ -201,6 +214,13 @@ class TestBench:
         assert "empty search range --search-du=100:101" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("runs", ("0", "-1"))
+    def test_runs_below_one_is_usage_error(self, tmp_path, capsys, runs):
+        out = tmp_path / "o"
+        assert main(["bench", *SMALL_ALIGN, "--runs", runs, "--out", str(out)]) == 2
+        assert f"--runs must be >= 1, got {runs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_larger_reference_accepted(self, tmp_path):
         # bench only estimates, so the reference may exceed the template.
@@ -256,6 +276,24 @@ BENCH_COUNTS = ("method", "blocks", "shifts_evaluated", "numerator_multiplies", 
 def rerun_from_header(path, out):
     argv = [a if not a.startswith("--out=") else f"--out={out}" for a in argv_from_header(path)]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("dirname", ("résultats", os.fsdecode(b"r\xe9sultats")), ids=("utf-8", "latin-1"))
+@pytest.mark.parametrize("argv, csvs, pgms", [
+    (["align", *SMALL_ALIGN], ("disparity.csv", "metrics.csv"), ("aligned.pgm", "disparity_x.pgm", "disparity_y.pgm")),
+    (["gen", *SMALL_PAIR], ("truth.csv",), ("template.pgm", "reference.pgm")),
+], ids=("align", "gen"))
+def test_non_ascii_out_dir(tmp_path, dirname, argv, csvs, pgms):
+    # The headers record --out; a path that is not UTF-8 keeps its bytes.
+    out1, out2 = tmp_path / dirname, tmp_path / "rerun"
+    assert main([*argv, "--out", str(out1)]) == 0
+    assert f"--out={out1}" in argv_from_header(out1 / csvs[0])
+    rerun_from_header(out1 / csvs[0], out2)
+    for name in csvs:
+        assert csv_body(out1 / name) == csv_body(out2 / name)
+    for name in pgms:
+        assert os.fsencode(f"# arg: --out={out1}\n") in (out1 / name).read_bytes()
+        np.testing.assert_array_equal(load_pgm(out1 / name), load_pgm(out2 / name))
 
 
 class TestFlagsReadOnly:

@@ -45,19 +45,6 @@ def oracle_diag_ncc(block, reference, origin, du, dv, orientation):
     return np.corrcoef(t_diag, r_diag)[0, 1]
 
 
-def per_row_anti_tables(reference):
-    """The anti tables as one loop up from the bottom row:
-    anti[y, x + 1] = r[y, x] + anti[y + 1, x]."""
-    h, w = reference.shape
-    sq = reference * reference
-    anti_sum = np.zeros((h + 1, w + 1))
-    anti_sumsq = np.zeros((h + 1, w + 1))
-    for y in range(h - 1, -1, -1):
-        anti_sum[y, 1:] = reference[y] + anti_sum[y + 1, :-1]
-        anti_sumsq[y, 1:] = sq[y] + anti_sumsq[y + 1, :-1]
-    return anti_sum, anti_sumsq
-
-
 class TestExtractDiagonal:
     BLOCK = np.arange(1, 10).reshape(3, 3) / 9.0
 
@@ -79,13 +66,6 @@ class TestExtractDiagonal:
 
 
 class TestDiagTables:
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (31, 37), (1080, 1920)])
-    def test_anti_tables_bit_equal_to_per_row_loop(self, shape):
-        ref = random_image(24, *shape)
-        tables = build_diag_tables(ref, "anti")
-        for got, want in zip((tables.sum_table, tables.sumsq_table), per_row_anti_tables(ref)):
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-
     @pytest.mark.parametrize("shape", [(1, 1), (1, 97), (97, 1), (33, 70), (1080, 1920)])
     @pytest.mark.parametrize("orientation", ["main", "anti"])
     def test_tables_follow_recurrence_bit_for_bit(self, shape, orientation):

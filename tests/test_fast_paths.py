@@ -5,10 +5,11 @@ pixel (``estimate_disparity``, ``build_diag_tables``, ``build_sum_tables``,
 ``warp``, ``global_correlation``); ``partition_template`` reads the shape
 only, and each kernel validates its template block and the reference region
 it reads. So a frame still scans whole images several times. The strided
-diagonal gather, the separable grid interpolation, the bilinear warp and
-the PGM quantization are each compared with a test-local copy of the direct
-formula they replaced. The FFT numerator of ``ncc_full_fast`` is compared
-with ``ncc_full_naive``, at small odd and even sizes and at 1920x1080.
+diagonal gather is compared with a test-local copy of the fancy-index
+gather it replaced. The FFT numerator of ``ncc_full_fast`` is compared with
+``ncc_full_naive``, at small odd and even sizes and at 1920x1080. The warp,
+the interpolation and the PGM quantisation are checked in
+``test_frame_stages.py``, next to their chunked passes.
 """
 
 import numpy as np
@@ -24,7 +25,6 @@ from nccalign import (
     build_diag_tables,
     build_sum_tables,
     estimate_disparity,
-    load_pgm,
     make_synthetic_stereo,
     ncc_diag_fast,
     ncc_full_fast,
@@ -32,70 +32,13 @@ from nccalign import (
     ncc_stream,
     partition_template,
     quadrant_pattern,
-    save_pgm,
 )
-from nccalign.alignment import DenseDisparity, bilinear_grid_sample, warp
 from nccalign.diagonal import gather_window_diagonals
 from nccalign.ncc import _inbounds_ranges
 
 from conftest import random_image
 
 NON_FINITE = (np.nan, np.inf, -np.inf)
-
-
-# -- oracles: the replaced formulas ----------------------------------------
-
-def fancy_gather(reference, origin, d, du_values, dv_values, orientation):
-    """Fancy-index gather of every shifted window's diagonal samples."""
-    x0, y0 = origin
-    k = np.arange(d)
-    row_off, col_off = (k, k) if orientation == "main" else (d - 1 - k, k)
-    rows = (y0 + dv_values)[:, None] + row_off[None, :]
-    cols = (x0 + du_values)[:, None] + col_off[None, :]
-    return reference[rows[:, None, :], cols[None, :, :]]
-
-
-def four_corner_sample(centers_x, centers_y, values, query_x, query_y):
-    """Bilinear interpolation as the blend of four gathered corner grids."""
-    def axis(centers, queries):
-        q = np.clip(queries, centers[0], centers[-1])
-        if len(centers) == 1:
-            zero = np.zeros(len(q), dtype=np.int64)
-            return zero, zero, np.zeros(len(q))
-        idx = np.clip(np.searchsorted(centers, q, side="right") - 1, 0, len(centers) - 2)
-        return idx, idx + 1, (q - centers[idx]) / (centers[idx + 1] - centers[idx])
-
-    j0, j1, wx = axis(centers_x, query_x)
-    i0, i1, wy = axis(centers_y, query_y)
-    return (
-        values[np.ix_(i0, j0)] * ((1.0 - wy)[:, None] * (1.0 - wx)[None, :])
-        + values[np.ix_(i0, j1)] * ((1.0 - wy)[:, None] * wx[None, :])
-        + values[np.ix_(i1, j0)] * (wy[:, None] * (1.0 - wx)[None, :])
-        + values[np.ix_(i1, j1)] * (wy[:, None] * wx[None, :])
-    )
-
-
-def indices_warp(template, du, dv):
-    """Inverse-mapping bilinear warp from np.indices, floor/clip and four gathers."""
-    h, w = template.shape
-    ys, xs = np.indices((h, w))
-    sx = xs - du
-    sy = ys - dv
-    mask = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
-    x0 = np.clip(np.floor(sx), 0, w - 1).astype(np.int64)
-    y0 = np.clip(np.floor(sy), 0, h - 1).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    wx = np.clip(sx - x0, 0.0, 1.0)
-    wy = np.clip(sy - y0, 0.0, 1.0)
-    out = (
-        template[y0, x0] * (1.0 - wy) * (1.0 - wx)
-        + template[y0, x1] * (1.0 - wy) * wx
-        + template[y1, x0] * wy * (1.0 - wx)
-        + template[y1, x1] * wy * wx
-    )
-    out[~mask] = 0.0
-    return out, mask
 
 
 # -- validation contract ---------------------------------------------------
@@ -266,6 +209,16 @@ class TestFftNumerator:
 
 # -- strided diagonal gather -----------------------------------------------
 
+def fancy_gather(reference, origin, d, du_values, dv_values, orientation):
+    """Fancy-index gather of every shifted window's diagonal samples."""
+    x0, y0 = origin
+    k = np.arange(d)
+    row_off, col_off = (k, k) if orientation == "main" else (d - 1 - k, k)
+    rows = (y0 + dv_values)[:, None] + row_off[None, :]
+    cols = (x0 + du_values)[:, None] + col_off[None, :]
+    return reference[rows[:, None, :], cols[None, :, :]]
+
+
 @st.composite
 def gather_cases(draw):
     """A reference (sometimes a strided view), a block size and an in-bounds
@@ -332,99 +285,3 @@ class TestStridedGather:
         for origin in ((-1, 0), (0, -1), (w - d + 1, 0), (0, h - d + 1)):
             with pytest.raises(ValueError, match="leave the"):
                 gather_window_diagonals(reference, origin, d, (0, 0, 0, 0), orientation)
-
-
-# -- separable grid interpolation ------------------------------------------
-
-@st.composite
-def grid_cases(draw):
-    nx = draw(st.integers(1, 8))
-    ny = draw(st.integers(1, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
-    cx = np.cumsum(rng.uniform(0.5, 40.0, nx)) - 10.0
-    cy = np.cumsum(rng.uniform(0.5, 40.0, ny)) - 10.0
-    values = rng.uniform(-20.0, 20.0, (ny, nx))
-    qx = np.arange(draw(st.integers(1, 120)), dtype=np.float64) - 20.0
-    qy = rng.uniform(-30.0, cy[-1] + 30.0, draw(st.integers(1, 60)))
-    return cx, cy, values, qx, qy
-
-
-class TestSeparableInterpolation:
-    @given(case=grid_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_within_rounding_of_four_corner_blend(self, case):
-        got = bilinear_grid_sample(*case)
-        want = four_corner_sample(*case)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12
-
-    @given(seed=st.integers(0, 10_000), block=st.sampled_from((16, 32, 64, 128)))
-    @settings(max_examples=30, deadline=None)
-    def test_exact_on_block_centres_with_integer_shifts(self, seed, block):
-        # Block centres sit at half pixels, so the weights are exact binary
-        # fractions and integer block shifts blend without rounding.
-        rng = np.random.default_rng(seed)
-        rows, cols = rng.integers(1, 6, 2)
-        cx = 7 + np.arange(cols) * block + (block - 1) / 2.0
-        cy = 5 + np.arange(rows) * block + (block - 1) / 2.0
-        values = rng.integers(-16, 17, (rows, cols)).astype(np.float64)
-        qx = np.arange(cols * block + 14, dtype=np.float64)
-        qy = np.arange(rows * block + 10, dtype=np.float64)
-        np.testing.assert_array_equal(bilinear_grid_sample(cx, cy, values, qx, qy),
-                                      four_corner_sample(cx, cy, values, qx, qy))
-
-
-# -- bilinear warp ---------------------------------------------------------
-
-@st.composite
-def warp_cases(draw):
-    h = draw(st.integers(1, 24))
-    w = draw(st.integers(1, 24))
-    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
-    template = rng.random((h, w))
-    reach = draw(st.sampled_from((0.5, 2.0, 8.0, 30.0)))
-    kind = draw(st.sampled_from(("random", "integer", "quarter")))
-    fields = rng.uniform(-reach, reach, (2, h, w))
-    if kind == "integer":
-        fields = np.round(fields)
-    elif kind == "quarter":
-        fields = np.round(fields * 4.0) / 4.0
-    return template, fields[0], fields[1]
-
-
-class TestMapCoordinatesWarp:
-    @given(case=warp_cases())
-    @settings(max_examples=300, deadline=None)
-    def test_equals_indices_warp(self, case):
-        template, du, dv = case
-        got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
-        want, want_mask = indices_warp(template, du, dv)
-        np.testing.assert_array_equal(got_mask, want_mask)
-        np.testing.assert_array_equal(got, want)
-
-    def test_mask_marks_samples_outside_template(self):
-        template = random_image(41, 6, 7)
-        du = np.full((6, 7), 2.5)
-        dv = np.full((6, 7), -1.0)
-        out, mask = warp(template, DenseDisparity(du=du, dv=dv))
-        # x - 2.5 >= 0 needs x >= 3; y + 1 <= 5 needs y <= 4.
-        expected = np.zeros((6, 7), dtype=bool)
-        expected[:5, 3:] = True
-        np.testing.assert_array_equal(mask, expected)
-        assert np.all(out[~mask] == 0.0)
-
-
-# -- PGM quantization ------------------------------------------------------
-
-class TestPgmQuantization:
-    @pytest.mark.parametrize("maxval", (255, 65535))
-    def test_equals_clamped_int64_quantization(self, tmp_path, maxval):
-        rng = np.random.default_rng(maxval)
-        image = rng.uniform(-0.2, 1.2, (37, 41))
-        image[0, :6] = [0.0, 1.0, np.nextafter(1.0, 2.0), -0.0, 0.5 / maxval, 1.0 - 0.5 / maxval]
-        path = tmp_path / "q.pgm"
-        save_pgm(image, path, maxval=maxval)
-        quantized = np.minimum(np.floor(np.clip(image, 0.0, 1.0) * maxval + 0.5).astype(np.int64), maxval)
-        dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
-        assert path.read_bytes().endswith(quantized.astype(dtype).tobytes())
-        np.testing.assert_array_equal(load_pgm(path), quantized / maxval)

@@ -5,11 +5,11 @@ The warp and the dense interpolation loop over bands (chunks) of rows on
 the calling thread; the correlation sums chunks of rows in two passes,
 with no masked copy, and centres the reference side once for a tuple of
 images; the diagonal tables hold the one orientation a run reads; PGM
-files are checked, quantised and read a chunk at a time. Each is
-compared with the form it replaced: the ``np.indices`` warp oracle and,
-bit for bit, the ``np.modf`` warp, the whole-array interpolation and
-quantisation, the masked-copy correlation and one ``global_correlation``
-call per image.
+files are checked, quantised and read a chunk at a time. Each stage has
+one test-local reference: the ``np.indices`` warp and a whole-array
+separable interpolation with its own axis lookup (both compared bit for
+bit), the whole-array quantisation, the masked-copy correlation and one
+``global_correlation`` call per image.
 """
 
 import math
@@ -17,6 +17,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nccalign import (
     UndefinedMetricError,
@@ -31,69 +33,35 @@ from nccalign.alignment import DenseDisparity, DisparityField, warp
 from nccalign.cli import _normalized_map
 
 from conftest import random_image
-from test_fast_paths import indices_warp
 
 
-# -- warp bands ------------------------------------------------------------
+# -- bilinear warp ---------------------------------------------------------
 
-def modf_warp_rows(flat, h, w, xs, ys, du, dv, out, mask, buffers) -> None:
-    """The warp's per-chunk body as it was with ``np.modf`` splitting the
-    clamped coordinates: the bitwise oracle for the ``np.floor`` split."""
-    n = len(out)
-    floats, ints, bools = (buf[:, :n] for buf in buffers)
-    sx, sy, wx, wy, x0, y0 = floats
-    tap00, tap01, tap = ints
-    last_x, last_y = bools
-    np.subtract(xs, du, out=sx)
-    np.subtract(ys, dv, out=sy)
-    np.fmax(sx, 0.0, out=wx)
-    np.fmin(wx, w - 1, out=wx)
-    np.fmax(sy, 0.0, out=wy)
-    np.fmin(wy, h - 1, out=wy)
-    np.equal(wx, sx, out=mask)
-    np.equal(wy, sy, out=last_y)
-    mask &= last_y
-    np.modf(wx, out=(wx, x0))
-    np.modf(wy, out=(wy, y0))
-    np.equal(x0, w - 1, out=last_x)
-    np.equal(y0, h - 1, out=last_y)
-    y0 *= w
-    y0 += x0
-    np.copyto(tap00, y0, casting="unsafe")
-    ux, uy, value = sx, sy, x0
-    np.subtract(1.0, wx, out=ux)
-    np.subtract(1.0, wy, out=uy)
-
-    np.take(flat, tap00, out=out, mode="clip")
-    out *= uy
-    out *= ux
-    np.add(tap00, 1, out=tap01)
-    np.copyto(tap01, tap00, where=last_x)
-    np.take(flat, tap01, out=value, mode="clip")
-    value *= uy
-    value *= wx
-    out += value
-    np.add(tap00, w, out=tap)
-    np.copyto(tap, tap00, where=last_y)
-    np.take(flat, tap, out=value, mode="clip")
-    value *= wy
-    value *= ux
-    out += value
-    np.add(tap01, w, out=tap)
-    np.copyto(tap, tap01, where=last_y)
-    np.take(flat, tap, out=value, mode="clip")
-    value *= wy
-    value *= wx
-    out += value
-    np.logical_not(mask, out=last_y)
-    np.copyto(out, 0.0, where=last_y)
+def indices_warp(template, du, dv):
+    """Inverse-mapping bilinear warp from np.indices, floor/clip and four gathers."""
+    h, w = template.shape
+    ys, xs = np.indices((h, w))
+    sx, sy = xs - du, ys - dv
+    mask = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
+    x0 = np.clip(np.floor(sx), 0, w - 1).astype(np.int64)
+    y0 = np.clip(np.floor(sy), 0, h - 1).astype(np.int64)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    wx = np.clip(sx - x0, 0.0, 1.0)
+    wy = np.clip(sy - y0, 0.0, 1.0)
+    out = (
+        template[y0, x0] * (1.0 - wy) * (1.0 - wx)
+        + template[y0, x1] * (1.0 - wy) * wx
+        + template[y1, x0] * wy * (1.0 - wx)
+        + template[y1, x1] * wy * wx
+    )
+    out[~mask] = 0.0
+    return out, mask
 
 
-def assert_modf_warp_bits(monkeypatch, got, got_mask, template, du, dv):
-    """``got`` and ``got_mask`` equal the ``modf`` warp's bit for bit."""
-    with monkeypatch.context() as patched:
-        patched.setattr(alignment, "_warp_rows", modf_warp_rows)
-        want, want_mask = warp(template, DenseDisparity(du=du, dv=dv))
+def assert_warp_bits(got, got_mask, template, du, dv):
+    """``got`` and ``got_mask`` equal :func:`indices_warp`'s bit for bit."""
+    want, want_mask = indices_warp(template, du, dv)
     np.testing.assert_array_equal(got_mask, want_mask)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -137,10 +105,7 @@ class TestWarpBands:
 
         np.testing.assert_array_equal(got_mask, want_mask)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert_modf_warp_bits(monkeypatch, got, got_mask, template, du, dv)
-        oracle, oracle_mask = indices_warp(template, du, dv)
-        np.testing.assert_array_equal(got_mask, oracle_mask)
-        np.testing.assert_array_equal(got, oracle)
+        assert_warp_bits(got, got_mask, template, du, dv)
         for before, after in zip(inputs, (template, du, dv)):
             np.testing.assert_array_equal(before, after)
 
@@ -152,12 +117,9 @@ class TestWarpBands:
         monkeypatch.setattr(images, "CHUNK_PIXELS", chunk)
         template, du, dv = _warp_case(seed, 29, 13, 9.0, kind)
         got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
-        assert_modf_warp_bits(monkeypatch, got, got_mask, template, du, dv)
-        oracle, oracle_mask = indices_warp(template, du, dv)
-        np.testing.assert_array_equal(got_mask, oracle_mask)
-        np.testing.assert_array_equal(got, oracle)
+        assert_warp_bits(got, got_mask, template, du, dv)
 
-    def test_edge_taps_keep_signed_zeros(self, monkeypatch):
+    def test_edge_taps_keep_signed_zeros(self):
         # On the last column or row a +1 tap has weight 0, so only the sign
         # of a zero shows which pixel it read: the clamped one (-0.0 here),
         # not the next row's first pixel or the image's last one (0.75).
@@ -167,11 +129,8 @@ class TestWarpBands:
         du[0, 0], dv[0, 0] = -4.0, -1.5  # samples (4, 1.5): last column
         du[0, 1], dv[0, 1] = -0.5, -5.0  # samples (1.5, 5): last row
         got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
-        assert_modf_warp_bits(monkeypatch, got, got_mask, template, du, dv)
-        oracle, oracle_mask = indices_warp(template, du, dv)
         assert got_mask[0, :2].all() and np.signbit(got[0, :2]).all()
-        np.testing.assert_array_equal(got_mask, oracle_mask)
-        np.testing.assert_array_equal(got.view(np.uint64), oracle.view(np.uint64))
+        assert_warp_bits(got, got_mask, template, du, dv)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", (1, 2))
@@ -187,30 +146,79 @@ class TestWarpBands:
             bad[i, i] = bad[i + 4, 9 - i] = bad[11 - i, 2] = bad[i + 7, 5] = True
         got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
 
-        assert_modf_warp_bits(monkeypatch, got, got_mask, template, du, dv)
         assert not got_mask[bad].any()
         assert np.all(got[bad] == 0.0)
         finite_du, finite_dv = np.where(bad, 0.0, du), np.where(bad, 0.0, dv)
         oracle, oracle_mask = indices_warp(template, finite_du, finite_dv)
         np.testing.assert_array_equal(got_mask[~bad], oracle_mask[~bad])
-        np.testing.assert_array_equal(got[~bad], oracle[~bad])
+        np.testing.assert_array_equal(got[~bad].view(np.uint64), oracle[~bad].view(np.uint64))
 
 
-# -- banded interpolation --------------------------------------------------
+@st.composite
+def warp_cases(draw):
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    template = rng.random((h, w))
+    reach = draw(st.sampled_from((0.5, 2.0, 8.0, 30.0)))
+    kind = draw(st.sampled_from(("random", "integer", "quarter")))
+    fields = rng.uniform(-reach, reach, (2, h, w))
+    if kind == "integer":
+        fields = np.round(fields)
+    elif kind == "quarter":
+        fields = np.round(fields * 4.0) / 4.0
+    return template, fields[0], fields[1]
 
-def whole_array_sample(centers_x, centers_y, values, query_x, query_y):
-    """The separable interpolation as one whole-array y-blend and x-blend."""
-    j0, j1, wx = alignment._axis_weights(np.asarray(centers_x, dtype=np.float64), np.asarray(query_x, dtype=np.float64))
-    i0, i1, wy = alignment._axis_weights(np.asarray(centers_y, dtype=np.float64), np.asarray(query_y, dtype=np.float64))
+
+class TestMapCoordinatesWarp:
+    @given(case=warp_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_indices_warp(self, case):
+        template, du, dv = case
+        got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
+        assert_warp_bits(got, got_mask, template, du, dv)
+
+    def test_mask_marks_samples_outside_template(self):
+        template = random_image(41, 6, 7)
+        du = np.full((6, 7), 2.5)
+        dv = np.full((6, 7), -1.0)
+        out, mask = warp(template, DenseDisparity(du=du, dv=dv))
+        # x - 2.5 >= 0 needs x >= 3; y + 1 <= 5 needs y <= 4.
+        expected = np.zeros((6, 7), dtype=bool)
+        expected[:5, 3:] = True
+        np.testing.assert_array_equal(mask, expected)
+        assert np.all(out[~mask] == 0.0)
+
+
+# -- separable grid interpolation ------------------------------------------
+
+def separable_sample(centers_x, centers_y, values, query_x, query_y):
+    """Bilinear interpolation as one whole-array y-blend, then one x-blend,
+    with its own axis lookup: a query is clamped to the span of the centres,
+    its lower centre is the last one at or below it short of the final one,
+    and its weight is its fraction of the way to the next centre."""
+    def axis(centers, queries):
+        centers = np.asarray(centers, dtype=np.float64)
+        q = np.minimum(np.maximum(np.asarray(queries, dtype=np.float64), centers[0]), centers[-1])
+        lower = np.count_nonzero(centers[1:-1] <= q[:, None], axis=1)
+        upper = np.minimum(lower + 1, len(centers) - 1)
+        span = centers[upper] - centers[lower]
+        return lower, upper, np.divide(q - centers[lower], span, out=np.zeros(len(q)), where=span > 0)
+
+    j0, j1, wx = axis(centers_x, query_x)
+    i0, i1, wy = axis(centers_y, query_y)
     rows = values[i0] * (1.0 - wy)[:, None] + values[i1] * wy[:, None]
-    return rows.take(j0, axis=1) * (1.0 - wx) + rows.take(j1, axis=1) * wx
+    return rows[:, j0] * (1.0 - wx) + rows[:, j1] * wx
+
+
+def assert_sample_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBandedInterpolation:
     @pytest.mark.parametrize("seed", (1, 2, 3))
     @pytest.mark.parametrize("chunk", (1, 50, images.CHUNK_PIXELS))
     @pytest.mark.parametrize("height, width", ((1, 1), (1, 70), (45, 1), (31, 37)))
-    def test_equals_whole_array_formula(self, monkeypatch, seed, chunk, height, width):
+    def test_equals_separable_sample(self, monkeypatch, seed, chunk, height, width):
         monkeypatch.setattr(images, "CHUNK_PIXELS", chunk)
         rng = np.random.default_rng((seed, height, width))
         cx = np.sort(rng.uniform(0, width, 5))
@@ -218,10 +226,10 @@ class TestBandedInterpolation:
         values = rng.uniform(-8, 8, (4, 5))
         qx = np.arange(width, dtype=np.float64)
         qy = np.arange(height, dtype=np.float64)
-        np.testing.assert_array_equal(alignment.bilinear_grid_sample(cx, cy, values, qx, qy),
-                                      whole_array_sample(cx, cy, values, qx, qy))
+        assert_sample_bits(alignment.bilinear_grid_sample(cx, cy, values, qx, qy),
+                           separable_sample(cx, cy, values, qx, qy))
 
-    def test_full_size_field_equals_whole_array_formula(self):
+    def test_full_size_field_equals_separable_sample(self):
         # A 400 x 200 field spans several chunks of rows.
         field = DisparityField(*np.random.default_rng(6).uniform(-4, 4, (2, 5, 6)),
                                coeff=np.ones((5, 6)), status=np.zeros((5, 6), dtype=np.uint8))
@@ -229,8 +237,42 @@ class TestBandedInterpolation:
         dense = alignment.interpolate_disparity(field, grid, (200, 400))
         cx, cy = grid.center_coords()
         qx, qy = np.arange(200, dtype=np.float64), np.arange(400, dtype=np.float64)
-        np.testing.assert_array_equal(dense.du, whole_array_sample(cx, cy, field.du, qx, qy))
-        np.testing.assert_array_equal(dense.dv, whole_array_sample(cx, cy, field.dv, qx, qy))
+        assert_sample_bits(dense.du, separable_sample(cx, cy, field.du, qx, qy))
+        assert_sample_bits(dense.dv, separable_sample(cx, cy, field.dv, qx, qy))
+
+
+@st.composite
+def grid_cases(draw):
+    nx, ny = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    cx = np.cumsum(rng.uniform(0.5, 40.0, nx)) - 10.0
+    cy = np.cumsum(rng.uniform(0.5, 40.0, ny)) - 10.0
+    values = rng.uniform(-20.0, 20.0, (ny, nx))
+    qx = np.arange(draw(st.integers(1, 120)), dtype=np.float64) - 20.0
+    qy = rng.uniform(-30.0, cy[-1] + 30.0, draw(st.integers(1, 60)))
+    return cx, cy, values, qx, qy
+
+
+class TestSeparableInterpolation:
+    @given(case=grid_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_separable_sample(self, case):
+        assert_sample_bits(alignment.bilinear_grid_sample(*case), separable_sample(*case))
+
+    @given(seed=st.integers(0, 10_000), block=st.sampled_from((16, 32, 64, 128)))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_on_block_centres_with_integer_shifts(self, seed, block):
+        # Block centres sit at half pixels, so the weights are exact binary
+        # fractions and integer block shifts blend without rounding.
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(1, 6, 2)
+        cx = 7 + np.arange(cols) * block + (block - 1) / 2.0
+        cy = 5 + np.arange(rows) * block + (block - 1) / 2.0
+        values = rng.integers(-16, 17, (rows, cols)).astype(np.float64)
+        qx = np.arange(cols * block + 14, dtype=np.float64)
+        qy = np.arange(rows * block + 10, dtype=np.float64)
+        assert_sample_bits(alignment.bilinear_grid_sample(cx, cy, values, qx, qy),
+                           separable_sample(cx, cy, values, qx, qy))
 
 
 # -- tuple correlation -----------------------------------------------------
@@ -440,24 +482,20 @@ def test_quantisation_leaves_input_unmodified(tmp_path):
     image = np.random.default_rng(14).uniform(-0.5, 1.5, (9, 11))
     before = image.copy()
     save_pgm(image, tmp_path / "q.pgm")
-    normalized = _normalized_map(image)
     np.testing.assert_array_equal(image, before)
-    np.testing.assert_array_equal(normalized, (before - before.min()) / (before.max() - before.min()))
 
 
-def test_normalisation_in_place_matches_new_array():
+def test_normalisation_scales_in_place():
     image = np.random.default_rng(15).uniform(-4.0, 6.0, (37, 53))
-    expected = _normalized_map(image.copy())
-    assert _normalized_map(image, out=image) is image
+    expected = (image - image.min()) / (image.max() - image.min())
+    assert _normalized_map(image) is image
     np.testing.assert_array_equal(image.view(np.uint64), expected.view(np.uint64))
 
 
-@pytest.mark.parametrize("in_place", [False, True], ids=["new", "in_place"])
-def test_flat_map_normalises_to_half(in_place):
+def test_flat_map_normalises_to_half():
     flat = np.full((6, 5), -2.5)
-    normalized = _normalized_map(flat, out=flat if in_place else None)
-    assert (normalized is flat) == in_place
-    np.testing.assert_array_equal(normalized, np.full((6, 5), 0.5))
+    assert _normalized_map(flat) is flat
+    np.testing.assert_array_equal(flat, np.full((6, 5), 0.5))
 
 
 # Heights and widths on both sides of one chunk (images.CHUNK_PIXELS).
@@ -469,7 +507,7 @@ class TestChunkedPgm:
     @pytest.mark.parametrize("shape", CHUNK_SHAPES)
     def test_save_equals_whole_array_quantisation(self, tmp_path, maxval, shape):
         image = np.random.default_rng(shape[0] * 7 + shape[1]).uniform(-0.3, 1.3, shape)
-        image.flat[:4] = [1.0, 0.0, 0.5 / maxval, 1.0 - 0.5 / maxval][:image.size]
+        image.flat[:6] = [1.0, 0.0, 0.5 / maxval, 1.0 - 0.5 / maxval, np.nextafter(1.0, 2.0), -0.0][:image.size]
         path = tmp_path / "q.pgm"
         save_pgm(image, path, maxval=maxval)
         header = f"P5\n{shape[1]} {shape[0]}\n{maxval}\n".encode("ascii")
