@@ -65,7 +65,6 @@ from .streaming import (
     PowerComponent,
     dynamic_range_to_noise,
     moving_average,
-    multiply_integrate,
     ncc_stream,
     power_budget,
     rms,

@@ -488,10 +488,14 @@ def global_correlation(
 
 
 def improvement_percent(before: float, after: float) -> float:
-    """Relative correlation improvement in percent: 100 * (after - before) / before."""
+    """Relative correlation improvement in percent: 100 * (after - before) / |before|.
+
+    Dividing by the magnitude keeps the sign of the change, so a correlation
+    that rises from a negative value reports a positive improvement.
+    """
     if before == 0.0:
         raise UndefinedMetricError("improvement undefined for zero pre-alignment correlation")
-    return 100.0 * (after - before) / before
+    return 100.0 * (after - before) / abs(before)
 
 
 def scale_intensity(image: GrayImage, factor: float) -> GrayImage:

@@ -394,16 +394,21 @@ def cmd_noise_sweep(args) -> int:
     template, reference, truth = _load_or_generate(args)
     seeds = [args.seed + i for i in range(args.seeds)]
 
-    rows = []
-    for fraction in fractions:
-        corrs = []
-        matches = []
-        for seed in seeds:
+    # Seeds outer, fractions inner: a seed's noise streams do not depend on
+    # the fraction, so its later fractions reuse the draws its first one
+    # cached (streaming.DRAW_CACHE_STREAMS bounds the cache).
+    corrs_by_fraction = [[] for _ in fractions]
+    matches_by_fraction = [[] for _ in fractions]
+    for seed in seeds:
+        for fraction, corrs, matches in zip(fractions, corrs_by_fraction, matches_by_fraction):
             noise = NoiseModel(fraction, args.noise_int, seed)
             result = run_alignment(template, reference, args, noise=noise)
             corrs.append(result.corr_after)
             if truth is not None:
                 matches.append(match_rate(result.raw_field, truth, result.grid))
+
+    rows = []
+    for fraction, corrs, matches in zip(fractions, corrs_by_fraction, matches_by_fraction):
         corrs = np.asarray(corrs)
         match_mean = float(np.mean(matches)) if matches else float("nan")
         match_std = float(np.std(matches)) if matches else float("nan")

@@ -14,6 +14,7 @@ noise-fraction conversion, and the per-component power budget.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,34 +142,51 @@ class NoiseModel:
         return np.random.default_rng((self.seed, stage) + tuple(stream_id))
 
 
-def multiply_integrate(
-    b_zm: np.ndarray,
-    t_zm: np.ndarray,
-    noise: NoiseModel,
-    stream_id: tuple[int, ...] = (0,),
-) -> np.ndarray:
-    """The n integrated products of the (n, D) streams ``b_zm`` with the (D,)
-    stream ``t_zm``, plus noise scaled by each row's clean product RMS.
+# Bound of the stream-draw cache, in streams. A stream's cached array holds
+# one float64 per in-bounds shift of its block.
+DRAW_CACHE_STREAMS = 1024
 
-    The multiplier stage draws (n, D) values; the integrator stage then
-    draws n readout values scaled by sqrt(D). Each stage reads
-    ``noise.rng(stage, stream_id)``.
+
+@functools.lru_cache(maxsize=DRAW_CACHE_STREAMS)
+def _stream_draws(seed: int, stage: int, stream_id: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """The standard normal draws of ``shape`` from the (seed, stage,
+    stream_id) stream of :meth:`NoiseModel.rng`, summed along each row when
+    ``shape`` is (n, D). Read-only, since every caller shares one array.
+
+    The draws do not depend on the noise fractions, so the fractions of a
+    sweep share them. The cache holds the last :data:`DRAW_CACHE_STREAMS`
+    streams. At the paper's HD geometry (block 128, search +-16) a block
+    has at most 33 * 33 = 1089 in-bounds shifts, so the cache holds at most
+    1024 streams of 1089 * 8 B: about 9.3 MB with its bookkeeping (about
+    350 B a stream).
     """
-    return _multiply_integrate(b_zm, t_zm, noise, stream_id, np.sum(b_zm * b_zm, axis=1))
+    draws = NoiseModel(seed=seed).rng(stage, stream_id).standard_normal(shape)
+    if len(shape) == 2:
+        draws = draws.sum(axis=1)
+    draws.flags.writeable = False
+    return draws
 
 
 def _multiply_integrate(b_zm, t_zm, noise, stream_id, b_energy) -> np.ndarray:
-    """:func:`multiply_integrate` given each row's energy, ``sum(b_zm**2)``."""
+    """The n integrated products of the (n, D) streams ``b_zm`` with the (D,)
+    stream ``t_zm``, plus noise scaled by each row's clean product RMS,
+    given each row's energy, ``sum(b_zm**2)``.
+
+    The multiplier stage adds D per-sample draws to each row's products;
+    they are integrated as their row sum, so the stage adds that sum times
+    the per-sample noise level. The integrator stage then adds n readout
+    draws scaled by sqrt(D). Each stage reads the (noise.seed, stage,
+    stream_id) stream, through :func:`_stream_draws`.
+    """
     n, d = b_zm.shape
     rms_p = np.sqrt(b_energy / d) * rms(t_zm)
-    products = b_zm * t_zm[None, :]
+    numerators = (b_zm * t_zm[None, :]).sum(axis=1)
     if noise.multiplier_fraction > 0:
-        rng = noise.rng(MULTIPLIER_STAGE, stream_id)
-        products = products + rng.standard_normal((n, d)) * noise.multiplier_fraction * rms_p[:, None]
-    numerators = products.sum(axis=1)
+        g = _stream_draws(noise.seed, MULTIPLIER_STAGE, stream_id, (n, d))
+        numerators += g * (noise.multiplier_fraction * rms_p)
     if noise.integrator_fraction > 0:
-        g = noise.rng(INTEGRATOR_STAGE, stream_id).standard_normal(n)
-        numerators = numerators + g * noise.integrator_fraction * rms_p * math.sqrt(d)
+        g = _stream_draws(noise.seed, INTEGRATOR_STAGE, stream_id, (n,))
+        numerators += g * noise.integrator_fraction * rms_p * math.sqrt(d)
     return numerators
 
 
@@ -187,7 +205,7 @@ def ncc_stream(
     """Diagonal NCC with the streaming numerator and noiseless digital denominator.
 
     The diagonals are those of the orientation of ``tables``. Numerator
-    per shift: :func:`multiply_integrate` of the zero-mean stream of the
+    per shift: :func:`_multiply_integrate` of the zero-mean stream of the
     shifted window diagonal against the template's, with circuit noise
     from the (seed, stage, block_id) stream, consumed over in-bounds
     shifts in row-major order. Denominators are the exact diagonal variance

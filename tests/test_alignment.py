@@ -268,6 +268,11 @@ class TestImprovementPercent:
     def test_doubling_is_hundred(self):
         assert improvement_percent(0.5, 1.0) == pytest.approx(100.0)
 
+    def test_negative_baseline_keeps_sign_of_change(self):
+        # A rise from a negative correlation is an improvement.
+        assert improvement_percent(-0.5, 0.5) == pytest.approx(200.0)
+        assert improvement_percent(-0.5, -1.0) == pytest.approx(-100.0)
+
     def test_zero_baseline_rejected(self):
         with pytest.raises(UndefinedMetricError):
             improvement_percent(0.0, 0.5)

@@ -249,6 +249,28 @@ class TestNoiseSweep:
         assert [r["multiplier_fraction"] for r in rows] == ["0.2", "0.01"]
         assert all(r["seeds"] == "10;11" for r in rows)
 
+    def test_rows_equal_fraction_major_loop(self, tmp_path):
+        # The sweep runs seeds outer; the rows equal a loop over fractions
+        # outer and seeds inner.
+        fractions, seeds = (0.3, 0.05, 0.15), (10, 11, 12)
+        out = tmp_path / "sweep"
+        assert main(["noise-sweep", *SMALL_ALIGN, "--noise-int", "0.2", "--fractions", "0.3,0.05,0.15",
+                     "--seeds", "3", "--seed", "10", "--out", str(out)]) == 0
+        args = cli.build_parser().parse_args(["align", *SMALL_ALIGN, "--method", "stream",
+                                              "--noise-int", "0.2"])
+        template, reference, truth = cli._load_or_generate(args)
+        expected = ["multiplier_fraction,seeds,corr_after_mean,corr_after_std,match_rate_mean,match_rate_std"]
+        for fraction in fractions:
+            corrs, matches = [], []
+            for seed in seeds:
+                result = cli.run_alignment(template, reference, args,
+                                           noise=nccalign.NoiseModel(fraction, 0.2, seed))
+                corrs.append(result.corr_after)
+                matches.append(cli.match_rate(result.raw_field, truth, result.grid))
+            row = (fraction, "10;11;12", np.mean(corrs), np.std(corrs), np.mean(matches), np.std(matches))
+            expected.append(",".join(cli._fmt(cell) for cell in row))
+        assert csv_body(out / "noise_sweep.csv") == expected
+
     @pytest.mark.parametrize("flags, named", [
         (["--seeds", "0"], "--seeds"),
         (["--seeds", "-3"], "--seeds"),

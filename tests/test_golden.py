@@ -21,6 +21,7 @@ import hashlib
 import pytest
 
 from nccalign.cli import main
+from nccalign.streaming import _stream_draws
 
 PAIR = [
     "--width", "192", "--height", "160", "--pattern", "quadrant:3,2:-2,3:2,-3:-3,-2",
@@ -171,3 +172,14 @@ def test_align_outputs_match_golden_hashes(tmp_path, capsys, name):
     assert main(["align", *PAIR, *ALIGN, *flags, "--out", str(tmp_path)]) == 0
     got = {output: body_sha256(tmp_path / output) for output in expected}
     assert got == expected
+
+
+@pytest.mark.parametrize("name", sorted(name for name in GOLDEN if name.startswith("stream")))
+def test_stream_outputs_match_golden_hashes_cold_and_warm(tmp_path, capsys, name):
+    # The second run reads its noise draws from the cache the first filled.
+    flags, expected = GOLDEN[name]
+    _stream_draws.cache_clear()
+    for run in ("cold", "warm"):
+        out = tmp_path / run
+        assert main(["align", *PAIR, *ALIGN, *flags, "--out", str(out)]) == 0
+        assert {output: body_sha256(out / output) for output in expected} == expected

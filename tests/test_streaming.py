@@ -10,13 +10,13 @@ from nccalign import (
     ShiftRange,
     dynamic_range_to_noise,
     moving_average,
-    multiply_integrate,
     ncc_stream,
     power_budget,
     rms,
     zero_mean_stream,
 )
 from nccalign import best_shift, build_diag_tables
+from nccalign.streaming import _multiply_integrate, _stream_draws
 
 from conftest import random_image
 
@@ -91,6 +91,27 @@ class TestRms:
             rms([])
 
 
+def multiply_integrate(b_zm, t_zm, noise, stream_id=(0,)):
+    """``_multiply_integrate`` with each row's energy computed here."""
+    return _multiply_integrate(b_zm, t_zm, noise, stream_id, np.sum(b_zm * b_zm, axis=1))
+
+
+def per_sample_numerators(b_zm, t_zm, noise, stream_id):
+    """The numerators with the multiplier noise added to every product
+    before the row is integrated, each stream drawn from ``noise.rng``, and
+    each row's sum of the magnitudes of the terms it adds."""
+    n, d = b_zm.shape
+    rms_p = np.sqrt(np.sum(b_zm * b_zm, axis=1) / d) * rms(t_zm)
+    products = b_zm * t_zm[None, :]
+    if noise.multiplier_fraction > 0:
+        draws = noise.rng(0, stream_id).standard_normal((n, d))
+        products = products + draws * noise.multiplier_fraction * rms_p[:, None]
+    readout = np.zeros(n)
+    if noise.integrator_fraction > 0:
+        readout = noise.rng(1, stream_id).standard_normal(n) * noise.integrator_fraction * rms_p * np.sqrt(d)
+    return products.sum(axis=1) + readout, np.abs(products).sum(axis=1) + np.abs(readout)
+
+
 class TestMultiplyIntegrate:
     NOISELESS = NoiseModel()
 
@@ -136,6 +157,21 @@ class TestMultiplyIntegrate:
         other = multiply_integrate(b, t, noise, (3, 2))
         np.testing.assert_array_equal(first, second)
         assert np.all(first != other)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (1, 64), (289, 64), (40, 128)])
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(0.01, 0.0, seed=0),
+        NoiseModel(0.5, 0.2, seed=3),
+        NoiseModel(0.0, 0.2, seed=11),
+    ], ids=["mult", "both", "int"])
+    def test_row_sum_within_rounding_of_per_sample_noise(self, n, d, noise):
+        # Integrating the draws as one row sum reorders the additions
+        # only, so the two agree to rounding of the terms summed.
+        b = random_image(46, n, d) - 0.5
+        t = random_image(47, 1, d)[0] - 0.5
+        expected, scale = per_sample_numerators(b, t, noise, (5,))
+        got = multiply_integrate(b, t, noise, (5,))
+        assert np.all(np.abs(got - expected) <= 1e-12 * scale)
 
 
 class TestNccStream:
@@ -231,6 +267,52 @@ class TestNccStream:
         ]
         for forward, backward in zip(maps_forward, reversed(maps_reverse)):
             np.testing.assert_array_equal(forward, backward)
+
+
+class TestDrawCache:
+    NOISE = NoiseModel(0.1, 0.2, seed=17)
+
+    @staticmethod
+    def stream_map(noise):
+        ref = random_image(48, 48, 48)
+        return ncc_stream(ref[10:26, 12:28].copy(), ref, (12, 10), ShiftRange.symmetric(4),
+                          build_diag_tables(ref), noise=noise, block_id=2)
+
+    def test_cold_and_warm_maps_bit_equal(self):
+        _stream_draws.cache_clear()
+        cold = self.stream_map(self.NOISE)
+        warm = self.stream_map(self.NOISE)
+        info = _stream_draws.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+        np.testing.assert_array_equal(cold.values.view(np.uint64), warm.values.view(np.uint64))
+        np.testing.assert_array_equal(cold.validity, warm.validity)
+        np.testing.assert_array_equal(cold.clamped, warm.clamped)
+
+    def test_cached_draws_read_only(self):
+        for shape in ((5, 4), (5,)):
+            draws = _stream_draws(3, 0, (1,), shape)
+            assert draws.shape == (5,)
+            assert not draws.flags.writeable
+            with pytest.raises(ValueError):
+                draws[0] = 0.0
+
+    def test_fractions_of_one_seed_share_draws(self):
+        _stream_draws.cache_clear()
+        self.stream_map(NoiseModel(0.01, 0.2, seed=17))
+        self.stream_map(NoiseModel(0.2, 0.2, seed=17))
+        info = _stream_draws.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+        self.stream_map(NoiseModel(0.2, 0.2, seed=18))
+        assert _stream_draws.cache_info().misses == 4
+
+    def test_diag_fast_frame_leaves_cache_untouched(self, tmp_path):
+        from nccalign.cli import main
+        self.stream_map(self.NOISE)
+        before = _stream_draws.cache_info()
+        assert before.currsize > 0
+        assert main(["align", "--width", "96", "--height", "96", "--block", "16", "--crop", "0.0",
+                     "--method", "diag-fast", "--out", str(tmp_path)]) == 0
+        assert _stream_draws.cache_info() == before
 
 
 class TestDynamicRange:
