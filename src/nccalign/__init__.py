@@ -25,7 +25,6 @@ from .alignment import (
 from .diagonal import (
     DiagTables,
     build_diag_tables,
-    extract_diagonal,
     ncc_diag,
     ncc_diag_fast,
 )
@@ -64,7 +63,6 @@ from .streaming import (
     PowerBudget,
     PowerComponent,
     dynamic_range_to_noise,
-    moving_average,
     ncc_stream,
     power_budget,
     rms,

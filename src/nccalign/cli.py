@@ -11,6 +11,7 @@ they measure real time). Exit statuses: 0 success, 1 computation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import statistics
 import sys
@@ -533,7 +534,12 @@ def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each `add_argument`
+    makes a help formatter that queries the terminal size. The commands look
+    up the module's names when they run, so rebinding one still takes
+    effect."""
     parser = argparse.ArgumentParser(
         prog="nccalign",
         description="Stereo alignment with full, diagonal, and streaming NCC variants.",

@@ -42,19 +42,12 @@ def _check_square(block: np.ndarray) -> int:
     return block.shape[0]
 
 
-def extract_diagonal(block: GrayImage, orientation: str = "main") -> np.ndarray:
-    """The D diagonal samples of a square block, as a contiguous array.
+def _diagonal(arr: np.ndarray, orientation: str) -> np.ndarray:
+    """The D diagonal samples of a checked square float64 block, as a
+    contiguous array.
 
     Main: samples[k] = block[k, k]. Anti: samples[k] = block[D-1-k, k].
     """
-    _check_orientation(orientation)
-    arr = validate_image(block, "block")
-    _check_square(arr)
-    return _diagonal(arr, orientation)
-
-
-def _diagonal(arr: np.ndarray, orientation: str) -> np.ndarray:
-    """:func:`extract_diagonal` of a checked square float64 block."""
     return np.ascontiguousarray(np.diagonal(arr if orientation == "main" else arr[::-1]))
 
 
@@ -195,13 +188,15 @@ def gather_window_diagonals(
 
 
 def _diag_windows(template_block, reference, origin, shifts, tables, counter):
-    """The checks, tally, gather and table variances that open both vectorised
+    """The checks, tally and table variances that open both vectorised
     diagonal kernels, :func:`ncc_diag_fast` and ``streaming.ncc_stream``, in
     the orientation of ``tables``.
 
     Returns the clipped shift bounds and, unless no shift is in bounds (then
-    None), the template diagonal, its mean and variance sum, the
-    (n_dv, n_du, D) window diagonals and their variance sums.
+    None), the template diagonal, its mean and variance sum, the validated
+    reference region that the in-bounds windows cover (a view; see
+    :func:`_region_diagonals`) and the (n_dv, n_du) window variance
+    sums.
     """
     t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
     d = _check_square(t)
@@ -216,10 +211,17 @@ def _diag_windows(template_block, reference, origin, shifts, tables, counter):
     if counter is not None:
         counter.tally((du_hi - du_lo + 1) * (dv_hi - dv_lo + 1), d)
 
-    samples = gather_window_diagonals(ref, origin, d, bounds, tables.orientation)
+    region = ref[y0 + dv_lo:y0 + dv_hi + d, x0 + du_lo:x0 + du_hi + d]
     r_var = tables.window_var_sum(slice(x0 + du_lo, x0 + du_hi + 1),
                                   slice(y0 + dv_lo, y0 + dv_hi + 1), d)
-    return bounds, (t_diag, t_mean, t_var, samples, r_var)
+    return bounds, (t_diag, t_mean, t_var, region, r_var)
+
+
+def _region_diagonals(region: np.ndarray, d: int, orientation: str) -> np.ndarray:
+    """:func:`gather_window_diagonals` of every D x D window of ``region``:
+    shape (rows - D + 1, columns - D + 1, D)."""
+    h, w = region.shape
+    return gather_window_diagonals(region, (0, 0), d, (0, w - d, 0, h - d), orientation)
 
 
 def ncc_diag_fast(
@@ -241,5 +243,6 @@ def ncc_diag_fast(
     bounds, windows = _diag_windows(template_block, reference, origin, shifts, tables, counter)
     if windows is None:
         return _correlation_map(shifts, bounds)
-    t_diag, t_mean, t_var, samples, r_var = windows
+    t_diag, t_mean, t_var, region, r_var = windows
+    samples = _region_diagonals(region, len(t_diag), tables.orientation)
     return _correlation_map(shifts, bounds, samples @ (t_diag - t_mean), r_var, t_var)

@@ -40,7 +40,9 @@ class OpCounter:
     and adds per evaluated in-bounds shift), independent of zero-variance
     short-circuits, so naive and accelerated variants tally identically.
     This is a cost model, not a count of the work done: ``ncc_full_fast``
-    tallies D² per shift although its FFT numerator does fewer multiplies.
+    tallies D² per shift although its FFT numerator does fewer multiplies,
+    and ``streaming.ncc_stream`` tallies D per shift also when it reuses a
+    block's memoised noiseless products.
     """
 
     multiplies: int = 0

@@ -15,12 +15,14 @@ noise-fraction conversion, and the per-component power budget.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagonal import DiagTables, _diag_windows
+from .diagonal import DiagTables, _diag_windows, _region_diagonals
 from .images import GrayImage
 from .ncc import EPS_VAR, CorrelationMap, OpCounter, ShiftRange, _correlation_map
 
@@ -95,18 +97,12 @@ def _moving_average_batch(signals: np.ndarray, config: MovingAverageConfig) -> n
     return out
 
 
-def moving_average(signal, config: MovingAverageConfig) -> np.ndarray:
-    """Causal moving average of a 1D signal."""
+def zero_mean_stream(signal, config: MovingAverageConfig) -> np.ndarray:
+    """A non-empty 1D signal minus its causal moving average."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError(f"signal must be a non-empty 1D sequence, got shape {x.shape}")
-    return _moving_average_batch(x, config)
-
-
-def zero_mean_stream(signal, config: MovingAverageConfig) -> np.ndarray:
-    """Signal minus its causal moving average."""
-    x = np.asarray(signal, dtype=np.float64)
-    return x - moving_average(x, config)
+    return x - _moving_average_batch(x, config)
 
 
 def rms(signal) -> float:
@@ -167,10 +163,18 @@ def _stream_draws(seed: int, stage: int, stream_id: tuple[int, ...], shape: tupl
     return draws
 
 
-def _multiply_integrate(b_zm, t_zm, noise, stream_id, b_energy) -> np.ndarray:
-    """The n integrated products of the (n, D) streams ``b_zm`` with the (D,)
-    stream ``t_zm``, plus noise scaled by each row's clean product RMS,
-    given each row's energy, ``sum(b_zm**2)``.
+def _clean_products(b_zm, t_zm, b_energy) -> tuple[np.ndarray, np.ndarray]:
+    """The n noiseless integrated products of the (n, D) streams ``b_zm``
+    with the (D,) stream ``t_zm``, and each row's clean product RMS, given
+    each row's energy, ``sum(b_zm**2)``."""
+    d = b_zm.shape[1]
+    rms_p = np.sqrt(b_energy / d) * rms(t_zm)
+    return (b_zm * t_zm[None, :]).sum(axis=1), rms_p
+
+
+def _add_noise(numerators, rms_p, d, noise, stream_id) -> np.ndarray:
+    """Add the circuit noise to the (n,) clean ``numerators`` in place,
+    scaled by each row's clean product RMS ``rms_p``, and return them.
 
     The multiplier stage adds D per-sample draws to each row's products;
     they are integrated as their row sum, so the stage adds that sum times
@@ -178,9 +182,7 @@ def _multiply_integrate(b_zm, t_zm, noise, stream_id, b_energy) -> np.ndarray:
     draws scaled by sqrt(D). Each stage reads the (noise.seed, stage,
     stream_id) stream, through :func:`_stream_draws`.
     """
-    n, d = b_zm.shape
-    rms_p = np.sqrt(b_energy / d) * rms(t_zm)
-    numerators = (b_zm * t_zm[None, :]).sum(axis=1)
+    n = len(numerators)
     if noise.multiplier_fraction > 0:
         g = _stream_draws(noise.seed, MULTIPLIER_STAGE, stream_id, (n, d))
         numerators += g * (noise.multiplier_fraction * rms_p)
@@ -188,6 +190,52 @@ def _multiply_integrate(b_zm, t_zm, noise, stream_id, b_energy) -> np.ndarray:
         g = _stream_draws(noise.seed, INTEGRATOR_STAGE, stream_id, (n,))
         numerators += g * noise.integrator_fraction * rms_p * math.sqrt(d)
     return numerators
+
+
+# Block front ends by content: digest of (template diagonal, region) ->
+# (clean numerators, clean product RMS, energy flags), least recently used
+# first. It holds the blocks whose two noise streams the draw cache holds.
+_front_ends: OrderedDict = OrderedDict()
+
+
+def _front_end(t_diag: np.ndarray, region: np.ndarray, orientation: str,
+               ma_config: MovingAverageConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The noiseless part of :func:`ncc_stream` for one block: per in-bounds
+    shift, in row-major order, the clean numerator, the clean product RMS
+    and whether both zero-mean streams carry energy (>= ``EPS_VAR``).
+
+    It depends only on the template diagonal, the reference region the
+    windows cover, the orientation and ``ma_config``, so it is memoised in
+    ``_front_ends``, keyed by a SHA-256 digest of both arrays' shapes and
+    float64 bytes (no pixels are kept), for the last
+    ``DRAW_CACHE_STREAMS // 2`` blocks. The arrays are read-only, since
+    every later call on the same pixels shares them.
+    """
+    d = len(t_diag)
+    region = np.ascontiguousarray(region)
+    digest = hashlib.sha256(repr((t_diag.shape, region.shape)).encode())
+    digest.update(t_diag)
+    digest.update(region)
+    key = (digest.digest(), d, orientation, ma_config)
+    entry = _front_ends.get(key)
+    if entry is not None:
+        _front_ends.move_to_end(key)
+        return entry
+
+    t_zm = zero_mean_stream(t_diag, ma_config)
+    t_energy = float(np.sum(t_zm * t_zm))
+    samples = _region_diagonals(region, d, orientation).reshape(-1, d)
+    b_zm = samples - _moving_average_batch(samples, ma_config)
+    b_energy = np.sum(b_zm * b_zm, axis=1)
+    numerators, rms_p = _clean_products(b_zm, t_zm, b_energy)
+    ok = (b_energy >= EPS_VAR) & (t_energy >= EPS_VAR)
+    entry = (numerators, rms_p, ok)
+    for array in entry:
+        array.flags.writeable = False
+    _front_ends[key] = entry
+    if len(_front_ends) > DRAW_CACHE_STREAMS // 2:
+        _front_ends.popitem(last=False)
+    return entry
 
 
 def ncc_stream(
@@ -205,35 +253,35 @@ def ncc_stream(
     """Diagonal NCC with the streaming numerator and noiseless digital denominator.
 
     The diagonals are those of the orientation of ``tables``. Numerator
-    per shift: :func:`_multiply_integrate` of the zero-mean stream of the
-    shifted window diagonal against the template's, with circuit noise
-    from the (seed, stage, block_id) stream, consumed over in-bounds
-    shifts in row-major order. Denominators are the exact diagonal variance
-    sums (template two-pass, reference from ``tables``). Values are clamped
-    to [-1, 1]; ``clamped`` records the shifts whose value was pulled back
-    and is all False when no shift is in bounds. Shifts whose zero-mean
-    stream carries no energy (e.g. a degenerate alpha=1 filter) flag
-    zero-variance. Validates the template block and the reference region
-    it reads.
+    per shift: the integrated product of the zero-mean stream of the
+    shifted window diagonal with the template's (:func:`_front_end`), plus
+    circuit noise (:func:`_add_noise`) from the (seed, stage, block_id)
+    stream, consumed over in-bounds shifts in row-major order. Denominators
+    are the exact diagonal variance sums (template two-pass, reference from
+    ``tables``). Values are clamped to [-1, 1]; ``clamped`` records the
+    shifts whose value was pulled back and is all False when no shift is in
+    bounds. Shifts whose zero-mean stream carries no energy (e.g. a
+    degenerate alpha=1 filter) flag zero-variance. Validates the template
+    block and the reference region it reads.
+
+    A later call on the same template diagonal and reference region (any
+    noise, seed or block id) reuses the noiseless front end, so the result
+    is the same bits as a first call; ``counter`` is tallied either way.
     """
     bounds, windows = _diag_windows(template_block, reference, origin, shifts, tables, counter)
     if windows is None:
         return _clamp(_correlation_map(shifts, bounds))
-    t_diag, _, t_var, samples, r_var = windows
+    t_diag, _, t_var, region, r_var = windows
     d = len(t_diag)
     if noise is None:
         noise = NoiseModel()
     if ma_config is None:
         ma_config = MovingAverageConfig.boxcar(d)
 
-    t_zm = zero_mean_stream(t_diag, ma_config)
-    t_energy = float(np.sum(t_zm * t_zm))
-    samples = samples.reshape(-1, d)
-    b_zm = samples - _moving_average_batch(samples, ma_config)
-    b_energy = np.sum(b_zm * b_zm, axis=1)
-    numerators = _multiply_integrate(b_zm, t_zm, noise, (block_id,), b_energy).reshape(r_var.shape)
-    ok = (b_energy.reshape(r_var.shape) >= EPS_VAR) & (t_energy >= EPS_VAR)
-    return _clamp(_correlation_map(shifts, bounds, numerators, r_var, t_var, ok))
+    clean, rms_p, ok = _front_end(t_diag, region, tables.orientation, ma_config)
+    numerators = _add_noise(clean.copy(), rms_p, d, noise, (block_id,))
+    return _clamp(_correlation_map(shifts, bounds, numerators.reshape(r_var.shape), r_var,
+                                   t_var, ok.reshape(r_var.shape)))
 
 
 def _clamp(cmap: CorrelationMap) -> CorrelationMap:

@@ -16,7 +16,6 @@ from nccalign import (
     build_diag_tables,
     build_sum_tables,
     estimate_disparity,
-    extract_diagonal,
     make_synthetic_stereo,
     ncc_diag,
     ncc_diag_fast,
@@ -26,6 +25,7 @@ from nccalign import (
     partition_template,
     uniform_pattern,
 )
+from nccalign.diagonal import _diagonal
 from nccalign.ncc import OpCounter
 
 from conftest import assert_rectangle_matches_windows, edge_rectangles, random_image
@@ -45,24 +45,27 @@ def oracle_diag_ncc(block, reference, origin, du, dv, orientation):
     return np.corrcoef(t_diag, r_diag)[0, 1]
 
 
-class TestExtractDiagonal:
+class TestDiagonalSamples:
     BLOCK = np.arange(1, 10).reshape(3, 3) / 9.0
 
     def test_main_diagonal(self):
-        samples = extract_diagonal(self.BLOCK, "main")
+        samples = _diagonal(self.BLOCK, "main")
         np.testing.assert_allclose(samples, np.array([1, 5, 9]) / 9.0)
 
     def test_anti_diagonal(self):
-        samples = extract_diagonal(self.BLOCK, "anti")
+        samples = _diagonal(self.BLOCK, "anti")
         np.testing.assert_allclose(samples, np.array([7, 5, 3]) / 9.0)
 
-    def test_non_square_rejected(self):
+    @pytest.mark.parametrize("kernel", [ncc_diag_fast, ncc_stream],
+                             ids=["ncc_diag_fast", "ncc_stream"])
+    def test_non_square_rejected(self, kernel):
+        ref = np.zeros((16, 16))
         with pytest.raises(ValueError, match="square"):
-            extract_diagonal(np.zeros((3, 4)))
+            kernel(np.zeros((3, 4)), ref, (0, 0), ShiftRange(0, 0, 0, 0), build_diag_tables(ref))
 
     def test_unknown_orientation_rejected(self):
         with pytest.raises(ValueError, match="orientation"):
-            extract_diagonal(self.BLOCK, "sideways")
+            ncc_diag(self.BLOCK, np.zeros((8, 8)), (0, 0), ShiftRange(0, 0, 0, 0), "sideways")
 
 
 class TestDiagTables:

@@ -9,21 +9,28 @@ from nccalign import (
     NoiseModel,
     ShiftRange,
     dynamic_range_to_noise,
-    moving_average,
     ncc_stream,
     power_budget,
     rms,
     zero_mean_stream,
 )
 from nccalign import best_shift, build_diag_tables
-from nccalign.streaming import _multiply_integrate, _stream_draws
+from nccalign.ncc import OpCounter
+from nccalign.streaming import (
+    DRAW_CACHE_STREAMS,
+    _add_noise,
+    _clean_products,
+    _front_ends,
+    _moving_average_batch,
+    _stream_draws,
+)
 
 from conftest import random_image
 
 
 class TestMovingAverage:
     def test_boxcar_growing_warmup(self):
-        out = moving_average([1.0, 3.0, 5.0], MovingAverageConfig.boxcar(2))
+        out = _moving_average_batch([1.0, 3.0, 5.0], MovingAverageConfig.boxcar(2))
         np.testing.assert_allclose(out, [1.0, 2.0, 4.0])
 
     @pytest.mark.parametrize("config", [
@@ -34,15 +41,12 @@ class TestMovingAverage:
     ])
     def test_constant_signal_is_fixed_point(self, config):
         signal = np.full(12, 0.37)
-        np.testing.assert_allclose(moving_average(signal, config), signal, atol=1e-12)
+        np.testing.assert_allclose(_moving_average_batch(signal, config), signal, atol=1e-12)
 
     def test_pole_alpha_one_is_identity(self):
         signal = np.array([0.4, 0.1, 0.9, 0.6])
-        np.testing.assert_allclose(moving_average(signal, MovingAverageConfig.single_pole(1.0)), signal)
-
-    def test_empty_signal_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            moving_average([], MovingAverageConfig.boxcar(2))
+        np.testing.assert_allclose(_moving_average_batch(signal, MovingAverageConfig.single_pole(1.0)),
+                                   signal)
 
     def test_bad_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -75,6 +79,14 @@ class TestZeroMeanStream:
         out = zero_mean_stream(signal, MovingAverageConfig.boxcar(len(signal)))
         assert out[-1] == pytest.approx(signal[-1] - signal.mean())
 
+    def test_empty_signal_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            zero_mean_stream([], MovingAverageConfig.boxcar(2))
+
+    def test_two_dimensional_signal_rejected(self):
+        with pytest.raises(ValueError, match="1D"):
+            zero_mean_stream(np.zeros((2, 3)), MovingAverageConfig.boxcar(2))
+
 
 class TestRms:
     def test_constant(self):
@@ -92,8 +104,10 @@ class TestRms:
 
 
 def multiply_integrate(b_zm, t_zm, noise, stream_id=(0,)):
-    """``_multiply_integrate`` with each row's energy computed here."""
-    return _multiply_integrate(b_zm, t_zm, noise, stream_id, np.sum(b_zm * b_zm, axis=1))
+    """The stream kernel's numerators: ``_clean_products``, with each row's
+    energy computed here, then ``_add_noise`` on a copy."""
+    clean, rms_p = _clean_products(b_zm, t_zm, np.sum(b_zm * b_zm, axis=1))
+    return _add_noise(clean.copy(), rms_p, b_zm.shape[1], noise, stream_id)
 
 
 def per_sample_numerators(b_zm, t_zm, noise, stream_id):
@@ -269,6 +283,12 @@ class TestNccStream:
             np.testing.assert_array_equal(forward, backward)
 
 
+def assert_maps_bit_equal(a, b):
+    np.testing.assert_array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+    np.testing.assert_array_equal(a.validity, b.validity)
+    np.testing.assert_array_equal(a.clamped, b.clamped)
+
+
 class TestDrawCache:
     NOISE = NoiseModel(0.1, 0.2, seed=17)
 
@@ -284,9 +304,7 @@ class TestDrawCache:
         warm = self.stream_map(self.NOISE)
         info = _stream_draws.cache_info()
         assert (info.hits, info.misses) == (2, 2)
-        np.testing.assert_array_equal(cold.values.view(np.uint64), warm.values.view(np.uint64))
-        np.testing.assert_array_equal(cold.validity, warm.validity)
-        np.testing.assert_array_equal(cold.clamped, warm.clamped)
+        assert_maps_bit_equal(cold, warm)
 
     def test_cached_draws_read_only(self):
         for shape in ((5, 4), (5,)):
@@ -305,14 +323,133 @@ class TestDrawCache:
         self.stream_map(NoiseModel(0.2, 0.2, seed=18))
         assert _stream_draws.cache_info().misses == 4
 
-    def test_diag_fast_frame_leaves_cache_untouched(self, tmp_path):
+    def test_diag_fast_frame_leaves_caches_untouched(self, tmp_path):
         from nccalign.cli import main
         self.stream_map(self.NOISE)
         before = _stream_draws.cache_info()
-        assert before.currsize > 0
+        front_ends = list(_front_ends.items())
+        assert before.currsize > 0 and front_ends
         assert main(["align", "--width", "96", "--height", "96", "--block", "16", "--crop", "0.0",
                      "--method", "diag-fast", "--out", str(tmp_path)]) == 0
         assert _stream_draws.cache_info() == before
+        assert list(_front_ends.keys()) == [key for key, _ in front_ends]
+        assert all(_front_ends[key] is entry for key, entry in front_ends)
+
+
+class TestFrontEndMemo:
+    """The noiseless front end of ``ncc_stream``, memoised by content."""
+
+    NOISE = NoiseModel(0.1, 0.2, seed=21)
+    ORIGIN, SHIFTS = (12, 10), ShiftRange.symmetric(4)
+
+    @staticmethod
+    def reference():
+        return random_image(49, 48, 48)
+
+    def stream_map(self, ref, block=None, *, noise=NOISE, orientation="main", ma_config=None,
+                   counter=None):
+        x0, y0 = self.ORIGIN
+        if block is None:
+            block = ref[y0:y0 + 16, x0:x0 + 16].copy()
+        return ncc_stream(block, ref, self.ORIGIN, self.SHIFTS,
+                          build_diag_tables(ref, orientation), ma_config=ma_config,
+                          noise=noise, block_id=3, counter=counter)
+
+    @pytest.mark.parametrize("ma_config, orientation", [
+        (None, "main"),
+        (MovingAverageConfig.parse("pole:0.5"), "main"),
+        (None, "anti"),
+    ], ids=["boxcar", "pole", "anti"])
+    def test_cold_and_warm_maps_bit_equal(self, ma_config, orientation):
+        ref = self.reference()
+        _front_ends.clear()
+        cold = self.stream_map(ref, orientation=orientation, ma_config=ma_config)
+        _front_ends.clear()
+        # A different noise setting fills the memo; the warm call reads it.
+        self.stream_map(ref, noise=NoiseModel(0.01, 0.0, seed=5), orientation=orientation,
+                        ma_config=ma_config)
+        warm = self.stream_map(ref, orientation=orientation, ma_config=ma_config)
+        assert len(_front_ends) == 1
+        assert_maps_bit_equal(cold, warm)
+
+    @pytest.mark.parametrize("change", ["region_ulp", "diagonal_ulp", "negative_zero"])
+    def test_changed_pixel_misses(self, change):
+        ref = self.reference()
+        x0, y0 = self.ORIGIN
+        block = ref[y0:y0 + 16, x0:x0 + 16].copy()
+        ref[y0 + 18, x0 - 3] = 0.0  # inside the region the windows cover
+        _front_ends.clear()
+        self.stream_map(ref, block)
+        if change == "region_ulp":
+            ref[y0 + 3, x0 + 5] = np.nextafter(ref[y0 + 3, x0 + 5], 1.0)
+        elif change == "diagonal_ulp":
+            block[7, 7] = np.nextafter(block[7, 7], 1.0)
+        else:
+            ref[y0 + 18, x0 - 3] = -0.0
+        self.stream_map(ref, block)
+        assert len(_front_ends) == 2
+
+    def test_other_filter_or_orientation_misses(self):
+        ref = self.reference()
+        x0, y0 = self.ORIGIN
+        block = ref[y0:y0 + 16, x0:x0 + 16].copy()
+        k = np.arange(16)
+        block[15 - k, k] = block[k, k]  # both orientations read the same template diagonal
+        _front_ends.clear()
+        for ma_config, orientation in ((None, "main"), (MovingAverageConfig.boxcar(8), "main"),
+                                       (MovingAverageConfig.single_pole(0.5), "main"),
+                                       (None, "anti")):
+            self.stream_map(ref, block, orientation=orientation, ma_config=ma_config)
+        assert len(_front_ends) == 4
+
+    def test_off_diagonal_template_pixel_gives_cold_result(self):
+        ref = self.reference()
+        x0, y0 = self.ORIGIN
+        block = ref[y0:y0 + 16, x0:x0 + 16].copy()
+        _front_ends.clear()
+        self.stream_map(ref, block)
+        block[2, 9] += 0.25
+        warm = self.stream_map(ref, block)
+        assert len(_front_ends) == 1
+        _front_ends.clear()
+        assert_maps_bit_equal(warm, self.stream_map(ref, block))
+
+    def test_counter_tallies_on_hit_and_miss(self):
+        ref = self.reference()
+        _front_ends.clear()
+        miss, hit = OpCounter(), OpCounter()
+        self.stream_map(ref, counter=miss)
+        self.stream_map(ref, counter=hit)
+        assert len(_front_ends) == 1
+        assert hit == miss and miss.shifts > 0
+
+    def test_cached_arrays_read_only(self):
+        _front_ends.clear()
+        self.stream_map(self.reference())
+        (entry,) = _front_ends.values()
+        for array in entry:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_bounded_least_recently_used(self):
+        bound = DRAW_CACHE_STREAMS // 2
+        ref = random_image(50, 40, 40)
+        tables = build_diag_tables(ref)
+        origins = [(x, y) for y in range(0, 36, 1) for x in range(0, 36, 1)][:bound + 20]
+
+        def run(x, y):
+            ncc_stream(ref[y:y + 4, x:x + 4], ref, (x, y), ShiftRange(0, 0, 0, 0), tables)
+
+        _front_ends.clear()
+        for x, y in origins:
+            run(x, y)
+        keys = list(_front_ends)
+        assert len(keys) == bound
+        run(*origins[20])  # the oldest block held: a hit makes it the newest
+        assert list(_front_ends) == keys[1:] + keys[:1]
+        run(*origins[0])  # evicted: a miss evicts the least recently used
+        assert list(_front_ends)[:-1] == keys[2:] + keys[:1]
 
 
 class TestDynamicRange:
