@@ -253,17 +253,6 @@ def run_alignment(template, reference, args, *, noise: NoiseModel | None = None)
     )
 
 
-def _normalized_map(values: np.ndarray) -> np.ndarray:
-    """``values`` scaled in place onto [0, 1] (0.5 where they are flat)."""
-    lo, hi = values.min(), values.max()
-    if hi > lo:
-        values -= lo
-        values /= hi - lo
-    else:
-        values.fill(0.5)
-    return values
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -308,10 +297,9 @@ def cmd_align(args) -> int:
                ("block_row", "block_col", "du", "dv", "coeff", "status"), rows)
 
     comments = config.comment_lines("image")
-    # Nothing reads the dense maps after this, so each is scaled in place.
-    dense = result.dense
-    save_pgm(_normalized_map(dense.du), out / "disparity_x.pgm", comments=comments)
-    save_pgm(_normalized_map(dense.dv), out / "disparity_y.pgm", comments=comments)
+    # Each dense map is scaled onto [0, 1] chunk by chunk as it is quantised.
+    save_pgm(result.dense.du, out / "disparity_x.pgm", comments=comments, _normalize=True)
+    save_pgm(result.dense.dv, out / "disparity_y.pgm", comments=comments, _normalize=True)
     save_pgm(result.warped, out / "aligned.pgm", comments=comments)
 
     _write_csv(out / "metrics.csv", config, "metrics",

@@ -165,7 +165,10 @@ def gather_window_diagonals(
     anti-diagonal. A strided view is not bounds checked, so a window that
     would leave the reference raises ValueError first. The result is a
     C-contiguous copy. Reads pixels without validating them; the calling
-    kernel validates the region.
+    kernel validates the region. Within a frame only the stream front end
+    (``streaming._front_end``, through :func:`_region_diagonals`) still
+    gathers; :func:`ncc_diag_fast` reads its numerators through
+    :func:`_window_numerators` without a copy.
     """
     _check_orientation(orientation)
     h, w = reference.shape
@@ -194,9 +197,10 @@ def _diag_windows(template_block, reference, origin, shifts, tables, counter):
 
     Returns the clipped shift bounds and, unless no shift is in bounds (then
     None), the template diagonal, its mean and variance sum, the validated
-    reference region that the in-bounds windows cover (a view; see
-    :func:`_region_diagonals`) and the (n_dv, n_du) window variance
-    sums.
+    reference region that the in-bounds windows cover (a view, which
+    :func:`ncc_diag_fast` reads through :func:`_window_numerators` and the
+    stream front end gathers through :func:`_region_diagonals`) and the
+    (n_dv, n_du) window variance sums.
     """
     t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
     d = _check_square(t)
@@ -219,9 +223,36 @@ def _diag_windows(template_block, reference, origin, shifts, tables, counter):
 
 def _region_diagonals(region: np.ndarray, d: int, orientation: str) -> np.ndarray:
     """:func:`gather_window_diagonals` of every D x D window of ``region``:
-    shape (rows - D + 1, columns - D + 1, D)."""
+    shape (rows - D + 1, columns - D + 1, D). Its one frame caller is the
+    stream front end, ``streaming._front_end``, whose moving averages need
+    each window's samples."""
     h, w = region.shape
     return gather_window_diagonals(region, (0, 0), d, (0, w - d, 0, h - d), orientation)
+
+
+def _window_numerators(region: np.ndarray, t_c: np.ndarray, orientation: str) -> np.ndarray:
+    """Per D x D window of ``region``, its D diagonal samples dotted with the
+    centred template diagonal ``t_c``: shape (rows - D + 1, columns - D + 1).
+
+    One matmul of ``t_c`` against a zero-copy strided view of ``region``, of
+    shape (rows - D + 1, D, columns - D + 1): for the main diagonal, strides
+    (row, row + col, col), so view[i, k, j] = region[i + k, j + k]; for the
+    anti-diagonal, from column D - 1 with strides (row, row - col, col), so
+    view[i, k, j] = region[i + k, j + D - 1 - k] is sample D - 1 - k, read
+    against ``t_c`` reversed. Every stride of a C-ordered region is then
+    positive and each row of windows is one BLAS gemv over the region's own
+    memory; no window diagonal is copied.
+    """
+    d = len(t_c)
+    h, w = region.shape
+    shape = (h - d + 1, d, w - d + 1)
+    row, col = region.strides
+    if orientation == "main":
+        view = as_strided(region, shape, (row, row + col, col), writeable=False)
+    else:
+        view = as_strided(region[:, d - 1:], shape, (row, row - col, col), writeable=False)
+        t_c = np.ascontiguousarray(t_c[::-1])
+    return t_c @ view
 
 
 def ncc_diag_fast(
@@ -236,13 +267,14 @@ def ncc_diag_fast(
     """Same contract as :func:`ncc_diag`, in the orientation of ``tables``;
     denominators via diagonal prefix tables.
 
-    Per shift: D multiplies for the numerator plus O(1) table lookups for the
-    window's diagonal sum and sum of squares. Validates the template block
-    and the reference region it reads, not the whole reference.
+    Per shift: D multiplies for the numerator, read straight from the
+    reference (see :func:`_window_numerators`), plus O(1) table lookups for
+    the window's diagonal sum and sum of squares. Validates the template
+    block and the reference region it reads, not the whole reference.
     """
     bounds, windows = _diag_windows(template_block, reference, origin, shifts, tables, counter)
     if windows is None:
         return _correlation_map(shifts, bounds)
     t_diag, t_mean, t_var, region, r_var = windows
-    samples = _region_diagonals(region, len(t_diag), tables.orientation)
-    return _correlation_map(shifts, bounds, samples @ (t_diag - t_mean), r_var, t_var)
+    numerators = _window_numerators(region, t_diag - t_mean, tables.orientation)
+    return _correlation_map(shifts, bounds, numerators, r_var, t_var)

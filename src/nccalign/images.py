@@ -130,7 +130,8 @@ def load_pgm(path) -> GrayImage:
     return np.true_divide(raw, maxval, dtype=np.float64)
 
 
-def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | None = None) -> None:
+def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | None = None,
+             *, _normalize: bool = False) -> None:
     """Write a binary (P5) PGM file.
 
     Values are clamped to [0, 1] and quantized with round-half-up; 16-bit
@@ -141,12 +142,18 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
 
     The image is checked and quantized a chunk of rows at a time through
     one chunk-sized buffer, straight into the output array; a chunk is
-    checked as :func:`validate_image` checks an image.
+    checked as :func:`validate_image` checks an image. With the private
+    ``_normalize`` (the CLI's disparity maps), each checked chunk is first
+    scaled onto [0, 1] as (chunk - lo) / (hi - lo) in that buffer, lo and hi
+    being the image's min and max (0.5 everywhere if they are equal), so
+    the image itself is left as it is.
     """
     if maxval not in SUPPORTED_MAXVALS:
         raise PgmError(f"unsupported maxval {maxval}, expected 255 or 65535")
     arr = image_array(image)
     height, width = arr.shape
+    if _normalize:
+        lo, hi = arr.min(), arr.max()
     dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
     quantized = np.empty((height, width), dtype=dtype)
     rows = chunk_rows(height, width)
@@ -155,8 +162,15 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
         chunk, s = arr[a:b], scaled[:b - a]
         if not _all_finite(chunk):
             raise ValueError("image contains non-finite intensities")
+        if not _normalize:
+            np.clip(chunk, 0.0, 1.0, out=s)
+        elif hi > lo:
+            # Rounding is monotone, so lo <= c <= hi lands in [0, 1] unclamped.
+            np.subtract(chunk, lo, out=s)
+            s /= hi - lo
+        else:
+            s.fill(0.5)
         # floor(c * maxval + 0.5) <= maxval for c <= 1, so the cast cannot wrap.
-        np.clip(chunk, 0.0, 1.0, out=s)
         s *= maxval
         s += 0.5
         np.floor(s, out=quantized[a:b], casting="unsafe")

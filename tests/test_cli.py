@@ -108,6 +108,21 @@ class TestAlign:
         out = tmp_path / "align"
         assert main(["align", *SMALL_ALIGN, "--method", method, "--out", str(out)]) == 0
 
+    def test_saving_leaves_dense_maps_unmodified(self, tmp_path, monkeypatch):
+        results, run_alignment = [], cli.run_alignment
+
+        def keep(*args, **kwargs):
+            result = run_alignment(*args, **kwargs)
+            results.append((result, result.dense.du.copy(), result.dense.dv.copy()))
+            return result
+
+        monkeypatch.setattr(cli, "run_alignment", keep)
+        assert main(["align", *SMALL_ALIGN, "--out", str(tmp_path / "align")]) == 0
+        (result, du, dv), = results
+        np.testing.assert_array_equal(result.dense.du, du)
+        np.testing.assert_array_equal(result.dense.dv, dv)
+        assert result.dense.du.min() < result.dense.du.max()
+
     def test_missing_input_exits_2_naming_path(self, tmp_path, capsys):
         code = main([
             "align", "--template", str(tmp_path / "nope.pgm"),

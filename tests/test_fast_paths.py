@@ -6,11 +6,15 @@ pixel (``estimate_disparity``, ``build_diag_tables``, ``build_sum_tables``,
 only, and each kernel validates its template block and the reference region
 it reads. So a frame still scans whole images several times. The strided
 diagonal gather is compared with a test-local copy of the fancy-index
-gather it replaced. The FFT numerator of ``ncc_full_fast`` is compared with
-``ncc_full_naive``, at small odd and even sizes and at 1920x1080. The warp,
-the interpolation and the PGM quantisation are checked in
-``test_frame_stages.py``, next to their chunked passes.
+gather it replaced, and the strided numerators of ``ncc_diag_fast`` with
+that gather times the centred template diagonal. The FFT numerator of
+``ncc_full_fast`` is compared with ``ncc_full_naive``, at small odd and
+even sizes and at 1920x1080. The warp, the interpolation and the PGM
+quantisation are checked in ``test_frame_stages.py``, next to their
+chunked passes.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,8 +37,13 @@ from nccalign import (
     partition_template,
     quadrant_pattern,
 )
-from nccalign.diagonal import gather_window_diagonals
-from nccalign.ncc import _inbounds_ranges
+from nccalign.diagonal import (
+    _diag_windows,
+    _region_diagonals,
+    _window_numerators,
+    gather_window_diagonals,
+)
+from nccalign.ncc import _correlation_map, _inbounds_ranges
 
 from conftest import random_image
 
@@ -285,3 +294,75 @@ class TestStridedGather:
         for origin in ((-1, 0), (0, -1), (w - d + 1, 0), (0, h - d + 1)):
             with pytest.raises(ValueError, match="leave the"):
                 gather_window_diagonals(reference, origin, d, (0, 0, 0, 0), orientation)
+
+
+# -- strided diagonal numerator of ncc_diag_fast ---------------------------
+
+NUMERATOR_SHIFTS = ShiftRange.symmetric(16)
+
+
+def numerator_reference(d, layout):
+    """A (D + 48) x (D + 56) reference laid out in memory as ``layout``."""
+    base = random_image(d + 41, d + 48, d + 56)
+    if layout == "C":
+        return base
+    if layout == "F":
+        return np.asfortranarray(base)
+    return base[::-1] if layout == "rows reversed" else base[:, ::-1]
+
+
+# (x0, y0) of a block whose ±16 shifts stay inside the (D + 48) x (D + 56)
+# reference, and of one clipped at each edge.
+NUMERATOR_ORIGINS = {
+    "inside": (28, 24),
+    "left": (5, 24),
+    "right": (51, 24),
+    "top": (28, 3),
+    "bottom": (28, 45),
+}
+
+
+class TestStridedNumerator:
+    """The numerators of ``ncc_diag_fast`` come from one matmul over a
+    strided view of the reference region; the gathered window diagonals
+    times the centred template diagonal are their reference."""
+
+    @pytest.mark.parametrize("edge", sorted(NUMERATOR_ORIGINS))
+    @pytest.mark.parametrize("layout", ("C", "F", "rows reversed", "columns reversed"))
+    @pytest.mark.parametrize("d", (8, 32, 128))
+    @pytest.mark.parametrize("orientation", ("main", "anti"))
+    def test_equals_gathered_numerators(self, orientation, d, layout, edge):
+        reference = numerator_reference(d, layout)
+        origin = NUMERATOR_ORIGINS[edge]
+        block = random_image(d + 43, d, d)
+        tables = build_diag_tables(reference, orientation)
+        bounds, windows = _diag_windows(block, reference, origin, NUMERATOR_SHIFTS, tables, None)
+        t_diag, t_mean, t_var, region, r_var = windows
+        assert (bounds == (-16, 16, -16, 16)) == (edge == "inside")
+        t_c = t_diag - t_mean
+        samples = _region_diagonals(region, d, orientation)
+        gathered = samples @ t_c
+        got = _window_numerators(region, t_c, orientation)
+        assert got.shape == gathered.shape == r_var.shape
+        assert np.all(np.abs(got - gathered) <= 1e-12 * (np.abs(samples) @ np.abs(t_c)))
+
+        fast = ncc_diag_fast(block, reference, origin, NUMERATOR_SHIFTS, tables)
+        want = _correlation_map(NUMERATOR_SHIFTS, bounds, gathered, r_var, t_var)
+        np.testing.assert_array_equal(fast.validity, want.validity)
+        assert np.abs(fast.values - want.values).max() <= 1e-12
+
+    @pytest.mark.parametrize("orientation", ("main", "anti"))
+    def test_paper_size_call_copies_no_window_diagonals(self, orientation):
+        # Block 128 at ±16 has 33 x 33 = 1089 shifts: the gather the strided
+        # product replaced copied a (1089, 128) float64 array per call.
+        reference = random_image(47, 256, 256)
+        block = random_image(48, 128, 128)
+        tables = build_diag_tables(reference, orientation)
+        ncc_diag_fast(block, reference, (64, 64), NUMERATOR_SHIFTS, tables)  # warm-up
+        tracemalloc.start()
+        try:
+            ncc_diag_fast(block, reference, (64, 64), NUMERATOR_SHIFTS, tables)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1089 * 128 * 8 // 8

@@ -8,8 +8,8 @@ images; the diagonal tables hold the one orientation a run reads; PGM
 files are checked, quantised and read a chunk at a time. Each stage has
 one test-local reference: the ``np.indices`` warp and a whole-array
 separable interpolation with its own axis lookup (both compared bit for
-bit), the whole-array quantisation, the masked-copy correlation and one
-``global_correlation`` call per image.
+bit), the whole-array quantisation and normalisation, the masked-copy
+correlation and one ``global_correlation`` call per image.
 """
 
 import math
@@ -30,7 +30,6 @@ from nccalign import (
 )
 from nccalign import alignment, images
 from nccalign.alignment import DenseDisparity, DisparityField, warp
-from nccalign.cli import _normalized_map
 
 from conftest import random_image
 
@@ -485,17 +484,11 @@ def test_quantisation_leaves_input_unmodified(tmp_path):
     np.testing.assert_array_equal(image, before)
 
 
-def test_normalisation_scales_in_place():
-    image = np.random.default_rng(15).uniform(-4.0, 6.0, (37, 53))
-    expected = (image - image.min()) / (image.max() - image.min())
-    assert _normalized_map(image) is image
-    np.testing.assert_array_equal(image.view(np.uint64), expected.view(np.uint64))
-
-
-def test_flat_map_normalises_to_half():
-    flat = np.full((6, 5), -2.5)
-    assert _normalized_map(flat) is flat
-    np.testing.assert_array_equal(flat, np.full((6, 5), 0.5))
+def normalised_pgm_body(image):
+    """The whole-array rule the CLI's disparity maps follow: scaled onto
+    [0, 1] by their min and max (0.5 everywhere if flat), then quantised."""
+    lo, hi = image.min(), image.max()
+    return whole_array_pgm_body((image - lo) / (hi - lo) if hi > lo else np.full_like(image, 0.5), 255)
 
 
 # Heights and widths on both sides of one chunk (images.CHUNK_PIXELS).
@@ -512,6 +505,21 @@ class TestChunkedPgm:
         save_pgm(image, path, maxval=maxval)
         header = f"P5\n{shape[1]} {shape[0]}\n{maxval}\n".encode("ascii")
         assert path.read_bytes() == header + whole_array_pgm_body(image, maxval)
+
+    @pytest.mark.parametrize("shape", CHUNK_SHAPES)
+    def test_normalised_save_equals_whole_array_normalisation(self, tmp_path, shape):
+        image = np.random.default_rng(shape[0] * 5 + shape[1]).uniform(-4.0, 6.0, shape)
+        before = image.copy()
+        path = tmp_path / "n.pgm"
+        save_pgm(image, path, _normalize=True)
+        header = f"P5\n{shape[1]} {shape[0]}\n255\n".encode("ascii")
+        assert path.read_bytes() == header + normalised_pgm_body(image)
+        np.testing.assert_array_equal(image, before)
+
+    def test_flat_map_saves_as_half(self, tmp_path):
+        path = tmp_path / "flat.pgm"
+        save_pgm(np.full((6, 5), -2.5), path, _normalize=True)
+        assert path.read_bytes() == b"P5\n5 6\n255\n" + bytes([128]) * 30
 
     # A single value goes to ``where`` alone; a pair goes to ``where`` and the
     # pixel beside it in the same chunk (the first or the last of 200 x 170).

@@ -7,10 +7,12 @@ must equal the recorded hash. The first three were recorded before the
 per-frame fast paths (region-only validation, strided diagonal gather,
 separable interpolation, ``map_coordinates`` warp) went in, the
 ``full-fast-odd-top-left`` entry before the window statistics were read as
-rectangle slices, the others before the kernels were moved onto one shared
-flag/divide/scatter tail, so later performance and design work keeps the
-outputs byte-identical. A changed hash means the numbers changed: find the
-cause rather than re-recording it.
+rectangle slices, the two ``diag-fast-hd`` entries (the paper workload, where
+the diagonal numerators sum the most products) before those numerators were
+read through a strided view instead of a copy, the others before the kernels
+were moved onto one shared flag/divide/scatter tail, so later performance and
+design work keeps the outputs byte-identical. A changed hash means the
+numbers changed: find the cause rather than re-recording it.
 
 The hashes were recorded with numpy 2.4 and OpenBLAS on x86-64; another BLAS
 may round the diagonal numerators differently.
@@ -36,6 +38,11 @@ CLIPPED = ["--search-du=-40:40", "--search-dv=-2:30"]
 # start at the reference's first row or column.
 ODD_TOP_LEFT = ["--width", "203", "--height", "149", "--block", "24",
                 "--search-du=-30:4", "--search-dv=-30:5"]
+
+# The paper workload: a 1920x1080 quadrant pair, 128-pixel blocks, crop
+# 0.10 and ±16, where each diagonal numerator sums 128 products.
+HD = ["--width", "1920", "--height", "1080", "--pattern", "quadrant:3,5:-4,2:6,-7:-2,-6",
+      "--gen-seed", "7", "--block", "128", "--search-du=-16:16", "--search-dv=-16:16"]
 
 GOLDEN = {
     "diag-fast-main": (
@@ -156,6 +163,26 @@ GOLDEN = {
             "disparity_x.pgm": "fae6e7908e010cd6457dbab4fe19d2d67743244c073752fdcc5473e35dcb5f9c",
             "disparity_y.pgm": "7149a6911c69b47ec50f67e0cb812247dd95de6fe34ce4fbf963e2c4771d03e9",
             "aligned.pgm": "3094b568490c7a2866fde16a30e2abc04f5358012b29fdf1a9cfaea2df90a4d9",
+        },
+    ),
+    "diag-fast-hd-main": (
+        ["--method", "diag-fast", *HD],
+        {
+            "disparity.csv": "4f893d2c85bf45fa40002640ea98f442add94ea41a0ed2a9167237ce32f5469c",
+            "metrics.csv": "d61f5259cc769f73bb8696d4cec5cd635cdc361ae8616c115c7168f3588c5e92",
+            "disparity_x.pgm": "b539c86ed0262d5031fcc99ffd1e578943d38b297e2745983929d5f1b5066fd6",
+            "disparity_y.pgm": "547dea068f067ac87169864a4613bb21ef25b507c47ec53c8fe8f1f2412e189b",
+            "aligned.pgm": "596401ec2800b3f8ea7dd145c52fc953df142841b3a3f1069cc55c03e29251f6",
+        },
+    ),
+    "diag-fast-hd-anti": (
+        ["--method", "diag-fast", "--orientation", "anti", *HD],
+        {
+            "disparity.csv": "a980839a1ba4463b7a2b5eb119912c165ebdcb0ae2ee1daeb9ae87374d77c55f",
+            "metrics.csv": "d61f5259cc769f73bb8696d4cec5cd635cdc361ae8616c115c7168f3588c5e92",
+            "disparity_x.pgm": "b539c86ed0262d5031fcc99ffd1e578943d38b297e2745983929d5f1b5066fd6",
+            "disparity_y.pgm": "547dea068f067ac87169864a4613bb21ef25b507c47ec53c8fe8f1f2412e189b",
+            "aligned.pgm": "596401ec2800b3f8ea7dd145c52fc953df142841b3a3f1069cc55c03e29251f6",
         },
     ),
 }
