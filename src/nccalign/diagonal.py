@@ -4,7 +4,9 @@ A square D x D block contributes only D samples per shift, cutting the
 per-shift numerator cost from D^2 to D multiplies. Statistics (mean,
 variance sum) are taken over the diagonal samples alone, making this a
 self-consistent 1D NCC. The anti-diagonal is the fallback for blocks whose
-features miss the main diagonal.
+features miss the main diagonal. Both vectorised kernels, :func:`ncc_diag_fast`
+and ``streaming.ncc_stream``, read the window diagonals of a block through
+one zero-copy strided view of its reference region, :func:`_window_view`.
 """
 
 from __future__ import annotations
@@ -149,47 +151,6 @@ def ncc_diag(
                        origin, shifts, bounds, counter)
 
 
-def gather_window_diagonals(
-    reference: np.ndarray,
-    origin: tuple[int, int],
-    d: int,
-    bounds: tuple[int, int, int, int],
-    orientation: str,
-) -> np.ndarray:
-    """Diagonal samples of every shifted window: shape (n_dv, n_du, D).
-
-    ``bounds`` is the (du_lo, du_hi, dv_lo, dv_hi) shift run of
-    :func:`~nccalign.ncc._inbounds_ranges`. The samples are read through a
-    strided view of ``reference``: strides (row, col, row + col) for the
-    main diagonal, and (row, col, col - row) from row y + D - 1 for the
-    anti-diagonal. A strided view is not bounds checked, so a window that
-    would leave the reference raises ValueError first. The result is a
-    C-contiguous copy. Reads pixels without validating them; the calling
-    kernel validates the region. Within a frame only the stream front end
-    (``streaming._front_end``, through :func:`_region_diagonals`) still
-    gathers; :func:`ncc_diag_fast` reads its numerators through
-    :func:`_window_numerators` without a copy.
-    """
-    _check_orientation(orientation)
-    h, w = reference.shape
-    x0, y0 = origin
-    du_lo, du_hi, dv_lo, dv_hi = bounds
-    left, right, top, bottom = x0 + du_lo, x0 + du_hi, y0 + dv_lo, y0 + dv_hi
-    if left < 0 or top < 0 or right + d > w or bottom + d > h:
-        raise ValueError(
-            f"{d}x{d} windows at columns {left}..{right}, rows {top}..{bottom} "
-            f"leave the {h}x{w} reference"
-        )
-    shape = (bottom - top + 1, right - left + 1, d)
-    row, col = reference.strides
-    if orientation == "main":
-        view = as_strided(reference[top:, left:], shape, (row, col, row + col), writeable=False)
-    else:
-        view = as_strided(reference[top + d - 1:, left:], shape, (row, col, col - row),
-                          writeable=False)
-    return np.ascontiguousarray(view)
-
-
 def _diag_windows(template_block, reference, origin, shifts, tables, counter):
     """The checks, tally and table variances that open both vectorised
     diagonal kernels, :func:`ncc_diag_fast` and ``streaming.ncc_stream``, in
@@ -197,10 +158,9 @@ def _diag_windows(template_block, reference, origin, shifts, tables, counter):
 
     Returns the clipped shift bounds and, unless no shift is in bounds (then
     None), the template diagonal, its mean and variance sum, the validated
-    reference region that the in-bounds windows cover (a view, which
-    :func:`ncc_diag_fast` reads through :func:`_window_numerators` and the
-    stream front end gathers through :func:`_region_diagonals`) and the
-    (n_dv, n_du) window variance sums.
+    reference region that the in-bounds windows cover (a view of the
+    reference, sliced from the clipped bounds, which both kernels read
+    through :func:`_window_view`) and the (n_dv, n_du) window variance sums.
     """
     t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
     d = _check_square(t)
@@ -221,38 +181,24 @@ def _diag_windows(template_block, reference, origin, shifts, tables, counter):
     return bounds, (t_diag, t_mean, t_var, region, r_var)
 
 
-def _region_diagonals(region: np.ndarray, d: int, orientation: str) -> np.ndarray:
-    """:func:`gather_window_diagonals` of every D x D window of ``region``:
-    shape (rows - D + 1, columns - D + 1, D). Its one frame caller is the
-    stream front end, ``streaming._front_end``, whose moving averages need
-    each window's samples."""
-    h, w = region.shape
-    return gather_window_diagonals(region, (0, 0), d, (0, w - d, 0, h - d), orientation)
+def _window_view(region: np.ndarray, d: int, orientation: str) -> np.ndarray:
+    """Zero-copy strided view of the D diagonal samples of every D x D
+    window of ``region``: shape (rows - D + 1, D, columns - D + 1).
 
-
-def _window_numerators(region: np.ndarray, t_c: np.ndarray, orientation: str) -> np.ndarray:
-    """Per D x D window of ``region``, its D diagonal samples dotted with the
-    centred template diagonal ``t_c``: shape (rows - D + 1, columns - D + 1).
-
-    One matmul of ``t_c`` against a zero-copy strided view of ``region``, of
-    shape (rows - D + 1, D, columns - D + 1): for the main diagonal, strides
-    (row, row + col, col), so view[i, k, j] = region[i + k, j + k]; for the
-    anti-diagonal, from column D - 1 with strides (row, row - col, col), so
-    view[i, k, j] = region[i + k, j + D - 1 - k] is sample D - 1 - k, read
-    against ``t_c`` reversed. Every stride of a C-ordered region is then
-    positive and each row of windows is one BLAS gemv over the region's own
-    memory; no window diagonal is copied.
+    Main: strides (row, row + col, col), so view[i, k, j] =
+    region[i + k, j + k] is sample k. Anti: from column D - 1 with strides
+    (row, row - col, col), so view[i, k, j] = region[i + k, j + D - 1 - k]
+    is sample D - 1 - k. Every stride of a C-ordered region is then
+    positive, so a matmul over the view is one BLAS gemv per row of windows
+    over the region's own memory. The view is not bounds checked; it stays
+    inside ``region`` because it covers exactly the region's D x D windows.
     """
-    d = len(t_c)
     h, w = region.shape
     shape = (h - d + 1, d, w - d + 1)
     row, col = region.strides
     if orientation == "main":
-        view = as_strided(region, shape, (row, row + col, col), writeable=False)
-    else:
-        view = as_strided(region[:, d - 1:], shape, (row, row - col, col), writeable=False)
-        t_c = np.ascontiguousarray(t_c[::-1])
-    return t_c @ view
+        return as_strided(region, shape, (row, row + col, col), writeable=False)
+    return as_strided(region[:, d - 1:], shape, (row, row - col, col), writeable=False)
 
 
 def ncc_diag_fast(
@@ -268,7 +214,7 @@ def ncc_diag_fast(
     denominators via diagonal prefix tables.
 
     Per shift: D multiplies for the numerator, read straight from the
-    reference (see :func:`_window_numerators`), plus O(1) table lookups for
+    reference (see :func:`_window_view`), plus O(1) table lookups for
     the window's diagonal sum and sum of squares. Validates the template
     block and the reference region it reads, not the whole reference.
     """
@@ -276,5 +222,7 @@ def ncc_diag_fast(
     if windows is None:
         return _correlation_map(shifts, bounds)
     t_diag, t_mean, t_var, region, r_var = windows
-    numerators = _window_numerators(region, t_diag - t_mean, tables.orientation)
+    # The centred template diagonal, in the view's sample order.
+    t_c = (t_diag if tables.orientation == "main" else t_diag[::-1]) - t_mean
+    numerators = t_c @ _window_view(region, len(t_c), tables.orientation)
     return _correlation_map(shifts, bounds, numerators, r_var, t_var)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagonal import DiagTables, _diag_windows, _region_diagonals
+from .diagonal import DiagTables, _diag_windows, _window_view
 from .images import GrayImage
 from .ncc import EPS_VAR, CorrelationMap, OpCounter, ShiftRange, _correlation_map
 
@@ -204,8 +204,10 @@ def _front_end(t_diag: np.ndarray, region: np.ndarray, orientation: str,
     shift, in row-major order, the clean numerator, the clean product RMS
     and whether both zero-mean streams carry energy (>= ``EPS_VAR``).
 
-    It depends only on the template diagonal, the reference region the
-    windows cover, the orientation and ``ma_config``, so it is memoised in
+    The window samples come from ``diagonal._window_view`` of the region,
+    copied once into (n, D) sample-ordered streams. The result depends
+    only on the template diagonal, the reference region the windows
+    cover, the orientation and ``ma_config``, so it is memoised in
     ``_front_ends``, keyed by a SHA-256 digest of both arrays' shapes and
     float64 bytes (no pixels are kept), for the last
     ``DRAW_CACHE_STREAMS // 2`` blocks. The arrays are read-only, since
@@ -224,7 +226,10 @@ def _front_end(t_diag: np.ndarray, region: np.ndarray, orientation: str,
 
     t_zm = zero_mean_stream(t_diag, ma_config)
     t_energy = float(np.sum(t_zm * t_zm))
-    samples = _region_diagonals(region, d, orientation).reshape(-1, d)
+    # The view holds anti-diagonal sample D - 1 - k at index k: flip it so
+    # that each stream runs in sample order. One C-order copy, (n, D).
+    view = _window_view(region, d, orientation)
+    samples = (view if orientation == "main" else view[:, ::-1]).transpose(0, 2, 1).reshape(-1, d)
     b_zm = samples - _moving_average_batch(samples, ma_config)
     b_energy = np.sum(b_zm * b_zm, axis=1)
     numerators, rms_p = _clean_products(b_zm, t_zm, b_energy)

@@ -5,8 +5,8 @@ pixel (``estimate_disparity``, ``build_diag_tables``, ``build_sum_tables``,
 ``warp``, ``global_correlation``); ``partition_template`` reads the shape
 only, and each kernel validates its template block and the reference region
 it reads. So a frame still scans whole images several times. The strided
-diagonal gather is compared with a test-local copy of the fancy-index
-gather it replaced, and the strided numerators of ``ncc_diag_fast`` with
+window view that both diagonal kernels read is compared with a test-local
+fancy-index gather, and the strided numerators of ``ncc_diag_fast`` with
 that gather times the centred template diagonal. The FFT numerator of
 ``ncc_full_fast`` is compared with ``ncc_full_naive``, at small odd and
 even sizes and at 1920x1080. The warp, the interpolation and the PGM
@@ -37,12 +37,7 @@ from nccalign import (
     partition_template,
     quadrant_pattern,
 )
-from nccalign.diagonal import (
-    _diag_windows,
-    _region_diagonals,
-    _window_numerators,
-    gather_window_diagonals,
-)
+from nccalign.diagonal import _diag_windows, _window_view
 from nccalign.ncc import _correlation_map, _inbounds_ranges
 
 from conftest import random_image
@@ -216,7 +211,7 @@ class TestFftNumerator:
         assert fast.flag_at(-5, 3) == VALID and fast.value_at(-5, 3) == pytest.approx(1.0)
 
 
-# -- strided diagonal gather -----------------------------------------------
+# -- strided window view ---------------------------------------------------
 
 def fancy_gather(reference, origin, d, du_values, dv_values, orientation):
     """Fancy-index gather of every shifted window's diagonal samples."""
@@ -259,41 +254,18 @@ class TestStridedGather:
     @given(case=gather_cases())
     @settings(max_examples=200, deadline=None)
     def test_equals_fancy_index_gather(self, case):
-        reference, origin, d, bounds, orientation = case
+        # The view of the region that the in-bounds windows cover, as the
+        # kernels slice it, read in sample order as the stream front end
+        # reads it.
+        reference, (x0, y0), d, bounds, orientation = case
         du_lo, du_hi, dv_lo, dv_hi = bounds
-        got = gather_window_diagonals(reference, origin, d, bounds, orientation)
-        want = fancy_gather(reference, origin, d, np.arange(du_lo, du_hi + 1),
+        region = reference[y0 + dv_lo:y0 + dv_hi + d, x0 + du_lo:x0 + du_hi + d]
+        view = _window_view(region, d, orientation)
+        got = (view if orientation == "main" else view[:, ::-1]).transpose(0, 2, 1)
+        want = fancy_gather(reference, (x0, y0), d, np.arange(du_lo, du_hi + 1),
                             np.arange(dv_lo, dv_hi + 1), orientation)
-        assert got.flags.c_contiguous
+        assert not view.flags.writeable
         np.testing.assert_array_equal(got, want)
-
-    @given(case=gather_cases(), side=st.sampled_from(("left", "right", "top", "bottom")))
-    @settings(max_examples=200, deadline=None)
-    def test_range_leaving_reference_raises(self, case, side):
-        reference, origin, d, (du_lo, du_hi, dv_lo, dv_hi), orientation = case
-        h, w = reference.shape
-        x0, y0 = origin
-        # Extend the run on one side up to exactly one window past the edge.
-        if side == "left":
-            du_lo = -x0 - 1
-        elif side == "right":
-            du_hi = w - d - x0 + 1
-        elif side == "top":
-            dv_lo = -y0 - 1
-        else:
-            dv_hi = h - d - y0 + 1
-        with pytest.raises(ValueError, match="leave the"):
-            gather_window_diagonals(reference, origin, d, (du_lo, du_hi, dv_lo, dv_hi),
-                                    orientation)
-
-    @given(case=gather_cases())
-    @settings(max_examples=50, deadline=None)
-    def test_origin_outside_reference_raises(self, case):
-        reference, _, d, _, orientation = case
-        h, w = reference.shape
-        for origin in ((-1, 0), (0, -1), (w - d + 1, 0), (0, h - d + 1)):
-            with pytest.raises(ValueError, match="leave the"):
-                gather_window_diagonals(reference, origin, d, (0, 0, 0, 0), orientation)
 
 
 # -- strided diagonal numerator of ncc_diag_fast ---------------------------
@@ -324,8 +296,8 @@ NUMERATOR_ORIGINS = {
 
 class TestStridedNumerator:
     """The numerators of ``ncc_diag_fast`` come from one matmul over a
-    strided view of the reference region; the gathered window diagonals
-    times the centred template diagonal are their reference."""
+    strided view of the reference region; the fancy-index gathered window
+    diagonals times the centred template diagonal are their reference."""
 
     @pytest.mark.parametrize("edge", sorted(NUMERATOR_ORIGINS))
     @pytest.mark.parametrize("layout", ("C", "F", "rows reversed", "columns reversed"))
@@ -339,10 +311,13 @@ class TestStridedNumerator:
         bounds, windows = _diag_windows(block, reference, origin, NUMERATOR_SHIFTS, tables, None)
         t_diag, t_mean, t_var, region, r_var = windows
         assert (bounds == (-16, 16, -16, 16)) == (edge == "inside")
+        du_lo, du_hi, dv_lo, dv_hi = bounds
+        samples = fancy_gather(reference, origin, d, np.arange(du_lo, du_hi + 1),
+                               np.arange(dv_lo, dv_hi + 1), orientation)
         t_c = t_diag - t_mean
-        samples = _region_diagonals(region, d, orientation)
         gathered = samples @ t_c
-        got = _window_numerators(region, t_c, orientation)
+        # The kernel's product: the view holds anti sample D - 1 - k at k.
+        got = (t_c if orientation == "main" else t_c[::-1]) @ _window_view(region, d, orientation)
         assert got.shape == gathered.shape == r_var.shape
         assert np.all(np.abs(got - gathered) <= 1e-12 * (np.abs(samples) @ np.abs(t_c)))
 

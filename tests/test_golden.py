@@ -9,10 +9,13 @@ separable interpolation, ``map_coordinates`` warp) went in, the
 ``full-fast-odd-top-left`` entry before the window statistics were read as
 rectangle slices, the two ``diag-fast-hd`` entries (the paper workload, where
 the diagonal numerators sum the most products) before those numerators were
-read through a strided view instead of a copy, the others before the kernels
-were moved onto one shared flag/divide/scatter tail, so later performance and
-design work keeps the outputs byte-identical. A changed hash means the
-numbers changed: find the cause rather than re-recording it.
+read through a strided view instead of a copy, the two ``stream-anti``
+entries before the stream front end read its window samples through that
+same view (flipped to sample order for the anti-diagonal), the others
+before the kernels were moved onto one shared flag/divide/scatter tail, so
+later performance and design work keeps the outputs byte-identical. A
+changed hash means the numbers changed: find the cause rather than
+re-recording it.
 
 The hashes were recorded with numpy 2.4 and OpenBLAS on x86-64; another BLAS
 may round the diagonal numerators differently.
@@ -163,6 +166,27 @@ GOLDEN = {
             "disparity_x.pgm": "fae6e7908e010cd6457dbab4fe19d2d67743244c073752fdcc5473e35dcb5f9c",
             "disparity_y.pgm": "7149a6911c69b47ec50f67e0cb812247dd95de6fe34ce4fbf963e2c4771d03e9",
             "aligned.pgm": "3094b568490c7a2866fde16a30e2abc04f5358012b29fdf1a9cfaea2df90a4d9",
+        },
+    ),
+    "stream-anti": (
+        ["--method", "stream", "--orientation", "anti", "--noise-mult", "0.1", "--noise-int", "0.2"],
+        {
+            "disparity.csv": "83a75c30f3085a0692de4e7578216d8a56d472ba3b614d531b7e84f57b72e83e",
+            "metrics.csv": "e18912a24ce634c306ad16dc2b24669cd9030fc2d17e6b24c6104cb8b3c0e459",
+            "disparity_x.pgm": "6fd2ad894f16c2681015cd4a09903ba8b30f55ba277a9e6e700d07b43b074b7b",
+            "disparity_y.pgm": "60c8ba3f72a4c95fdd5757047bccf5246904e47c2d0193f8b5daea8c26dbd331",
+            "aligned.pgm": "43a5ffd61c79b919bf12cb68bb578535714009dab5881c943bcac552e9fc09ea",
+        },
+    ),
+    "stream-anti-clipped": (
+        ["--method", "stream", "--orientation", "anti", "--noise-mult", "0.1", "--noise-int", "0.2",
+         *CLIPPED],
+        {
+            "disparity.csv": "c899eddfaa32edfe00c99522cf4fc3f813d82e91ff999e29eb4a5228d53ed95d",
+            "metrics.csv": "c212d3744fabd67710672aeec29b4f78cffbfe50026eb7fa7f8322ade313afda",
+            "disparity_x.pgm": "0e43ba140ace4846f091478c0b3d81df4ef1760058057186c72e02054877492a",
+            "disparity_y.pgm": "61cbbd706fb50c64014d734367a511bb8c6aa63a4b5f3e3b0b373c0258900299",
+            "aligned.pgm": "95c473e6e9e8dfe686c42881b67b8fe957deda0d50cc989ba1ed06117eb1372c",
         },
     ),
     "diag-fast-hd-main": (
