@@ -271,19 +271,37 @@ class GroundTruth:
         return int(self.du[y, x]), int(self.dv[y, x])
 
 
-def _prefix_sums(arr: np.ndarray) -> np.ndarray:
-    """Padded 2-D prefix table: ``t[y + 1, x + 1]`` is the sum of
-    ``arr[:y + 1, :x + 1]`` and row and column 0 are zero. Both cumulative
-    sums write into the table, so no full-size temporary is made."""
+def _prefix_sums(arr: np.ndarray, squared: bool = False) -> np.ndarray:
+    """Padded 2-D prefix table of ``arr``, or of ``arr * arr`` if
+    ``squared``: ``t[y + 1, x + 1]`` is the sum of ``arr[:y + 1, :x + 1]``
+    and row and column 0 are zero.
+
+    Built row by row, with no full-size temporary: one row of scratch holds
+    the column sums down to row y, an in-place ``np.add`` moves it on by one
+    row (squared through a second row of scratch), and its ``np.cumsum``
+    is table row y + 1. These are the additions of ``cumsum(axis=0)`` then
+    ``cumsum(axis=1)`` in the same order, so the table is bit-identical to
+    theirs.
+    """
     h, w = arr.shape
     t = np.zeros((h + 1, w + 1))
-    np.cumsum(arr, axis=0, out=t[1:, 1:])
-    np.cumsum(t[1:, 1:], axis=1, out=t[1:, 1:])
+    # -0.0 + x is x for every x, -0.0 included, as cumsum's first term is.
+    column = np.full(w, -0.0)
+    square = np.empty(w)
+    for y in range(h):
+        column += np.multiply(arr[y], arr[y], out=square) if squared else arr[y]
+        np.cumsum(column, out=t[y + 1, 1:])
     return t
 
 
 def _box_blur(arr: np.ndarray, radius: int) -> np.ndarray:
-    """Mean over the (2*radius+1)^2 neighborhood clipped to the image."""
+    """Mean over the (2*radius+1)^2 neighborhood clipped to the image.
+
+    Each window sum is ``far - top - left + near`` from the prefix table.
+    The corners are read as two row ``take``s of the table and a column
+    ``take`` of each, not four ``np.ix_`` fancy gathers; the values read
+    and the arithmetic on them are the same.
+    """
     h, w = arr.shape
     padded = _prefix_sums(arr)
     ys = np.arange(h)
@@ -292,11 +310,12 @@ def _box_blur(arr: np.ndarray, radius: int) -> np.ndarray:
     y1 = np.minimum(ys + radius + 1, h)
     x0 = np.maximum(xs - radius, 0)
     x1 = np.minimum(xs + radius + 1, w)
+    below, above = padded.take(y1, axis=0), padded.take(y0, axis=0)
     total = (
-        padded[np.ix_(y1, x1)]
-        - padded[np.ix_(y0, x1)]
-        - padded[np.ix_(y1, x0)]
-        + padded[np.ix_(y0, x0)]
+        below.take(x1, axis=1)
+        - above.take(x1, axis=1)
+        - below.take(x0, axis=1)
+        + above.take(x0, axis=1)
     )
     counts = np.outer(y1 - y0, x1 - x0)
     return total / counts

@@ -88,9 +88,24 @@ class ShiftRange:
 
 def block_stats(values: np.ndarray) -> tuple[float, float]:
     """Two-pass (mean, sum of squared deviations from the mean)."""
-    mean = float(np.mean(values))
-    centered = np.asarray(values, dtype=np.float64) - mean
-    return mean, float(np.sum(centered * centered))
+    arr = np.asarray(values, dtype=np.float64)
+    centred = np.empty_like(arr)
+    return _two_pass(arr, centred, centred)
+
+
+def _two_pass(values: np.ndarray, centred: np.ndarray, square: np.ndarray) -> tuple[float, float]:
+    """:func:`block_stats` of float64 ``values`` through caller-owned
+    scratch: leaves ``values - mean`` in ``centred`` and squares it into
+    ``square``, which may be ``centred`` itself.
+
+    ``np.add.reduce`` over all axes is the sum ``np.sum`` and ``np.mean``
+    take, in the same order, without their Python wrappers; the mean
+    divides it by the count as ``np.mean`` does.
+    """
+    mean = float(np.add.reduce(values, axis=None) / values.size)
+    np.subtract(values, mean, out=centred)
+    np.multiply(centred, centred, out=square)
+    return mean, float(np.add.reduce(square, axis=None))
 
 
 @dataclass
@@ -190,10 +205,13 @@ def _var_sum(s, sq, far, n: int):
 def build_sum_tables(image: GrayImage) -> SumTables:
     """Prefix tables over the image; O(1) window sums and variances after.
 
-    Validates the whole image, as the tables cover every pixel.
+    Validates the whole image, as the tables cover every pixel. Each table
+    is built row by row (see ``images._prefix_sums``), the squares through
+    one row of scratch, so the build allocates the two tables and a few
+    rows, no full-size temporary.
     """
     arr = validate_image(image)
-    return SumTables(sum_table=_prefix_sums(arr), sumsq_table=_prefix_sums(arr * arr))
+    return SumTables(sum_table=_prefix_sums(arr), sumsq_table=_prefix_sums(arr, squared=True))
 
 
 def _inbounds_ranges(
@@ -280,9 +298,13 @@ def _direct_map(t_samples: np.ndarray, window_at, origin, shifts: ShiftRange, bo
 
     For each in-bounds shift of ``bounds`` (see :func:`_inbounds_ranges`),
     ``window_at(ys, xs)`` reads the samples of the window with top-left
-    (xs, ys), matching ``t_samples``; their two-pass variance sum and the
-    explicit numerator ``sum((window - w_mean) * t_c)`` go to the shared
-    tail, :func:`_correlation_map`.
+    (xs, ys), matching ``t_samples``; their two-pass variance sum (see
+    :func:`_two_pass`) and the explicit numerator
+    ``sum((window - w_mean) * t_c)`` go to the shared tail,
+    :func:`_correlation_map`. The centred window and the products live in
+    scratch allocated once per call and reused by every shift, laid out as
+    the temporaries ``window - w_mean``, its square and its product with
+    ``t_c`` would be, so every sum adds in the same order as theirs.
     """
     du_lo, du_hi, dv_lo, dv_hi = bounds
     if du_lo > du_hi or dv_lo > dv_hi:
@@ -292,11 +314,16 @@ def _direct_map(t_samples: np.ndarray, window_at, origin, shifts: ShiftRange, bo
     t_c = t_samples - t_mean
     numerators = np.empty((dv_hi - dv_lo + 1, du_hi - du_lo + 1))
     r_var = np.empty_like(numerators)
+    centred = np.empty_like(window_at(y0 + dv_lo, x0 + du_lo))
+    square = np.empty_like(centred)
+    # numpy lays out a product in Fortran order only when both factors are.
+    both_fortran = centred.flags.f_contiguous and t_c.flags.f_contiguous
+    product = np.empty(centred.shape, order="F" if both_fortran else "C")
     for iv, ys in enumerate(range(y0 + dv_lo, y0 + dv_hi + 1)):
         for iu, xs in enumerate(range(x0 + du_lo, x0 + du_hi + 1)):
-            window = window_at(ys, xs)
-            w_mean, r_var[iv, iu] = block_stats(window)
-            numerators[iv, iu] = np.sum((window - w_mean) * t_c)
+            _, r_var[iv, iu] = _two_pass(window_at(ys, xs), centred, square)
+            np.multiply(centred, t_c, out=product)
+            numerators[iv, iu] = np.add.reduce(product, axis=None)
     if counter is not None:
         counter.tally(numerators.size, t_samples.size)
     return _correlation_map(shifts, bounds, numerators, r_var, t_var)

@@ -42,6 +42,16 @@ def random_image(seed: int, height: int, width: int) -> np.ndarray:
     return np.random.default_rng(seed).random((height, width))
 
 
+def cumsum_prefix_sums(arr: np.ndarray) -> np.ndarray:
+    """The padded 2-D prefix table as two whole-image cumulative sums,
+    ``cumsum(axis=0)`` then ``cumsum(axis=1)``; row and column 0 are zero."""
+    h, w = arr.shape
+    t = np.zeros((h + 1, w + 1))
+    np.cumsum(arr, axis=0, out=t[1:, 1:])
+    np.cumsum(t[1:, 1:], axis=1, out=t[1:, 1:])
+    return t
+
+
 def edge_rectangles(height: int, width: int, win_h: int, win_w: int):
     """(x slice, y slice) rectangles of window origins over a height x width
     image: one inside, one clipped at each image edge (its windows reach the

@@ -15,6 +15,8 @@ from nccalign import (
 )
 from nccalign.images import GroundTruth, _box_blur
 
+from conftest import cumsum_prefix_sums
+
 
 def write_pgm_bytes(path, header: bytes, payload: bytes):
     with open(path, "wb") as fh:
@@ -154,12 +156,35 @@ class TestMakeSyntheticStereo:
             assert img.min() >= 0.0 and img.max() <= 1.0
 
 
+def ix_box_blur(arr, radius):
+    """The clipped box mean from the ``cumsum`` prefix table, its four
+    corners read by ``np.ix_`` gathers."""
+    h, w = arr.shape
+    padded = cumsum_prefix_sums(arr)
+    ys, xs = np.arange(h), np.arange(w)
+    y0, y1 = np.maximum(ys - radius, 0), np.minimum(ys + radius + 1, h)
+    x0, x1 = np.maximum(xs - radius, 0), np.minimum(xs + radius + 1, w)
+    total = (padded[np.ix_(y1, x1)] - padded[np.ix_(y0, x1)]
+             - padded[np.ix_(y1, x0)] + padded[np.ix_(y0, x0)])
+    return total / np.outer(y1 - y0, x1 - x0)
+
+
+class TestBoxBlur:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (41, 37)])
+    @pytest.mark.parametrize("radius", [0, 2, 41])
+    def test_equals_ix_gathers_bit_for_bit(self, shape, radius):
+        arr = np.random.default_rng(12).random(shape)
+        got = _box_blur(arr, radius)
+        assert got.shape == shape
+        np.testing.assert_array_equal(got.view(np.uint64), ix_box_blur(arr, radius).view(np.uint64))
+
+
 def indices_synthetic_stereo(spec):
     """The generator as one whole-image gather through ``np.indices`` and
-    two clipped per-pixel index maps."""
+    two clipped per-pixel index maps, blurred by :func:`ix_box_blur`."""
     h, w = spec.height, spec.width
     rng = np.random.default_rng(spec.texture_seed)
-    blurred = _box_blur(rng.random((h, w)), radius=2)
+    blurred = ix_box_blur(rng.random((h, w)), radius=2)
     lo, hi = blurred.min(), blurred.max()
     reference = (blurred - lo) / (hi - lo) if hi > lo else np.zeros_like(blurred)
     du_map = np.zeros((h, w), dtype=np.int64)

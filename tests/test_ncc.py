@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from nccalign import (
     ZERO_VARIANCE,
     ShiftRange,
     best_shift,
+    block_stats,
     build_diag_tables,
     build_sum_tables,
     ncc_diag,
@@ -17,9 +20,23 @@ from nccalign import (
     ncc_full_naive,
     ncc_stream,
 )
-from nccalign.ncc import CorrelationMap, OpCounter
+from nccalign.diagonal import _diagonal
+from nccalign.images import _prefix_sums
+from nccalign.ncc import CorrelationMap, OpCounter, _correlation_map, _inbounds_ranges
 
-from conftest import assert_rectangle_matches_windows, edge_rectangles, random_image
+from conftest import (
+    assert_rectangle_matches_windows,
+    cumsum_prefix_sums,
+    edge_rectangles,
+    random_image,
+)
+
+
+def laid_out(arr, layout):
+    """``arr`` with the same values, laid out in memory as ``layout``."""
+    if layout == "F":
+        return np.asfortranarray(arr)
+    return arr[::-1].copy()[::-1] if layout == "rows reversed" else arr
 
 
 class TestSumTables:
@@ -55,6 +72,128 @@ class TestSumTables:
                 lambda x0, y0: tables.window_sum(x0, y0, width, height), xs, ys)
             assert_rectangle_matches_windows(
                 lambda x0, y0: tables.window_var_sum(x0, y0, width, height), xs, ys)
+
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (33, 65), (1080, 1920)])
+    @pytest.mark.parametrize("layout", ["C", "F", "rows reversed"])
+    def test_prefix_tables_equal_cumsum_tables_bit_for_bit(self, shape, layout):
+        """The row-by-row tables are the two ``cumsum`` passes' tables, bit
+        for bit, also where a column starts with -0.0."""
+        rng = np.random.default_rng(38)
+        arr = rng.random(shape)
+        arr[rng.random(shape) < 0.05] = -0.0
+        arr[0, 0] = -0.0
+        arr = laid_out(arr, layout)
+        tables = build_sum_tables(arr)
+        for got, want in ((_prefix_sums(arr), cumsum_prefix_sums(arr)),
+                          (_prefix_sums(arr, squared=True), cumsum_prefix_sums(arr * arr)),
+                          (tables.sum_table, cumsum_prefix_sums(arr)),
+                          (tables.sumsq_table, cumsum_prefix_sums(arr * arr))):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_build_needs_no_full_size_temporary(self):
+        img = random_image(37, 1080, 1920)
+        tracemalloc.start()
+        try:
+            tables = build_sum_tables(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - tables.sum_table.nbytes - tables.sumsq_table.nbytes < 2**20
+
+
+def two_pass(values):
+    """Two-pass (mean, variance sum) through whole-array temporaries."""
+    mean = float(np.mean(values))
+    centred = np.asarray(values, dtype=np.float64) - mean
+    return mean, float(np.sum(centred * centred))
+
+
+def per_shift_map(kind, block, reference, origin, shifts):
+    """The oracles as a formula: per in-bounds shift, :func:`two_pass` of
+    the window's samples, then ``np.sum((window - mean) * t_c)``."""
+    if kind == "full":
+        th, tw = block.shape
+        t_samples, window_at = block, lambda ys, xs: reference[ys:ys + th, xs:xs + tw]
+    else:
+        d = block.shape[0]
+        t_samples = _diagonal(block, kind)
+        window_at = lambda ys, xs: _diagonal(reference[ys:ys + d, xs:xs + d], kind)  # noqa: E731
+    bounds = _inbounds_ranges(origin, block.shape, reference.shape, shifts)
+    du_lo, du_hi, dv_lo, dv_hi = bounds
+    x0, y0 = origin
+    t_mean, t_var = two_pass(t_samples)
+    t_c = t_samples - t_mean
+    numerators = np.empty((dv_hi - dv_lo + 1, du_hi - du_lo + 1))
+    r_var = np.empty_like(numerators)
+    for iv, ys in enumerate(range(y0 + dv_lo, y0 + dv_hi + 1)):
+        for iu, xs in enumerate(range(x0 + du_lo, x0 + du_hi + 1)):
+            window = window_at(ys, xs)
+            mean, r_var[iv, iu] = two_pass(window)
+            numerators[iv, iu] = np.sum((window - mean) * t_c)
+    return _correlation_map(shifts, bounds, numerators, r_var, t_var)
+
+
+def assert_oracle_equals_formula(kind, block, reference, origin, shifts):
+    if kind == "full":
+        got = ncc_full_naive(block, reference, origin, shifts)
+    else:
+        got = ncc_diag(block, reference, origin, shifts, kind)
+    want = per_shift_map(kind, block, reference, origin, shifts)
+    np.testing.assert_array_equal(got.validity, want.validity)
+    np.testing.assert_array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+    return got
+
+
+# (x0, y0) of a 16x16 block whose +/-5 shifts stay inside the 64x72
+# reference, and of one clipped at each edge.
+ORACLE_ORIGINS = {"inside": (28, 24), "left": (2, 24), "right": (54, 24),
+                  "top": (28, 2), "bottom": (28, 46)}
+
+
+class TestOracleLoop:
+    """``ncc_full_naive`` and ``ncc_diag`` run their shifts through reused
+    scratch; each map equals the per-shift formula's bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["full", "main", "anti"])
+    @pytest.mark.parametrize("edge", sorted(ORACLE_ORIGINS))
+    @pytest.mark.parametrize("ref_layout, block_layout", [
+        ("C", "C"), ("F", "F"), ("F", "C"), ("C", "F"), ("rows reversed", "rows reversed")])
+    def test_equals_per_shift_formula(self, kind, edge, ref_layout, block_layout):
+        reference = laid_out(random_image(39, 64, 72), ref_layout)
+        block = laid_out(random_image(40, 16, 16), block_layout)
+        cmap = assert_oracle_equals_formula(kind, block, reference, ORACLE_ORIGINS[edge],
+                                            ShiftRange.symmetric(5))
+        assert (cmap.validity == OUT_OF_BOUNDS).any() == (edge != "inside")
+
+    @pytest.mark.parametrize("kind", ["full", "main", "anti"])
+    def test_flat_windows_flag_zero_variance(self, kind):
+        # The windows at du, dv in -2..4 lie in the flat patch; the rest do not.
+        reference = random_image(41, 64, 72)
+        reference[38:60, 38:60] = 0.37
+        cmap = assert_oracle_equals_formula(kind, random_image(42, 16, 16), reference, (40, 40),
+                                            ShiftRange.symmetric(5))
+        flat = np.zeros(cmap.validity.shape, dtype=bool)
+        flat[3:10, 3:10] = True
+        assert (cmap.validity[flat] == ZERO_VARIANCE).all()
+        assert (cmap.validity[~flat] == VALID).all()
+
+    @pytest.mark.parametrize("kind", ["full", "main", "anti"])
+    def test_paper_geometry(self, kind):
+        reference = random_image(43, 1080, 1920)
+        shifts = ShiftRange.symmetric(16)
+        for origin in ((896, 476), (1784, 940)):  # inside; clipped at the right and bottom
+            x0, y0 = origin
+            block = reference[y0 + 3:y0 + 131, x0 - 2:x0 + 126].copy()
+            cmap = assert_oracle_equals_formula(kind, block, reference, origin, shifts)
+            assert cmap.flag_at(-2, 3) == VALID
+
+    @pytest.mark.parametrize("values", [
+        random_image(44, 9, 13), np.asfortranarray(random_image(45, 9, 13)),
+        random_image(46, 1, 128)[0], [0.25, 0.5, 1.0], np.full((4, 4), 0.37)])
+    def test_block_stats_equals_two_pass(self, values):
+        got, want = block_stats(values), two_pass(values)
+        assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
 class TestNccFullNaive:
