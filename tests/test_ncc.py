@@ -118,7 +118,7 @@ def per_shift_map(kind, block, reference, origin, shifts):
     else:
         d = block.shape[0]
         t_samples = _diagonal(block, kind)
-        window_at = lambda ys, xs: _diagonal(reference[ys:ys + d, xs:xs + d], kind)  # noqa: E731
+        window_at = lambda ys, xs: _diagonal(reference[ys:ys + d, xs:xs + d], kind)
     bounds = _inbounds_ranges(origin, block.shape, reference.shape, shifts)
     du_lo, du_hi, dv_lo, dv_hi = bounds
     x0, y0 = origin
