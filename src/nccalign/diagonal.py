@@ -4,9 +4,11 @@ A square D x D block contributes only D samples per shift, cutting the
 per-shift numerator cost from D^2 to D multiplies. Statistics (mean,
 variance sum) are taken over the diagonal samples alone, making this a
 self-consistent 1D NCC. The anti-diagonal is the fallback for blocks whose
-features miss the main diagonal. Both vectorised kernels, :func:`ncc_diag_fast`
-and ``streaming.ncc_stream``, read the window diagonals of a block through
-one zero-copy strided view of its reference region, :func:`_window_view`.
+features miss the main diagonal. The kernels share the opening and tail of
+the full ones (see ``ncc``). The oracle, :func:`ncc_diag`, reads each window
+diagonal as an ``np.diagonal`` view; both vectorised kernels,
+:func:`ncc_diag_fast` and ``streaming.ncc_stream``, read them through one
+zero-copy strided view of the block's reference region, :func:`_window_view`.
 """
 
 from __future__ import annotations
@@ -21,13 +23,11 @@ from .ncc import (
     CorrelationMap,
     OpCounter,
     ShiftRange,
-    _check_tables,
     _correlation_map,
     _direct_map,
     _offset,
-    _validate_kernel_inputs,
+    _open_kernel,
     _var_sum,
-    block_stats,
 )
 
 ORIENTATIONS = ("main", "anti")
@@ -36,21 +36,6 @@ ORIENTATIONS = ("main", "anti")
 def _check_orientation(orientation: str) -> None:
     if orientation not in ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}, expected 'main' or 'anti'")
-
-
-def _check_square(block: np.ndarray) -> int:
-    if block.shape[0] != block.shape[1]:
-        raise ValueError(f"diagonal NCC needs a square block, got {block.shape}")
-    return block.shape[0]
-
-
-def _diagonal(arr: np.ndarray, orientation: str) -> np.ndarray:
-    """The D diagonal samples of a checked square float64 block, as a
-    contiguous array.
-
-    Main: samples[k] = block[k, k]. Anti: samples[k] = block[D-1-k, k].
-    """
-    return np.ascontiguousarray(np.diagonal(arr if orientation == "main" else arr[::-1]))
 
 
 @dataclass(frozen=True)
@@ -144,41 +129,7 @@ def ncc_diag(
     Validates the template block and the reference region it reads.
     """
     _check_orientation(orientation)
-    t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
-    d = _check_square(t)
-    return _direct_map(_diagonal(t, orientation),
-                       lambda ys, xs: _diagonal(ref[ys:ys + d, xs:xs + d], orientation),
-                       origin, shifts, bounds, counter)
-
-
-def _diag_windows(template_block, reference, origin, shifts, tables, counter):
-    """The checks, tally and table variances that open both vectorised
-    diagonal kernels, :func:`ncc_diag_fast` and ``streaming.ncc_stream``, in
-    the orientation of ``tables``.
-
-    Returns the clipped shift bounds and, unless no shift is in bounds (then
-    None), the template diagonal, its mean and variance sum, the validated
-    reference region that the in-bounds windows cover (a view of the
-    reference, sliced from the clipped bounds, which both kernels read
-    through :func:`_window_view`) and the (n_dv, n_du) window variance sums.
-    """
-    t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
-    d = _check_square(t)
-    _check_tables(tables, DiagTables, ref)
-    du_lo, du_hi, dv_lo, dv_hi = bounds
-    if du_lo > du_hi or dv_lo > dv_hi:
-        return bounds, None
-    x0, y0 = origin
-
-    t_diag = _diagonal(t, tables.orientation)
-    t_mean, t_var = block_stats(t_diag)
-    if counter is not None:
-        counter.tally((du_hi - du_lo + 1) * (dv_hi - dv_lo + 1), d)
-
-    region = ref[y0 + dv_lo:y0 + dv_hi + d, x0 + du_lo:x0 + du_hi + d]
-    r_var = tables.window_var_sum(slice(x0 + du_lo, x0 + du_hi + 1),
-                                  slice(y0 + dv_lo, y0 + dv_hi + 1), d)
-    return bounds, (t_diag, t_mean, t_var, region, r_var)
+    return _direct_map(template_block, reference, origin, shifts, counter, orientation)
 
 
 def _window_view(region: np.ndarray, d: int, orientation: str) -> np.ndarray:
@@ -218,11 +169,12 @@ def ncc_diag_fast(
     the window's diagonal sum and sum of squares. Validates the template
     block and the reference region it reads, not the whole reference.
     """
-    bounds, windows = _diag_windows(template_block, reference, origin, shifts, tables, counter)
-    if windows is None:
+    bounds, block = _open_kernel(template_block, reference, origin, shifts, counter, DiagTables,
+                                 tables)
+    if block is None:
         return _correlation_map(shifts, bounds)
-    t_diag, t_mean, t_var, region, r_var = windows
-    # The centred template diagonal, in the view's sample order.
-    t_c = (t_diag if tables.orientation == "main" else t_diag[::-1]) - t_mean
+    _, t_c, t_var, region, r_var = block
+    # In the view's sample order, contiguous: a reversed view takes another BLAS path.
+    t_c = t_c if tables.orientation == "main" else t_c[::-1].copy()
     numerators = t_c @ _window_view(region, len(t_c), tables.orientation)
     return _correlation_map(shifts, bounds, numerators, r_var, t_var)

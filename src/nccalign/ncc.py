@@ -12,6 +12,10 @@ The accelerated variant is the fast NCC of J.P. Lewis, *Fast Normalized
 Cross-Correlation* (Vision Interface 1995): window statistics from prefix
 sum tables, and the numerator of every shift at once from one FFT
 cross-correlation of the centred template with the reference region.
+
+All five kernels, these two and those of ``diagonal`` and ``streaming``,
+run one opening, :func:`_open_kernel`, and one tail, :func:`_correlation_map`,
+so they differ only in their samples (block or diagonal) and numerator.
 """
 
 from __future__ import annotations
@@ -234,40 +238,63 @@ def _inbounds_ranges(
     return du_lo, du_hi, dv_lo, dv_hi
 
 
-def _check_tables(tables, kind: type, reference: np.ndarray) -> None:
-    """Raise TypeError unless ``tables`` is a ``kind`` (sum or diagonal
-    tables), and ValueError unless it matches ``reference``."""
-    if not isinstance(tables, kind):
-        raise TypeError(f"expected {kind.__name__}, got {type(tables).__name__}")
-    if tables.shape != reference.shape:
-        raise ValueError(f"tables built for {tables.shape}, reference is {reference.shape}")
+def _samples(block: np.ndarray, orientation: str | None) -> np.ndarray:
+    """The samples a kernel correlates, as a view of ``block``: all of it,
+    or with an orientation the D diagonal samples of a square block.
+
+    Main: samples[k] = block[k, k]. Anti: samples[k] = block[D-1-k, k].
+    """
+    if orientation is None:
+        return block
+    return np.diagonal(block if orientation == "main" else block[::-1])
 
 
-def _validate_kernel_inputs(
-    template_block: GrayImage,
-    reference: GrayImage,
-    origin: tuple[int, int],
-    shifts: ShiftRange,
-) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int, int]]:
-    """Validate the template block and the reference pixels a kernel reads.
+def _open_kernel(template_block, reference, origin, shifts, counter, kind=None, tables=None,
+                 orientation=None):
+    """The opening every kernel runs before its numerator.
 
-    The reference is checked only over
-    ``ref[y0+dv_lo : y0+dv_hi+th, x0+du_lo : x0+du_hi+tw]``, the union of
-    the in-bounds shifted windows; ``estimate_disparity`` validates the
-    whole images. Returns the template, the reference (both float64) and
-    the clipped shift bounds of :func:`_inbounds_ranges`.
+    Validates the template block, which must fit in the reference, and the
+    reference region the in-bounds windows read (see :func:`_inbounds_ranges`);
+    ``estimate_disparity`` validates the whole images. ``tables`` must be a
+    ``kind`` built for the reference; diagonal tables give the orientation,
+    which makes the samples the diagonal of a square block (:func:`_samples`).
+
+    Returns the clipped shift bounds and, unless no shift is in bounds (then
+    None), the template samples, the samples minus their mean, their variance
+    sum (see :func:`block_stats`), the region and, given tables, the
+    (n_dv, n_du) window variance sums. Tallies ``counter``.
     """
     t = validate_image(template_block, "template_block")
     ref = image_array(reference, "reference")
     if t.shape[0] > ref.shape[0] or t.shape[1] > ref.shape[1]:
         raise ValueError(f"template block {t.shape} larger than reference {ref.shape}")
-    bounds = _inbounds_ranges(origin, t.shape, ref.shape, shifts)
-    du_lo, du_hi, dv_lo, dv_hi = bounds
-    if du_lo <= du_hi and dv_lo <= dv_hi:
-        x0, y0 = origin
-        th, tw = t.shape
-        validate_image(ref[y0 + dv_lo:y0 + dv_hi + th, x0 + du_lo:x0 + du_hi + tw], "reference")
-    return t, ref, bounds
+    th, tw = t.shape
+    x0, y0 = origin
+    if kind is not None:
+        if not isinstance(tables, kind):
+            raise TypeError(f"expected {kind.__name__}, got {type(tables).__name__}")
+        if tables.shape != ref.shape:
+            raise ValueError(f"tables built for {tables.shape}, reference is {ref.shape}")
+        orientation = getattr(tables, "orientation", None)
+    if orientation is not None and th != tw:
+        raise ValueError(f"diagonal NCC needs a square block, got {t.shape}")
+    bounds = du_lo, du_hi, dv_lo, dv_hi = _inbounds_ranges(origin, t.shape, ref.shape, shifts)
+    if du_lo > du_hi or dv_lo > dv_hi:
+        return bounds, None
+
+    region = validate_image(ref[y0 + dv_lo:y0 + dv_hi + th, x0 + du_lo:x0 + du_hi + tw],
+                            "reference")
+    samples = _samples(t, orientation)
+    t_mean, t_var = block_stats(samples)
+    if counter is not None:
+        counter.tally((du_hi - du_lo + 1) * (dv_hi - dv_lo + 1), samples.size)
+    r_var = None
+    if kind is not None:
+        # Sum tables read tw x th windows, diagonal tables D-sample ones.
+        r_var = tables.window_var_sum(slice(x0 + du_lo, x0 + du_hi + 1),
+                                      slice(y0 + dv_lo, y0 + dv_hi + 1),
+                                      *((tw, th) if orientation is None else (tw,)))
+    return bounds, (samples, samples - t_mean, t_var, region, r_var)
 
 
 def _correlation_map(shifts: ShiftRange, bounds, numerators=None, r_var=None, t_var=0.0,
@@ -291,41 +318,39 @@ def _correlation_map(shifts: ShiftRange, bounds, numerators=None, r_var=None, t_
     return CorrelationMap(shifts=shifts, values=values, validity=validity)
 
 
-def _direct_map(t_samples: np.ndarray, window_at, origin, shifts: ShiftRange, bounds,
-                counter: OpCounter | None) -> CorrelationMap:
-    """The per-shift loop of both oracles, :func:`ncc_full_naive` and
-    ``diagonal.ncc_diag``.
+def _direct_map(template_block, reference, origin, shifts: ShiftRange, counter: OpCounter | None,
+                orientation: str | None = None) -> CorrelationMap:
+    """Both oracles, :func:`ncc_full_naive` and ``diagonal.ncc_diag``: the
+    opening (:func:`_open_kernel`), a per-shift loop and the tail.
 
-    For each in-bounds shift of ``bounds`` (see :func:`_inbounds_ranges`),
-    ``window_at(ys, xs)`` reads the samples of the window with top-left
-    (xs, ys), matching ``t_samples``; their two-pass variance sum (see
-    :func:`_two_pass`) and the explicit numerator
-    ``sum((window - w_mean) * t_c)`` go to the shared tail,
-    :func:`_correlation_map`. The centred window and the products live in
-    scratch allocated once per call and reused by every shift, laid out as
-    the temporaries ``window - w_mean``, its square and its product with
+    Window (iv, iu) is ``region[iv:iv + th, iu:iu + tw]`` of the opening's
+    region, its samples read as the template's (see :func:`_samples`).
+    Per window, the two-pass variance sum (see :func:`_two_pass`) and the
+    explicit numerator ``sum((window - w_mean) * t_c)`` go to the shared
+    tail, :func:`_correlation_map`. The centred window and the products live
+    in scratch allocated once per call and reused by every shift, laid out
+    as the temporaries ``window - w_mean``, its square and its product with
     ``t_c`` would be, so every sum adds in the same order as theirs.
     """
-    du_lo, du_hi, dv_lo, dv_hi = bounds
-    if du_lo > du_hi or dv_lo > dv_hi:
+    bounds, block = _open_kernel(template_block, reference, origin, shifts, counter,
+                                 orientation=orientation)
+    if block is None:
         return _correlation_map(shifts, bounds)
-    x0, y0 = origin
-    t_mean, t_var = block_stats(t_samples)
-    t_c = t_samples - t_mean
-    numerators = np.empty((dv_hi - dv_lo + 1, du_hi - du_lo + 1))
+    _, t_c, t_var, region, _ = block
+    th, tw = t_c.shape if orientation is None else (t_c.size, t_c.size)
+    numerators = np.empty((region.shape[0] - th + 1, region.shape[1] - tw + 1))
     r_var = np.empty_like(numerators)
-    centred = np.empty_like(window_at(y0 + dv_lo, x0 + du_lo))
+    centred = np.empty_like(_samples(region[:th, :tw], orientation))
     square = np.empty_like(centred)
     # numpy lays out a product in Fortran order only when both factors are.
     both_fortran = centred.flags.f_contiguous and t_c.flags.f_contiguous
     product = np.empty(centred.shape, order="F" if both_fortran else "C")
-    for iv, ys in enumerate(range(y0 + dv_lo, y0 + dv_hi + 1)):
-        for iu, xs in enumerate(range(x0 + du_lo, x0 + du_hi + 1)):
-            _, r_var[iv, iu] = _two_pass(window_at(ys, xs), centred, square)
+    for iv in range(numerators.shape[0]):
+        for iu in range(numerators.shape[1]):
+            window = _samples(region[iv:iv + th, iu:iu + tw], orientation)
+            _, r_var[iv, iu] = _two_pass(window, centred, square)
             np.multiply(centred, t_c, out=product)
             numerators[iv, iu] = np.add.reduce(product, axis=None)
-    if counter is not None:
-        counter.tally(numerators.size, t_samples.size)
     return _correlation_map(shifts, bounds, numerators, r_var, t_var)
 
 
@@ -341,10 +366,7 @@ def ncc_full_naive(
 
     Validates the template block and the reference region it reads.
     """
-    t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
-    th, tw = t.shape
-    return _direct_map(t, lambda ys, xs: ref[ys:ys + th, xs:xs + tw], origin, shifts, bounds,
-                       counter)
+    return _direct_map(template_block, reference, origin, shifts, counter)
 
 
 def ncc_full_fast(
@@ -367,26 +389,14 @@ def ncc_full_fast(
     reaches outputs past the top-left ``n_dv x n_du``, which are discarded.
     Validates the template block and the reference region it reads.
     """
-    t, ref, bounds = _validate_kernel_inputs(template_block, reference, origin, shifts)
-    _check_tables(tables, SumTables, ref)
-    du_lo, du_hi, dv_lo, dv_hi = bounds
-    if du_lo > du_hi or dv_lo > dv_hi:
+    bounds, block = _open_kernel(template_block, reference, origin, shifts, counter, SumTables,
+                                 tables)
+    if block is None:
         return _correlation_map(shifts, bounds)
-    th, tw = t.shape
-    x0, y0 = origin
-
-    t_mean, t_var = block_stats(t)
-    t_c = t - t_mean
-    if counter is not None:
-        counter.tally((du_hi - du_lo + 1) * (dv_hi - dv_lo + 1), th * tw)
-
-    region = ref[y0 + dv_lo:y0 + dv_hi + th, x0 + du_lo:x0 + du_hi + tw]
+    _, t_c, t_var, region, r_var = block
     # irfft2 needs s= too: an odd region width is lost from the half spectrum.
     spectrum = np.fft.rfft2(region) * np.conj(np.fft.rfft2(t_c, s=region.shape))
-    numerators = np.fft.irfft2(spectrum, s=region.shape)[:dv_hi - dv_lo + 1, :du_hi - du_lo + 1]
-
-    r_var = tables.window_var_sum(slice(x0 + du_lo, x0 + du_hi + 1),
-                                  slice(y0 + dv_lo, y0 + dv_hi + 1), tw, th)
+    numerators = np.fft.irfft2(spectrum, s=region.shape)[:r_var.shape[0], :r_var.shape[1]]
     return _correlation_map(shifts, bounds, numerators, r_var, t_var)
 
 
@@ -399,14 +409,7 @@ def best_shift(cmap: CorrelationMap) -> BestShift | None:
     if not valid.any():
         return None
     vmax = cmap.values[valid].max()
-    candidates = np.argwhere(valid & (cmap.values == vmax))
-    best_key = None
-    best = None
-    for iv, iu in candidates:
-        du = int(iu) + cmap.shifts.du_min
-        dv = int(iv) + cmap.shifts.dv_min
-        key = (du * du + dv * dv, dv, du)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (du, dv)
-    return BestShift(du=best[0], dv=best[1], coeff=float(vmax))
+    iv, iu = np.nonzero(valid & (cmap.values == vmax))
+    du, dv = iu + cmap.shifts.du_min, iv + cmap.shifts.dv_min
+    _, best_dv, best_du = min(zip((du * du + dv * dv).tolist(), dv.tolist(), du.tolist()))
+    return BestShift(du=best_du, dv=best_dv, coeff=float(vmax))

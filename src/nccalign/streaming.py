@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagonal import DiagTables, _diag_windows, _window_view
+from .diagonal import DiagTables, _window_view
 from .images import GrayImage
-from .ncc import EPS_VAR, CorrelationMap, OpCounter, ShiftRange, _correlation_map
+from .ncc import EPS_VAR, CorrelationMap, OpCounter, ShiftRange, _correlation_map, _open_kernel
 
 MULTIPLIER_STAGE = 0
 INTEGRATOR_STAGE = 1
@@ -214,7 +214,8 @@ def _front_end(t_diag: np.ndarray, region: np.ndarray, orientation: str,
     every later call on the same pixels shares them.
     """
     d = len(t_diag)
-    region = np.ascontiguousarray(region)
+    # The digest reads C-ordered bytes; the diagonal is a view of the block.
+    t_diag, region = np.ascontiguousarray(t_diag), np.ascontiguousarray(region)
     digest = hashlib.sha256(repr((t_diag.shape, region.shape)).encode())
     digest.update(t_diag)
     digest.update(region)
@@ -273,10 +274,11 @@ def ncc_stream(
     noise, seed or block id) reuses the noiseless front end, so the result
     is the same bits as a first call; ``counter`` is tallied either way.
     """
-    bounds, windows = _diag_windows(template_block, reference, origin, shifts, tables, counter)
-    if windows is None:
+    bounds, block = _open_kernel(template_block, reference, origin, shifts, counter, DiagTables,
+                                 tables)
+    if block is None:
         return _clamp(_correlation_map(shifts, bounds))
-    t_diag, _, t_var, region, r_var = windows
+    t_diag, _, t_var, region, r_var = block
     d = len(t_diag)
     if noise is None:
         noise = NoiseModel()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nccalign
-from nccalign import cli, load_pgm, save_pgm
+from nccalign import alignment, cli, load_pgm, save_pgm
 from nccalign.cli import argv_from_header, main
 
 
@@ -167,6 +167,41 @@ class TestAlign:
         err = capsys.readouterr().err
         assert "(40, 56)" in err and "(48, 64)" in err
         assert not (tmp_path / "o").exists()
+
+
+# The names the benchmark's tracer (perfbench/spans.py) rebinds, by module.
+# It sees the program's calls only if the program looks each name up in its
+# module at call time.
+TRACED_NAMES = {
+    cli: ("main", "run_alignment", "load_pgm", "save_pgm", "partition_template",
+          "estimate_disparity", "fill_invalid", "interpolate_disparity", "warp",
+          "global_correlation"),
+    alignment: ("best_shift", "build_diag_tables", "ncc_diag_fast", "ncc_stream"),
+}
+
+
+class TestTracedNames:
+    @pytest.mark.parametrize("method, kernel", [("diag-fast", "ncc_diag_fast"),
+                                                ("stream", "ncc_stream")])
+    def test_rebound_names_see_the_calls(self, tmp_path, monkeypatch, method, kernel):
+        assert main(["gen", *SMALL_PAIR, "--out", str(tmp_path / "pair")]) == 0
+        calls = {}
+        for module, names in TRACED_NAMES.items():
+            for name in names:
+                def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                    calls.setdefault(_name, []).append(kwargs)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counting)
+        argv = ["align", "--template", str(tmp_path / "pair" / "template.pgm"),
+                "--reference", str(tmp_path / "pair" / "reference.pgm"), "--block", "16", "--crop", "0.0",
+                "--search-du=-4:4", "--search-dv=-4:4", "--method", method, "--out", str(tmp_path / "align")]
+        assert cli.main(argv) == 0
+        other = "ncc_stream" if kernel == "ncc_diag_fast" else "ncc_diag_fast"
+        expected = {name for names in TRACED_NAMES.values() for name in names} - {other}
+        assert sorted(expected - calls.keys()) == []
+        assert other not in calls
+        # The tracer hands a kernel its OpCounter unless the call passes one.
+        assert all("counter" in kwargs for kwargs in calls[kernel])
 
 
 class TestDeterminism:

@@ -25,8 +25,7 @@ from nccalign import (
     partition_template,
     uniform_pattern,
 )
-from nccalign.diagonal import _diagonal
-from nccalign.ncc import OpCounter
+from nccalign.ncc import OpCounter, _samples
 
 from conftest import assert_rectangle_matches_windows, edge_rectangles, random_image
 
@@ -49,11 +48,11 @@ class TestDiagonalSamples:
     BLOCK = np.arange(1, 10).reshape(3, 3) / 9.0
 
     def test_main_diagonal(self):
-        samples = _diagonal(self.BLOCK, "main")
+        samples = _samples(self.BLOCK, "main")
         np.testing.assert_allclose(samples, np.array([1, 5, 9]) / 9.0)
 
     def test_anti_diagonal(self):
-        samples = _diagonal(self.BLOCK, "anti")
+        samples = _samples(self.BLOCK, "anti")
         np.testing.assert_allclose(samples, np.array([7, 5, 3]) / 9.0)
 
     @pytest.mark.parametrize("kernel", [ncc_diag_fast, ncc_stream],

@@ -37,8 +37,8 @@ from nccalign import (
     partition_template,
     quadrant_pattern,
 )
-from nccalign.diagonal import _diag_windows, _window_view
-from nccalign.ncc import _correlation_map, _inbounds_ranges
+from nccalign.diagonal import DiagTables, _window_view
+from nccalign.ncc import _correlation_map, _inbounds_ranges, _open_kernel
 
 from conftest import random_image
 
@@ -308,13 +308,13 @@ class TestStridedNumerator:
         origin = NUMERATOR_ORIGINS[edge]
         block = random_image(d + 43, d, d)
         tables = build_diag_tables(reference, orientation)
-        bounds, windows = _diag_windows(block, reference, origin, NUMERATOR_SHIFTS, tables, None)
-        t_diag, t_mean, t_var, region, r_var = windows
+        bounds, opened = _open_kernel(block, reference, origin, NUMERATOR_SHIFTS, None, DiagTables,
+                                      tables)
+        _, t_c, t_var, region, r_var = opened
         assert (bounds == (-16, 16, -16, 16)) == (edge == "inside")
         du_lo, du_hi, dv_lo, dv_hi = bounds
         samples = fancy_gather(reference, origin, d, np.arange(du_lo, du_hi + 1),
                                np.arange(dv_lo, dv_hi + 1), orientation)
-        t_c = t_diag - t_mean
         gathered = samples @ t_c
         # The kernel's product: the view holds anti sample D - 1 - k at k.
         got = (t_c if orientation == "main" else t_c[::-1]) @ _window_view(region, d, orientation)

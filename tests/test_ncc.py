@@ -20,7 +20,6 @@ from nccalign import (
     ncc_full_naive,
     ncc_stream,
 )
-from nccalign.diagonal import _diagonal
 from nccalign.images import _prefix_sums
 from nccalign.ncc import CorrelationMap, OpCounter, _correlation_map, _inbounds_ranges
 
@@ -109,6 +108,13 @@ def two_pass(values):
     return mean, float(np.sum(centred * centred))
 
 
+def diagonal_copy(block, kind):
+    """The D ``kind`` diagonal samples of a square block, copied into a
+    contiguous array. The oracle reads strided views instead, so the
+    formula's copies check that the view sums keep every bit."""
+    return np.ascontiguousarray(np.diagonal(block if kind == "main" else block[::-1]))
+
+
 def per_shift_map(kind, block, reference, origin, shifts):
     """The oracles as a formula: per in-bounds shift, :func:`two_pass` of
     the window's samples, then ``np.sum((window - mean) * t_c)``."""
@@ -117,8 +123,8 @@ def per_shift_map(kind, block, reference, origin, shifts):
         t_samples, window_at = block, lambda ys, xs: reference[ys:ys + th, xs:xs + tw]
     else:
         d = block.shape[0]
-        t_samples = _diagonal(block, kind)
-        window_at = lambda ys, xs: _diagonal(reference[ys:ys + d, xs:xs + d], kind)
+        t_samples = diagonal_copy(block, kind)
+        window_at = lambda ys, xs: diagonal_copy(reference[ys:ys + d, xs:xs + d], kind)
     bounds = _inbounds_ranges(origin, block.shape, reference.shape, shifts)
     du_lo, du_hi, dv_lo, dv_hi = bounds
     x0, y0 = origin
@@ -346,6 +352,24 @@ class TestBestShift:
         values[2, 4] = 0.7  # (2, 0)
         best = best_shift(self._cmap(values))
         assert (best.du, best.dv) == (0, 0)
+
+    def test_tie_prefers_smaller_du(self):
+        values = np.zeros((3, 3))
+        values[1, 2] = 0.6  # (du=1, dv=0)
+        values[1, 0] = 0.6  # (du=-1, dv=0)
+        best = best_shift(self._cmap(values))
+        assert (best.du, best.dv, best.coeff) == (-1, 0, 0.6)
+
+    def test_flagged_maximum_never_picked(self):
+        values = np.zeros((5, 5))
+        validity = np.full((5, 5), VALID, dtype=np.uint8)
+        values[2, 2] = 0.9  # (0, 0): the largest value, but flagged
+        validity[2, 2] = ZERO_VARIANCE
+        values[0, 4] = 0.4  # (du=2, dv=-2)
+        values[4, 0] = 0.9  # (du=-2, dv=2): ties the flagged value
+        validity[4, 0] = OUT_OF_BOUNDS
+        best = best_shift(self._cmap(values, validity))
+        assert (best.du, best.dv, best.coeff) == (2, -2, 0.4)
 
     def test_all_flagged_returns_none(self):
         values = np.zeros((3, 3))
