@@ -14,12 +14,14 @@ from pathlib import Path
 
 from nccalign.cli import main as nccalign
 
-PAIR = [
-    "--width", "512", "--height", "512",
-    "--pattern", "quadrant:3,5:-4,2:6,-7:-2,-6",
-    "--noise-floor", "0.01", "--gen-seed", "7",
-]
+QUADRANTS = ["--pattern", "quadrant:3,5:-4,2:6,-7:-2,-6", "--noise-floor", "0.01", "--gen-seed", "7"]
+PAIR = ["--width", "512", "--height", "512", *QUADRANTS]
 ALIGN = PAIR + ["--block", "64", "--crop", "0.0", "--search-du=-8:8", "--search-dv=-8:8"]
+# The paper workload: a 1080x1920 frame, 128-pixel blocks, +/-16.
+PAPER = [
+    "--width", "1920", "--height", "1080", *QUADRANTS,
+    "--block", "128", "--crop", "0.10", "--search-du=-16:16", "--search-dv=-16:16",
+]
 
 
 def run(argv, out_dir):
@@ -42,17 +44,7 @@ def main():
     run(["align", *ALIGN, "--method", "stream", "--noise-mult", "0.01", "--seed", "1"],
         out / "align_stream")
 
-    if args.quick:
-        bench = ["bench", *ALIGN, "--runs", "5"]
-    else:
-        bench = [
-            "bench", "--width", "1920", "--height", "1080",
-            "--pattern", "quadrant:3,5:-4,2:6,-7:-2,-6",
-            "--noise-floor", "0.01", "--gen-seed", "7",
-            "--block", "128", "--crop", "0.10",
-            "--search-du=-16:16", "--search-dv=-16:16", "--runs", "5",
-        ]
-    run(bench, out / "bench")
+    run(["bench", *(ALIGN if args.quick else PAPER), "--runs", "5"], out / "bench")
 
     run(["noise-sweep", *ALIGN, "--fractions", "0.01,0.1,0.2", "--seeds", "10"],
         out / "noise_sweep")

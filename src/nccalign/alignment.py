@@ -514,5 +514,7 @@ def random_intensity_perturbation(image: GrayImage, seed: int, amplitude: float)
     arr = validate_image(image)
     if not (0.0 <= amplitude <= 1.0):
         raise ValueError(f"amplitude must be in [0, 1], got {amplitude}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     factors = np.random.default_rng(seed).uniform(1.0 - amplitude, 1.0 + amplitude, size=arr.shape)
     return np.clip(arr * factors, 0.0, None)

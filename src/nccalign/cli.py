@@ -324,27 +324,28 @@ def cmd_bench(args) -> int:
     grid = partition_template(template, args.block, args.crop)
     shifts = _shift_range(args)
 
-    results = {}
-    for method in ("full-fast", "diag-fast"):
-        counter = OpCounter()
+    counters = {method: OpCounter() for method in ("full-fast", "diag-fast")}
+    for method, counter in counters.items():
         estimate_disparity(template, reference, grid, method, shifts,
                            orientation=args.orientation, counter=counter)  # warmup
         if counter.shifts == 0:
             raise UnalignableError(f"empty search range --search-du={shifts.du_min}:{shifts.du_max} "
                                    f"--search-dv={shifts.dv_min}:{shifts.dv_max}: no block window "
                                    "stays inside the reference")
-        timings = []
-        for _ in range(args.runs):
+    # The methods alternate run by run, so host drift lands on both alike.
+    timings = {method: [] for method in counters}
+    for _ in range(args.runs):
+        for method, runs in timings.items():
             start = time.perf_counter()
             estimate_disparity(template, reference, grid, method, shifts,
                                orientation=args.orientation)
-            timings.append((time.perf_counter() - start) * 1000.0)
-        results[method] = (statistics.median(timings), counter)
+            runs.append((time.perf_counter() - start) * 1000.0)
 
-    full_ms = results["full-fast"][0]
+    medians = {method: statistics.median(runs) for method, runs in timings.items()}
     out = _out_dir(args)
     rows = []
-    for method, (ms, counter) in results.items():
+    for method, counter in counters.items():
+        ms = medians[method]
         rows.append((
             method,
             grid.rows * grid.cols,
@@ -354,18 +355,17 @@ def cmd_bench(args) -> int:
             counter.multiplies // counter.shifts,
             ms,
             ms / (grid.rows * grid.cols),
-            full_ms / ms,
+            medians["full-fast"] / ms,
         ))
-    _write_csv(out / "bench.csv", config, "bench",
-               ("method", "blocks", "shifts_evaluated", "numerator_multiplies",
-                "numerator_adds", "multiplies_per_shift", "wall_ms_median",
-                "ms_per_block", "speedup_vs_full_fast"), rows)
+    columns = ("method", "blocks", "shifts_evaluated", "numerator_multiplies",
+               "numerator_adds", "multiplies_per_shift", "wall_ms_median",
+               "ms_per_block", "speedup_vs_full_fast")
+    _write_csv(out / "bench.csv", config, "bench", columns, rows)
 
-    diag_ms = results["diag-fast"][0]
-    ratio = results["full-fast"][1].multiplies // results["full-fast"][1].shifts \
-        // (results["diag-fast"][1].multiplies // results["diag-fast"][1].shifts)
-    print(f"full-fast={_fmt(full_ms)}ms diag-fast={_fmt(diag_ms)}ms "
-          f"speedup={_fmt(full_ms / diag_ms)} multiply_ratio={ratio}")
+    full, diag = (dict(zip(columns, row)) for row in rows)
+    print(f"full-fast={_fmt(full['wall_ms_median'])}ms diag-fast={_fmt(diag['wall_ms_median'])}ms "
+          f"speedup={_fmt(diag['speedup_vs_full_fast'])} "
+          f"multiply_ratio={full['multiplies_per_shift'] // diag['multiplies_per_shift']}")
     return 0
 
 
@@ -382,15 +382,20 @@ def cmd_noise_sweep(args) -> int:
     args.method = "stream"  # after the header, so it lists only flags noise-sweep takes
     template, reference, truth = _load_or_generate(args)
     seeds = [args.seed + i for i in range(args.seeds)]
+    try:
+        noises = [[NoiseModel(fraction, args.noise_int, seed) for fraction in fractions]
+                  for seed in seeds]
+    except ValueError as exc:
+        raise ValueError(f"--fractions={args.fractions} --noise-int={_fmt(args.noise_int)} "
+                         f"--seed={args.seed}: {exc}") from exc
 
     # Seeds outer, fractions inner: a seed's noise streams do not depend on
     # the fraction, so its later fractions reuse the draws its first one
     # cached (streaming.DRAW_CACHE_STREAMS bounds the cache).
     corrs_by_fraction = [[] for _ in fractions]
     matches_by_fraction = [[] for _ in fractions]
-    for seed in seeds:
-        for fraction, corrs, matches in zip(fractions, corrs_by_fraction, matches_by_fraction):
-            noise = NoiseModel(fraction, args.noise_int, seed)
+    for seed_noises in noises:
+        for noise, corrs, matches in zip(seed_noises, corrs_by_fraction, matches_by_fraction):
             result = run_alignment(template, reference, args, noise=noise)
             corrs.append(result.corr_after)
             if truth is not None:
@@ -426,11 +431,15 @@ def cmd_robustness(args) -> int:
     else:
         parameter = args.parameter
 
+    try:
+        if args.mode == "uniform":
+            perturbed = scale_intensity(template, parameter)
+        else:
+            perturbed = random_intensity_perturbation(template, args.seed, parameter)
+    except ValueError as exc:
+        seed = f" --seed={args.seed}" if args.mode == "random" else ""
+        raise ValueError(f"--mode {args.mode} --parameter={_fmt(parameter)}{seed}: {exc}") from exc
     baseline = run_alignment(template, reference, args)
-    if args.mode == "uniform":
-        perturbed = scale_intensity(template, parameter)
-    else:
-        perturbed = random_intensity_perturbation(template, args.seed, parameter)
     run = run_alignment(perturbed, reference, args)
 
     def _rate(result):

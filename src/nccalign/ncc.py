@@ -285,7 +285,8 @@ def _open_kernel(template_block, reference, origin, shifts, counter, kind=None, 
     region = validate_image(ref[y0 + dv_lo:y0 + dv_hi + th, x0 + du_lo:x0 + du_hi + tw],
                             "reference")
     samples = _samples(t, orientation)
-    t_mean, t_var = block_stats(samples)
+    t_c = np.empty_like(samples)
+    _, t_var = _two_pass(samples, t_c, np.empty_like(t_c))
     if counter is not None:
         counter.tally((du_hi - du_lo + 1) * (dv_hi - dv_lo + 1), samples.size)
     r_var = None
@@ -294,7 +295,7 @@ def _open_kernel(template_block, reference, origin, shifts, counter, kind=None, 
         r_var = tables.window_var_sum(slice(x0 + du_lo, x0 + du_hi + 1),
                                       slice(y0 + dv_lo, y0 + dv_hi + 1),
                                       *((tw, th) if orientation is None else (tw,)))
-    return bounds, (samples, samples - t_mean, t_var, region, r_var)
+    return bounds, (samples, t_c, t_var, region, r_var)
 
 
 def _correlation_map(shifts: ShiftRange, bounds, numerators=None, r_var=None, t_var=0.0,

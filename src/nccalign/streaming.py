@@ -67,11 +67,13 @@ class MovingAverageConfig:
         kind, sep, arg = text.partition(":")
         if not sep:
             raise ValueError(f"moving-average spec {text!r} must be 'boxcar:L' or 'pole:ALPHA'")
-        if kind == "boxcar":
-            return cls.boxcar(int(arg))
-        if kind == "pole":
-            return cls.single_pole(float(arg))
-        raise ValueError(f"unknown moving-average kind {kind!r}")
+        if kind not in ("boxcar", "pole"):
+            raise ValueError(f"unknown moving-average kind {kind!r}")
+        try:
+            value = int(arg) if kind == "boxcar" else float(arg)
+        except ValueError as exc:
+            raise ValueError(f"moving-average spec {text!r} needs a number after ':', got {arg!r}") from exc
+        return cls.boxcar(value) if kind == "boxcar" else cls.single_pole(value)
 
 
 def _moving_average_batch(signals: np.ndarray, config: MovingAverageConfig) -> np.ndarray:

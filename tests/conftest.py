@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,9 @@ from nccalign import (
 )
 
 QUADRANT_SHIFTS = [(3, 5), (-4, 2), (6, -7), (-2, -6)]
+
+# The acceptance criteria run the experiment set's argument lists.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +41,19 @@ def quadrant_pair():
         "grid": grid,
         "shifts": ShiftRange.symmetric(8),
     }
+
+
+def csv_body(path):
+    """An output CSV's lines without its '#' header lines."""
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+def csv_rows(path):
+    """An output CSV's body rows as dicts keyed by its column names."""
+    body = csv_body(path)
+    header = body[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in body[1:]]
 
 
 def random_image(seed: int, height: int, width: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The heavier criteria (the full-resolution benchmark, the seeded noise
-sweep) share the session-scoped 512x512 quadrant pair fixture.
+lines. Criteria 4, 5 and 8 run the experiment set's `bench`, `align` and
+`noise-sweep` (scripts/run_experiments.py) through the CLI and read what they
+write or print; 6 and 7 share the session-scoped 512x512 quadrant pair fixture.
 """
 
 import time
@@ -13,30 +14,22 @@ import pytest
 from nccalign import (
     NoiseModel,
     ShiftRange,
-    SyntheticSpec,
     build_diag_tables,
     build_sum_tables,
     estimate_disparity,
-    fill_invalid,
-    global_correlation,
-    interpolate_disparity,
-    make_synthetic_stereo,
     ncc_diag,
     ncc_diag_fast,
     ncc_full_fast,
     ncc_full_naive,
-    partition_template,
     power_budget,
-    quadrant_pattern,
     scale_intensity,
-    warp,
 )
 from nccalign import dynamic_range_to_noise
 from nccalign.cli import main as cli_main
-from nccalign.cli import match_rate
 from nccalign.ncc import OpCounter
+from run_experiments import ALIGN, PAPER
 
-from conftest import random_image
+from conftest import csv_body, csv_rows, random_image
 
 
 def report(num: int, description: str, passed: bool) -> None:
@@ -107,46 +100,23 @@ def test_criterion_3_cost_ratio_is_block_side(d, ref_side):
            and full_per_shift % diag_per_shift == 0)
 
 
-def test_criterion_4_wall_clock_speedup():
+def test_criterion_4_wall_clock_speedup(tmp_path):
     start = time.perf_counter()
-    spec = SyntheticSpec(
-        width=1920, height=1080,
-        regions=quadrant_pattern(1920, 1080, [(3, 5), (-4, 2), (6, -7), (-2, -6)]),
-        texture_seed=7, noise_floor=0.01,
-    )
-    template, reference, _ = make_synthetic_stereo(spec)
-    grid = partition_template(template, 128, 0.10)
-    shifts = ShiftRange.symmetric(16)
-
-    methods = ("full-fast", "diag-fast")
-    for method in methods:
-        estimate_disparity(template, reference, grid, method, shifts)  # warmup
-    # The methods alternate run by run, so host drift lands on both alike.
-    times = {method: [] for method in methods}
-    for _ in range(5):
-        for method in methods:
-            t0 = time.perf_counter()
-            estimate_disparity(template, reference, grid, method, shifts)
-            times[method].append(time.perf_counter() - t0)
-    medians = {method: sorted(runs)[2] for method, runs in times.items()}
-    speedup = medians["full-fast"] / medians["diag-fast"]
+    assert cli_main(["bench", *PAPER, "--runs", "5", "--out", str(tmp_path)]) == 0
+    rows = {row["method"]: row for row in csv_rows(tmp_path / "bench.csv")}
+    seconds = {method: float(row["wall_ms_median"]) / 1000.0 for method, row in rows.items()}
+    speedup = float(rows["diag-fast"]["speedup_vs_full_fast"])
     elapsed = time.perf_counter() - start
-    report(4, f"1080x1920 block128 +/-16: full-fast={medians['full-fast']:.2f}s "
-              f"diag-fast={medians['diag-fast']:.2f}s speedup={speedup:.1f}x (>=2.0), total {elapsed:.0f}s (<300s)",
+    report(4, f"1080x1920 block128 +/-16: full-fast={seconds['full-fast']:.2f}s "
+              f"diag-fast={seconds['diag-fast']:.2f}s speedup={speedup:.1f}x (>=2.0), total {elapsed:.0f}s (<300s)",
            speedup >= 2.0 and elapsed < 300.0)
 
 
-def test_criterion_5_ground_truth_recovery(quadrant_pair):
-    p = quadrant_pair
-    field = estimate_disparity(p["template"], p["reference"], p["grid"], "diag", p["shifts"])
-    rate = match_rate(field, p["truth"], p["grid"])
-
-    filled = fill_invalid(field)
-    h, w = p["template"].shape
-    dense = interpolate_disparity(filled, p["grid"], extent=(w, h))
-    warped, mask = warp(p["template"], dense)
-    before = global_correlation(p["template"], p["reference"], mask)
-    after = global_correlation(warped, p["reference"], mask)
+def test_criterion_5_ground_truth_recovery(tmp_path, capsys):
+    assert cli_main(["align", *ALIGN, "--method", "diag", "--out", str(tmp_path)]) == 0
+    rate = float(dict(item.split("=") for item in capsys.readouterr().out.split())["match_rate"])
+    metrics, = csv_rows(tmp_path / "metrics.csv")
+    before, after = float(metrics["corr_before"]), float(metrics["corr_after"])
     report(5, f"quadrant pair, diag: match={rate:.3f} (>=0.95); corr {before:.4f} -> {after:.4f} (increases)",
            rate >= 0.95 and after > before)
 
@@ -177,18 +147,12 @@ def test_criterion_7_streaming_fidelity(quadrant_pair):
            agree >= 0.90)
 
 
-def test_criterion_8_noise_robustness(quadrant_pair):
-    p = quadrant_pair
-    fractions = (0.01, 0.10, 0.20)
-    means = []
-    for fraction in fractions:
-        rates = []
-        for seed in range(10):
-            noise = NoiseModel(fraction, 0.20, seed)
-            field = estimate_disparity(p["template"], p["reference"], p["grid"], "stream",
-                                       p["shifts"], noise=noise)
-            rates.append(match_rate(field, p["truth"], p["grid"]))
-        means.append(float(np.mean(rates)))
+def test_criterion_8_noise_robustness(tmp_path):
+    argv = ["noise-sweep", *ALIGN, "--fractions", "0.01,0.1,0.2", "--seeds", "10", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    rows = csv_rows(tmp_path / "noise_sweep.csv")
+    fractions = tuple(float(row["multiplier_fraction"]) for row in rows)
+    means = [float(row["match_rate_mean"]) for row in rows]
     nonincreasing = means[0] >= means[1] >= means[2]
     report(8, f"stream match rates at mult {fractions}: {[f'{m:.3f}' for m in means]} "
               f"(first >=0.90, nonincreasing)",
@@ -212,9 +176,6 @@ def test_criterion_9_dynamic_range_and_power():
 
 
 def test_criterion_10_determinism(tmp_path):
-    def bodies(path):
-        return [line for line in path.read_text().splitlines() if not line.startswith("#")]
-
     align_args = [
         "align", "--width", "96", "--height", "96", "--pattern", "uniform:2,3",
         "--noise-floor", "0.01", "--gen-seed", "5", "--block", "16", "--crop", "0.0",
@@ -236,5 +197,5 @@ def test_criterion_10_determinism(tmp_path):
         assert cli_main([*args, "--out", str(out1)]) == 0
         assert cli_main([*args, "--out", str(out2)]) == 0
         for name in names:
-            ok &= bodies(out1 / name) == bodies(out2 / name)
+            ok &= csv_body(out1 / name) == csv_body(out2 / name)
     report(10, "align and noise-sweep reruns reproduce byte-identical CSV bodies", ok)

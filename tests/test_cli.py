@@ -11,16 +11,7 @@ import nccalign
 from nccalign import alignment, cli, load_pgm, save_pgm
 from nccalign.cli import argv_from_header, main
 
-
-def csv_body(path):
-    text = path.read_text(encoding="utf-8", errors="surrogateescape")
-    return [line for line in text.splitlines() if not line.startswith("#")]
-
-
-def csv_rows(path):
-    body = csv_body(path)
-    header = body[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in body[1:]]
+from conftest import csv_body, csv_rows
 
 
 SMALL_PAIR = [
@@ -254,6 +245,18 @@ class TestBench:
         assert int(rows1["full-fast"]["multiplies_per_shift"]) == 256
         assert int(rows1["diag-fast"]["multiplies_per_shift"]) == 16
 
+    def test_methods_alternate_after_one_counted_warmup_each(self, tmp_path, capsys, monkeypatch):
+        calls, estimate = [], cli.estimate_disparity
+
+        def spy(template, reference, grid, method, *args, **kwargs):
+            calls.append((method, "counter" in kwargs))
+            return estimate(template, reference, grid, method, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_disparity", spy)
+        assert main(["bench", *SMALL_ALIGN, "--runs", "3", "--out", str(tmp_path / "o")]) == 0
+        assert calls == [("full-fast", True), ("diag-fast", True)] + [("full-fast", False), ("diag-fast", False)] * 3
+        assert capsys.readouterr().out.rstrip().endswith(" multiply_ratio=16")
+
     def test_empty_search_range_exits_1(self, tmp_path, capsys):
         code = main([
             "bench", "--width", "64", "--height", "64", "--block", "16", "--crop", "0",
@@ -423,6 +426,24 @@ class TestRobustness:
         rows = {r["mode"]: r for r in csv_rows(out / "robustness.csv")}
         assert rows["random"]["field_equals_baseline"] == "1"
         assert rows["random"]["corr_after"] == rows["none"]["corr_after"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["noise-sweep", "--fractions", "0.1,-0.5", "--seeds", "2"], "--fractions=0.1,-0.5"),
+    (["robustness", "--mode", "random", "--parameter", "1.5"], "--parameter=1.5"),
+    (["robustness", "--mode", "uniform", "--parameter=-1"], "--parameter=-1"),
+    (["robustness", "--mode", "random", "--seed=-3"], "--seed=-3"),
+    (["align", "--method", "stream", "--ma", "boxcar:abc"], "'boxcar:abc'"),
+], ids=("sweep-fraction", "random-amplitude", "uniform-factor", "random-seed", "ma-argument"))
+def test_bad_setting_exits_2_before_any_alignment(tmp_path, capsys, monkeypatch, argv, named):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an alignment ran before the usage error")
+
+    monkeypatch.setattr(cli, "estimate_disparity", refuse)
+    out = tmp_path / "o"
+    assert main([argv[0], *SMALL_ALIGN, *argv[1:], "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestPower:
