@@ -83,9 +83,6 @@ class RunConfig:
         lines.extend(f"arg: {flag}={value}" for flag, value in self.options)
         return lines
 
-    def header_lines(self, schema: str) -> list[str]:
-        return [f"# {line}" for line in self.comment_lines(schema)]
-
 
 def argv_from_header(path) -> list[str]:
     """Reconstruct the argv that produced an output file from its header."""
@@ -118,8 +115,8 @@ def _fmt(value) -> str:
 
 def _write_csv(path: Path, config: RunConfig, schema: str, columns, rows) -> None:
     with open(path, "w", newline="\n", encoding="utf-8", errors="surrogateescape") as fh:
-        for line in config.header_lines(schema):
-            fh.write(line + "\n")
+        for line in config.comment_lines(schema):
+            fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(cell) for cell in row) + "\n")
@@ -207,7 +204,6 @@ class AlignmentResult:
     filled_field: DisparityField
     dense: DenseDisparity
     warped: np.ndarray
-    mask: np.ndarray
     corr_before: float
     corr_after: float
     improvement_pct: float
@@ -218,23 +214,16 @@ def run_alignment(template, reference, args, *, noise: NoiseModel | None = None)
 
     Pre/post correlations are both computed over the warp validity mask so
     the improvement metric compares identical pixel sets. The scores need
-    equal extents, so unequal ones fail before the estimate. The
-    moving-average and noise settings are read only for ``stream``.
+    equal extents, so unequal ones fail before the estimate. Only ``stream``
+    reads ``noise`` and ``args.ma``, as :func:`_stream_noises` parsed it.
     """
     if np.shape(template) != np.shape(reference):
         raise ValueError(f"template {np.shape(template)} and reference {np.shape(reference)} "
                          "extents differ")
     grid = partition_template(template, args.block, args.crop)
     shifts = _shift_range(args)
-    ma_config = None
-    if args.method == "stream":
-        ma_config = MovingAverageConfig.parse(args.ma) if args.ma else None  # None: boxcar of the block
-        if noise is None:
-            noise = NoiseModel(args.noise_mult, args.noise_int, args.seed)
-    raw = estimate_disparity(
-        template, reference, grid, args.method, shifts,
-        orientation=args.orientation, ma_config=ma_config, noise=noise,
-    )
+    raw = estimate_disparity(template, reference, grid, args.method, shifts, orientation=args.orientation,
+                             ma_config=args.ma if args.method == "stream" else None, noise=noise)
     filled = fill_invalid(raw)
     h, w = template.shape
     dense = interpolate_disparity(filled, grid, extent=(w, h))
@@ -246,11 +235,26 @@ def run_alignment(template, reference, args, *, noise: NoiseModel | None = None)
         filled_field=filled,
         dense=dense,
         warped=warped,
-        mask=mask,
         corr_before=corr_before,
         corr_after=corr_after,
         improvement_pct=improvement_percent(corr_before, corr_after),
     )
+
+
+def _stream_noises(args, fractions, seeds) -> list[list[NoiseModel]]:
+    """Build the stream settings once, before any alignment: parse ``args.ma``
+    in place (None: a boxcar of the block) and return the NoiseModel of each
+    seed (outer) and multiplier fraction (inner). Errors name their flags."""
+    try:
+        args.ma = MovingAverageConfig.parse(args.ma) if args.ma else None
+    except ValueError as exc:
+        raise ValueError(f"--ma={args.ma}: {exc}") from exc
+    try:
+        return [[NoiseModel(fraction, args.noise_int, seed) for fraction in fractions] for seed in seeds]
+    except ValueError as exc:
+        flag = (f"--fractions={args.fractions}" if args.command == "noise-sweep"
+                else f"--noise-mult={_fmt(args.noise_mult)}")
+        raise ValueError(f"{flag} --noise-int={_fmt(args.noise_int)} --seed={args.seed}: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -279,8 +283,9 @@ def cmd_gen(args) -> int:
 
 def cmd_align(args) -> int:
     config = RunConfig.from_args(args)
+    noise = _stream_noises(args, [args.noise_mult], [args.seed])[0][0] if args.method == "stream" else None
     template, reference, truth = _load_or_generate(args)
-    result = run_alignment(template, reference, args)
+    result = run_alignment(template, reference, args, noise=noise)
     out = _out_dir(args)
 
     rows = []
@@ -380,14 +385,9 @@ def cmd_noise_sweep(args) -> int:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     config = RunConfig.from_args(args)
     args.method = "stream"  # after the header, so it lists only flags noise-sweep takes
-    template, reference, truth = _load_or_generate(args)
     seeds = [args.seed + i for i in range(args.seeds)]
-    try:
-        noises = [[NoiseModel(fraction, args.noise_int, seed) for fraction in fractions]
-                  for seed in seeds]
-    except ValueError as exc:
-        raise ValueError(f"--fractions={args.fractions} --noise-int={_fmt(args.noise_int)} "
-                         f"--seed={args.seed}: {exc}") from exc
+    noises = _stream_noises(args, fractions, seeds)
+    template, reference, truth = _load_or_generate(args)
 
     # Seeds outer, fractions inner: a seed's noise streams do not depend on
     # the fraction, so its later fractions reuse the draws its first one
@@ -425,6 +425,7 @@ def cmd_noise_sweep(args) -> int:
 
 def cmd_robustness(args) -> int:
     config = RunConfig.from_args(args)
+    noise = _stream_noises(args, [args.noise_mult], [args.seed])[0][0] if args.method == "stream" else None
     template, reference, truth = _load_or_generate(args)
     if args.parameter is None:
         parameter = 0.1 if args.mode == "uniform" else 0.5
@@ -439,8 +440,8 @@ def cmd_robustness(args) -> int:
     except ValueError as exc:
         seed = f" --seed={args.seed}" if args.mode == "random" else ""
         raise ValueError(f"--mode {args.mode} --parameter={_fmt(parameter)}{seed}: {exc}") from exc
-    baseline = run_alignment(template, reference, args)
-    run = run_alignment(perturbed, reference, args)
+    baseline = run_alignment(template, reference, args, noise=noise)
+    run = run_alignment(perturbed, reference, args, noise=noise)
 
     def _rate(result):
         if truth is None:

@@ -35,8 +35,8 @@ class MovingAverageConfig:
     """Causal low-pass used for streaming mean removal.
 
     kind "boxcar": mean over the trailing ``window_len`` samples, with a
-    growing window during warmup. kind "pole": one-pole IIR
-    y[n] = alpha * x[n] + (1 - alpha) * y[n-1], primed with y[-1] = x[0].
+    growing window during warmup. kind "pole": the one-pole recurrence
+    y[-1] = x[0], y[k] = alpha * x[k] + (1 - alpha) * y[k-1].
     """
 
     kind: str
@@ -77,7 +77,9 @@ class MovingAverageConfig:
 
 
 def _moving_average_batch(signals: np.ndarray, config: MovingAverageConfig) -> np.ndarray:
-    """Moving average along the last axis of a (..., N) array."""
+    """Moving average along the last axis of a (..., N) array. The single
+    pole runs y[-1] = x[0], y[k] = alpha * x[k] + (1 - alpha) * y[k-1] over a
+    sample-major copy, one sample at a time, products formed as written."""
     x = np.asarray(signals, dtype=np.float64)
     n = x.shape[-1]
     if config.kind == "boxcar":
@@ -89,14 +91,11 @@ def _moving_average_batch(signals: np.ndarray, config: MovingAverageConfig) -> n
         if n > length:
             out[..., length:] = (c[..., length:] - c[..., :-length]) / length
         return out
-    # Imported here so that `import nccalign` loads no scipy: importing
-    # scipy.signal takes about ten times as long as importing numpy.
-    from scipy.signal import lfilter
-
-    alpha = config.alpha
-    zi = (1.0 - alpha) * x[..., :1]
-    out, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], x, axis=-1, zi=zi)
-    return out
+    # Rows indexed, not iterated: iterating a 1D copy yields scalar copies.
+    y = np.moveaxis(x, -1, 0).copy()
+    for k in range(n):
+        y[k] = config.alpha * y[k] + (1.0 - config.alpha) * y[max(k - 1, 0)]
+    return np.moveaxis(y, 0, -1)
 
 
 def zero_mean_stream(signal, config: MovingAverageConfig) -> np.ndarray:

@@ -27,6 +27,21 @@ from nccalign.streaming import (
 
 from conftest import random_image
 
+POLE_ALPHAS = (1.0, 0.9, 0.5, 1 / 3, 0.25, 0.123456789, 0.01)
+
+
+def scalar_pole(x: np.ndarray, alpha: float) -> np.ndarray:
+    """The single-pole recurrence y[-1] = x[0], y[k] = alpha * x[k] +
+    (1 - alpha) * y[k-1] along the last axis, one Python float (an IEEE
+    double) at a time."""
+    out = []
+    for row in x.reshape(-1, x.shape[-1]).tolist():
+        y = row[0]
+        for sample in row:
+            y = alpha * sample + (1.0 - alpha) * y
+            out.append(y)
+    return np.array(out).reshape(x.shape)
+
 
 class TestMovingAverage:
     def test_boxcar_growing_warmup(self):
@@ -47,6 +62,24 @@ class TestMovingAverage:
         signal = np.array([0.4, 0.1, 0.9, 0.6])
         np.testing.assert_allclose(_moving_average_batch(signal, MovingAverageConfig.single_pole(1.0)),
                                    signal)
+
+    @pytest.mark.parametrize("alpha", POLE_ALPHAS)
+    @pytest.mark.parametrize("shape, layout", [
+        ((289, 64), "C"), ((1089, 128), "C"), ((5, 7), "C"), ((64,), "C"), ((3, 1), "C"),
+        ((1,), "C"), ((289, 64), "F"), ((289, 64), "transposed"),
+    ], ids=["289x64", "1089x128", "5x7", "64", "3x1", "1", "289x64-fortran", "289x64-transposed"])
+    def test_pole_equals_scalar_recurrence(self, alpha, shape, layout):
+        rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+        if layout == "transposed":
+            x = (rng.standard_normal(shape[::-1]) * 100).T
+        else:
+            x = np.asarray(rng.standard_normal(shape) * 100, order=layout)
+        before = x.copy()
+        out = _moving_average_batch(x, MovingAverageConfig.single_pole(alpha))
+        assert out.shape == x.shape
+        np.testing.assert_array_equal(np.ascontiguousarray(out).view(np.uint64),
+                                      scalar_pole(x, alpha).view(np.uint64))
+        np.testing.assert_array_equal(x, before)
 
     def test_bad_configs_rejected(self):
         with pytest.raises(ValueError):
