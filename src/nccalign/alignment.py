@@ -256,7 +256,7 @@ def bilinear_grid_sample(
     out = np.empty((height, width))
     rows = chunk_rows(height, width)
     upper = np.empty((rows, width))
-    for a, b in row_chunks(0, height, rows):
+    for a, b in row_chunks(height, rows):
         lower, up = out[a:b], upper[:b - a]
         np.take(grid[a:b], j0, axis=1, out=lower, mode="clip")
         lower *= ux
@@ -316,7 +316,7 @@ def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndar
         np.empty((3, rows, w), dtype=np.int64),
         np.empty((2, rows, w), dtype=bool),
     )
-    for a, b in row_chunks(0, h, rows):
+    for a, b in row_chunks(h, rows):
         _warp_rows(flat, h, w, xs, ys[a:b], dense.du[a:b], dense.dv[a:b], out[a:b], mask[a:b], buffers)
     return out, mask
 
@@ -441,7 +441,7 @@ def global_correlation(
     weights, cb, ca = np.ones((3, rows, w))
 
     def chunks():
-        for r0, r1 in row_chunks(0, h, rows):
+        for r0, r1 in row_chunks(h, rows):
             wt = weights[:r1 - r0]
             if mask is not None:
                 np.copyto(wt, mask[r0:r1])

@@ -9,6 +9,7 @@ and may leave [0, 1] transiently (noise, scaling).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +30,9 @@ def chunk_rows(height: int, width: int) -> int:
     return max(1, min(height, CHUNK_PIXELS // max(width, 1)))
 
 
-def row_chunks(start: int, stop: int, rows: int):
-    """Yield the (a, b) row ranges, ``rows`` rows each, that cover [start, stop)."""
-    for a in range(start, stop, rows):
+def row_chunks(stop: int, rows: int):
+    """Yield the (a, b) row ranges, ``rows`` rows each, that cover [0, stop)."""
+    for a in range(0, stop, rows):
         yield a, min(a + rows, stop)
 
 
@@ -69,22 +70,11 @@ def validate_image(image: GrayImage, name: str = "image") -> np.ndarray:
     return arr
 
 
-def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Read one whitespace-delimited header token, skipping '#' comments."""
-    n = len(data)
-    while pos < n:
-        c = data[pos:pos + 1]
-        if c == b"#":
-            while pos < n and data[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace() and data[pos:pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+# One header token at the match position: the whitespace and '#' comments
+# before it (a comment runs to CR or LF), then the token, which ends at
+# whitespace or '#'. A bytes pattern's \s is the six ASCII whitespace bytes
+# that ``bytes.isspace`` accepts.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*)*([^\s#]*)")
 
 
 def load_pgm(path) -> GrayImage:
@@ -96,13 +86,15 @@ def load_pgm(path) -> GrayImage:
     with open(path, "rb") as fh:
         data = fh.read()
 
-    magic, pos = _read_header_token(data, 0)
+    match = _HEADER_TOKEN.match(data)
+    magic, pos = match[1], match.end()
     if magic != b"P5":
         raise PgmError(f"unsupported format magic {magic!r}, only binary 'P5' is accepted")
 
     fields = []
     for name in ("width", "height", "maxval"):
-        token, pos = _read_header_token(data, pos)
+        match = _HEADER_TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
         if not token.isdigit():
             raise PgmError(f"malformed header field {name!r}: {token!r}")
         fields.append(int(token))
@@ -158,7 +150,7 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
     quantized = np.empty((height, width), dtype=dtype)
     rows = chunk_rows(height, width)
     scaled = np.empty((rows, width))
-    for a, b in row_chunks(0, height, rows):
+    for a, b in row_chunks(height, rows):
         chunk, s = arr[a:b], scaled[:b - a]
         if not _all_finite(chunk):
             raise ValueError("image contains non-finite intensities")

@@ -92,24 +92,21 @@ class ShiftRange:
 
 def block_stats(values: np.ndarray) -> tuple[float, float]:
     """Two-pass (mean, sum of squared deviations from the mean)."""
-    arr = np.asarray(values, dtype=np.float64)
-    centred = np.empty_like(arr)
-    return _two_pass(arr, centred, centred)
+    mean, _, var = _two_pass(np.asarray(values, dtype=np.float64))
+    return mean, var
 
 
-def _two_pass(values: np.ndarray, centred: np.ndarray, square: np.ndarray) -> tuple[float, float]:
-    """:func:`block_stats` of float64 ``values`` through caller-owned
-    scratch: leaves ``values - mean`` in ``centred`` and squares it into
-    ``square``, which may be ``centred`` itself.
+def _two_pass(values: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """The textbook two-pass statistics of float64 ``values`` (Chan, Golub
+    & LeVeque, 1983): (mean, ``values - mean``, its sum of squares).
 
     ``np.add.reduce`` over all axes is the sum ``np.sum`` and ``np.mean``
     take, in the same order, without their Python wrappers; the mean
     divides it by the count as ``np.mean`` does.
     """
     mean = float(np.add.reduce(values, axis=None) / values.size)
-    np.subtract(values, mean, out=centred)
-    np.multiply(centred, centred, out=square)
-    return mean, float(np.add.reduce(square, axis=None))
+    centred = values - mean
+    return mean, centred, float(np.add.reduce(centred * centred, axis=None))
 
 
 @dataclass
@@ -261,7 +258,7 @@ def _open_kernel(template_block, reference, origin, shifts, counter, kind=None, 
 
     Returns the clipped shift bounds and, unless no shift is in bounds (then
     None), the template samples, the samples minus their mean, their variance
-    sum (see :func:`block_stats`), the region and, given tables, the
+    sum (see :func:`_two_pass`), the region and, given tables, the
     (n_dv, n_du) window variance sums. Tallies ``counter``.
     """
     t = validate_image(template_block, "template_block")
@@ -285,8 +282,7 @@ def _open_kernel(template_block, reference, origin, shifts, counter, kind=None, 
     region = validate_image(ref[y0 + dv_lo:y0 + dv_hi + th, x0 + du_lo:x0 + du_hi + tw],
                             "reference")
     samples = _samples(t, orientation)
-    t_c = np.empty_like(samples)
-    _, t_var = _two_pass(samples, t_c, np.empty_like(t_c))
+    _, t_c, t_var = _two_pass(samples)
     if counter is not None:
         counter.tally((du_hi - du_lo + 1) * (dv_hi - dv_lo + 1), samples.size)
     r_var = None
@@ -326,12 +322,9 @@ def _direct_map(template_block, reference, origin, shifts: ShiftRange, counter: 
 
     Window (iv, iu) is ``region[iv:iv + th, iu:iu + tw]`` of the opening's
     region, its samples read as the template's (see :func:`_samples`).
-    Per window, the two-pass variance sum (see :func:`_two_pass`) and the
-    explicit numerator ``sum((window - w_mean) * t_c)`` go to the shared
-    tail, :func:`_correlation_map`. The centred window and the products live
-    in scratch allocated once per call and reused by every shift, laid out
-    as the temporaries ``window - w_mean``, its square and its product with
-    ``t_c`` would be, so every sum adds in the same order as theirs.
+    Per window, the two-pass variance sum and centred samples (see
+    :func:`_two_pass`) and the explicit numerator ``sum(centred * t_c)`` go
+    to the shared tail, :func:`_correlation_map`.
     """
     bounds, block = _open_kernel(template_block, reference, origin, shifts, counter,
                                  orientation=orientation)
@@ -341,17 +334,11 @@ def _direct_map(template_block, reference, origin, shifts: ShiftRange, counter: 
     th, tw = t_c.shape if orientation is None else (t_c.size, t_c.size)
     numerators = np.empty((region.shape[0] - th + 1, region.shape[1] - tw + 1))
     r_var = np.empty_like(numerators)
-    centred = np.empty_like(_samples(region[:th, :tw], orientation))
-    square = np.empty_like(centred)
-    # numpy lays out a product in Fortran order only when both factors are.
-    both_fortran = centred.flags.f_contiguous and t_c.flags.f_contiguous
-    product = np.empty(centred.shape, order="F" if both_fortran else "C")
     for iv in range(numerators.shape[0]):
         for iu in range(numerators.shape[1]):
             window = _samples(region[iv:iv + th, iu:iu + tw], orientation)
-            _, r_var[iv, iu] = _two_pass(window, centred, square)
-            np.multiply(centred, t_c, out=product)
-            numerators[iv, iu] = np.add.reduce(product, axis=None)
+            _, centred, r_var[iv, iu] = _two_pass(window)
+            numerators[iv, iu] = np.add.reduce(centred * t_c, axis=None)
     return _correlation_map(shifts, bounds, numerators, r_var, t_var)
 
 

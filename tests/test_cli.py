@@ -10,6 +10,7 @@ import pytest
 import nccalign
 from nccalign import alignment, cli, load_pgm, save_pgm
 from nccalign.cli import argv_from_header, main
+from nccalign.streaming import DRAW_CACHE_STREAMS, _stream_draws
 
 from conftest import csv_body, csv_rows
 
@@ -323,6 +324,20 @@ class TestNoiseSweep:
             row = (fraction, "10;11;12", np.mean(corrs), np.std(corrs), np.mean(matches), np.std(matches))
             expected.append(",".join(cli._fmt(cell) for cell in row))
         assert csv_body(out / "noise_sweep.csv") == expected
+
+    def test_seeds_outer_loop_reuses_each_seeds_draws(self, tmp_path):
+        # 9 seeds x 64 blocks x 2 stages = 1152 streams, more than the draw
+        # cache holds: only a seed's later fractions, run before the next
+        # seed, find its draws still cached. A fractions-outer loop would
+        # find none.
+        streams = 9 * 64 * 2
+        assert streams > DRAW_CACHE_STREAMS
+        _stream_draws.cache_clear()
+        assert main(["noise-sweep", "--width", "128", "--height", "128", "--block", "16",
+                     "--crop", "0", "--fractions", "0.05,0.2", "--seeds", "9",
+                     "--out", str(tmp_path)]) == 0
+        info = _stream_draws.cache_info()
+        assert (info.misses, info.hits) == (streams, streams)
 
     @pytest.mark.parametrize("flags, named", [
         (["--seeds", "0"], "--seeds"),

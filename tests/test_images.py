@@ -24,6 +24,18 @@ def write_pgm_bytes(path, header: bytes, payload: bytes):
         fh.write(payload)
 
 
+WHITESPACE = [bytes([c]) for c in b" \t\n\r\x0b\x0c"]
+# A header comment: '#', text with no CR or LF (digits, '#', whitespace and
+# non-ASCII bytes among it), ended by CR or LF.
+COMMENTS = st.builds(
+    lambda text, end: b"#" + bytes(text) + end,
+    st.lists(st.sampled_from(b"09P# \t\x0b\x0c\x00\x85\xa0\xff"), max_size=6),
+    st.sampled_from([b"\n", b"\r"]))
+# What may stand between two header fields.
+HEADER_GAPS = st.lists(st.one_of(st.sampled_from(WHITESPACE), COMMENTS), min_size=1,
+                       max_size=4).map(b"".join)
+
+
 class TestLoadPgm:
     def test_8bit_values_normalized(self, tmp_path):
         path = tmp_path / "a.pgm"
@@ -68,6 +80,30 @@ class TestLoadPgm:
         write_pgm_bytes(path, b"P5\n# a comment\n2 1\n255\n", bytes([10, 20]))
         img = load_pgm(path)
         np.testing.assert_allclose(img, np.array([[10, 20]]) / 255.0)
+
+    @given(gaps=st.lists(HEADER_GAPS, min_size=3, max_size=3), end=st.sampled_from(WHITESPACE))
+    @settings(max_examples=50, deadline=None)
+    def test_header_gaps_load_as_plain_header(self, tmp_path_factory, gaps, end):
+        path = tmp_path_factory.mktemp("pgm") / "i.pgm"
+        header = b"P5" + gaps[0] + b"2" + gaps[1] + b"1" + gaps[2] + b"255" + end
+        write_pgm_bytes(path, header, bytes([10, 20]))
+        np.testing.assert_array_equal(load_pgm(path), np.array([[10, 20]]) / 255.0)
+
+    @given(comments=st.lists(COMMENTS, min_size=3, max_size=3))
+    @settings(max_examples=50, deadline=None)
+    def test_field_glued_to_comment_ends_at_hash(self, tmp_path_factory, comments):
+        path = tmp_path_factory.mktemp("pgm") / "j.pgm"
+        header = b"P5" + comments[0] + b"2" + comments[1] + b"1" + comments[2] + b"255\n"
+        write_pgm_bytes(path, header, bytes([10, 20]))
+        np.testing.assert_array_equal(load_pgm(path), np.array([[10, 20]]) / 255.0)
+
+    @given(comment=COMMENTS)
+    @settings(max_examples=50, deadline=None)
+    def test_comment_after_maxval_is_missing_whitespace(self, tmp_path_factory, comment):
+        path = tmp_path_factory.mktemp("pgm") / "k.pgm"
+        write_pgm_bytes(path, b"P5 2 1 255" + comment, bytes([10, 20]))
+        with pytest.raises(PgmError, match="missing whitespace"):
+            load_pgm(path)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)

@@ -158,8 +158,8 @@ ORACLE_ORIGINS = {"inside": (28, 24), "left": (2, 24), "right": (54, 24),
 
 
 class TestOracleLoop:
-    """``ncc_full_naive`` and ``ncc_diag`` run their shifts through reused
-    scratch; each map equals the per-shift formula's bit for bit."""
+    """``ncc_full_naive`` and ``ncc_diag`` run their shifts through views of
+    the region; each map equals the per-shift formula's bit for bit."""
 
     @pytest.mark.parametrize("kind", ["full", "main", "anti"])
     @pytest.mark.parametrize("edge", sorted(ORACLE_ORIGINS))
