@@ -117,10 +117,15 @@ def estimate_disparity(
 ) -> DisparityField:
     """Run the chosen NCC variant over every block and pick its best shift.
 
-    Blocks with no valid shift anywhere are marked invalid. Deterministic
-    given the arguments (the stream method's noise is seeded per block).
-    This is the boundary where both whole images are validated; each
-    kernel then validates only the pixels it reads.
+    One kernel call takes the frame's blocks, row-major, as one stack and
+    returns their stacked maps; one :func:`best_shift` call picks every
+    block's shift. Both are looked up by module-global name at call time,
+    and the kernel gets ``counter`` by keyword, so a tracer that rebinds
+    them sees each call. Blocks with no valid shift anywhere are marked
+    invalid. Deterministic given the arguments (the stream method's noise is
+    seeded per block: block i of the stack reads stream id i). This is the
+    boundary where both whole images are validated; the kernel then checks
+    the blocks and the reference region its windows read.
     """
     t = validate_image(template, "template")
     ref = validate_image(reference, "reference")
@@ -138,24 +143,22 @@ def estimate_disparity(
     coeff = np.full((grid.rows, grid.cols), np.nan)
     status = np.full((grid.rows, grid.cols), BLOCK_INVALID, dtype=np.uint8)
 
-    for row, col, x0, y0 in grid.origins():
-        block = t[y0:y0 + b, x0:x0 + b]
-        origin = (x0, y0)
-        if method == "full":
-            cmap = ncc_full_naive(block, ref, origin, shifts, counter=counter)
-        elif method == "full-fast":
-            cmap = ncc_full_fast(block, ref, origin, shifts, sum_tables, counter=counter)
-        elif method == "diag":
-            cmap = ncc_diag(block, ref, origin, shifts, orientation, counter=counter)
-        elif method == "diag-fast":
-            cmap = ncc_diag_fast(block, ref, origin, shifts, diag_tables, counter=counter)
-        else:
-            cmap = ncc_stream(
-                block, ref, origin, shifts, diag_tables,
-                ma_config=ma_config, noise=noise, block_id=row * grid.cols + col, counter=counter,
-            )
-        best = best_shift(cmap)
+    origins = [(x0, y0) for _, _, x0, y0 in grid.origins()]
+    blocks = [t[y0:y0 + b, x0:x0 + b] for x0, y0 in origins]
+    if method == "full":
+        cmap = ncc_full_naive(blocks, ref, origins, shifts, counter=counter)
+    elif method == "full-fast":
+        cmap = ncc_full_fast(blocks, ref, origins, shifts, sum_tables, counter=counter)
+    elif method == "diag":
+        cmap = ncc_diag(blocks, ref, origins, shifts, orientation, counter=counter)
+    elif method == "diag-fast":
+        cmap = ncc_diag_fast(blocks, ref, origins, shifts, diag_tables, counter=counter)
+    else:
+        cmap = ncc_stream(blocks, ref, origins, shifts, diag_tables,
+                          ma_config=ma_config, noise=noise, block_id=0, counter=counter)
+    for i, best in enumerate(best_shift(cmap)):
         if best is not None:
+            row, col = divmod(i, grid.cols)
             du[row, col] = best.du
             dv[row, col] = best.dv
             coeff[row, col] = best.coeff

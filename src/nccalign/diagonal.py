@@ -13,6 +13,7 @@ zero-copy strided view of the block's reference region, :func:`_window_view`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,9 +115,9 @@ def _diag_prefix(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ncc_diag(
-    template_block: GrayImage,
+    template_block: GrayImage | Sequence[GrayImage],
     reference: GrayImage,
-    origin: tuple[int, int],
+    origin: tuple[int, int] | Sequence[tuple[int, int]],
     shifts: ShiftRange,
     orientation: str = "main",
     *,
@@ -126,7 +127,7 @@ def ncc_diag(
 
     Means and variance sums use the diagonal samples only. Flags match the
     full-NCC conventions (the whole shifted window must stay in bounds).
-    Validates the template block and the reference region it reads.
+    Takes one block or a stack of blocks, as ``ncc.ncc_full_naive`` does.
     """
     _check_orientation(orientation)
     return _direct_map(template_block, reference, origin, shifts, counter, orientation)
@@ -153,9 +154,9 @@ def _window_view(region: np.ndarray, d: int, orientation: str) -> np.ndarray:
 
 
 def ncc_diag_fast(
-    template_block: GrayImage,
+    template_block: GrayImage | Sequence[GrayImage],
     reference: GrayImage,
-    origin: tuple[int, int],
+    origin: tuple[int, int] | Sequence[tuple[int, int]],
     shifts: ShiftRange,
     tables: DiagTables,
     *,
@@ -166,15 +167,13 @@ def ncc_diag_fast(
 
     Per shift: D multiplies for the numerator, read straight from the
     reference (see :func:`_window_view`), plus O(1) table lookups for
-    the window's diagonal sum and sum of squares. Validates the template
-    block and the reference region it reads, not the whole reference.
+    the window's diagonal sum and sum of squares. Takes one block or a
+    stack of blocks, as ``ncc.ncc_full_naive`` does; the product runs per
+    block.
     """
-    bounds, block = _open_kernel(template_block, reference, origin, shifts, counter, DiagTables,
-                                 tables)
-    if block is None:
-        return _correlation_map(shifts, bounds)
-    _, t_c, t_var, region, r_var = block
-    # In the view's sample order, contiguous: a reversed view takes another BLAS path.
-    t_c = t_c if tables.orientation == "main" else t_c[::-1].copy()
-    numerators = t_c @ _window_view(region, len(t_c), tables.orientation)
-    return _correlation_map(shifts, bounds, numerators, r_var, t_var)
+    frame = _open_kernel(template_block, reference, origin, shifts, counter, DiagTables, tables)
+    for inbounds, _, t_c, region in frame.blocks:
+        # In the view's sample order, contiguous: a reversed view takes another BLAS path.
+        t_c = t_c if tables.orientation == "main" else t_c[::-1].copy()
+        frame.values[inbounds] = t_c @ _window_view(region, len(t_c), tables.orientation)
+    return _correlation_map(shifts, frame)

@@ -15,16 +15,20 @@ cross-correlation of the centred template with the reference region.
 
 All five kernels, these two and those of ``diagonal`` and ``streaming``,
 run one opening, :func:`_open_kernel`, and one tail, :func:`_correlation_map`,
-so they differ only in their samples (block or diagonal) and numerator.
+so they differ only in their samples (block or diagonal) and numerator. A
+call takes one block, or a stack of blocks whose maps it returns stacked:
+the opening and the tail then run once for the stack, the numerators per
+block.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .images import GrayImage, _prefix_sums, image_array, validate_image
+from .images import GrayImage, _all_finite, _prefix_sums, image_array, validate_image
 
 # Variance-sum threshold (on [0,1]-normalized intensities) below which a
 # window is treated as featureless.
@@ -113,9 +117,11 @@ def _two_pass(values: np.ndarray) -> tuple[float, np.ndarray, float]:
 class CorrelationMap:
     """C(du, dv) over a shift range, with per-shift validity flags.
 
-    ``values`` and ``validity`` are indexed [dv - dv_min, du - du_min].
+    ``values`` and ``validity`` are indexed [dv - dv_min, du - du_min];
+    a stacked map of n blocks adds a leading block axis, (n, n_dv, n_du).
     ``clamped`` marks shifts whose streaming value was pulled back into
-    [-1, 1]; it stays None for exact variants.
+    [-1, 1]; it stays None for exact variants. :meth:`value_at` and
+    :meth:`flag_at` read per-block maps.
     """
 
     shifts: ShiftRange
@@ -246,27 +252,57 @@ def _samples(block: np.ndarray, orientation: str | None) -> np.ndarray:
     return np.diagonal(block if orientation == "main" else block[::-1])
 
 
-def _open_kernel(template_block, reference, origin, shifts, counter, kind=None, tables=None,
-                 orientation=None):
-    """The opening every kernel runs before its numerator.
+@dataclass
+class _Frame:
+    """What :func:`_open_kernel` hands a kernel.
 
-    Validates the template block, which must fit in the reference, and the
-    reference region the in-bounds windows read (see :func:`_inbounds_ranges`);
-    ``estimate_disparity`` validates the whole images. ``tables`` must be a
-    ``kind`` built for the reference; diagonal tables give the orientation,
-    which makes the samples the diagonal of a square block (:func:`_samples`).
-
-    Returns the clipped shift bounds and, unless no shift is in bounds (then
-    None), the template samples, the samples minus their mean, their variance
-    sum (see :func:`_two_pass`), the region and, given tables, the
-    (n_dv, n_du) window variance sums. Tallies ``counter``.
+    ``values`` and ``r_var`` are the stacked (n, n_dv, n_du) numerators and
+    window variance sums: ``values`` is 0 until the kernel writes each
+    block's numerators, and ``r_var`` is -1 at the out-of-bounds shifts.
+    ``t_var`` holds the n template variance sums. ``blocks`` holds, per
+    block with a shift in bounds, (index of its in-bounds shifts in the
+    stacked maps, samples, samples minus their mean, reference region).
+    ``single`` marks a per-block call, whose map drops the block axis.
     """
-    t = validate_image(template_block, "template_block")
+
+    single: bool
+    values: np.ndarray
+    r_var: np.ndarray
+    t_var: np.ndarray
+    blocks: list
+
+
+def _open_kernel(template_block, reference, origin, shifts, counter, kind=None, tables=None,
+                 orientation=None) -> _Frame:
+    """The opening every kernel runs before its numerators.
+
+    ``template_block`` is one block at ``origin`` (x, y), or a sequence of n
+    equal-shape blocks at a sequence of n origins; each must fit in the
+    reference. The blocks are checked as :func:`~nccalign.images.validate_image`
+    checks an image, and the reference is validated once, over the bounding
+    box of the regions the in-bounds windows read (see
+    :func:`_inbounds_ranges`); ``estimate_disparity`` validates the whole
+    images. ``tables`` must be a ``kind`` built for the reference; diagonal
+    tables give the orientation, which makes the samples the diagonal of a
+    square block (:func:`_samples`).
+
+    Per block it takes the template's two-pass statistics (:func:`_two_pass`)
+    and, given tables, fills the block's in-bounds window variance sums
+    from one rectangle of table reads. Tallies ``counter``.
+    """
+    single = np.ndim(origin) == 1 and len(origin) > 0
+    blocks, origins = ([template_block], [origin]) if single else (list(template_block), list(origin))
+    if not blocks or len(blocks) != len(origins):
+        raise ValueError(f"{len(blocks)} template blocks for {len(origins)} origins")
+    blocks = [image_array(block, "template_block") for block in blocks]
+    th, tw = blocks[0].shape
+    if any(block.shape != (th, tw) for block in blocks):
+        raise ValueError(f"template blocks differ in shape: {sorted({b.shape for b in blocks})}")
+    if not all(map(_all_finite, blocks)):
+        raise ValueError("template_block contains non-finite intensities")
     ref = image_array(reference, "reference")
-    if t.shape[0] > ref.shape[0] or t.shape[1] > ref.shape[1]:
-        raise ValueError(f"template block {t.shape} larger than reference {ref.shape}")
-    th, tw = t.shape
-    x0, y0 = origin
+    if th > ref.shape[0] or tw > ref.shape[1]:
+        raise ValueError(f"template block {(th, tw)} larger than reference {ref.shape}")
     if kind is not None:
         if not isinstance(tables, kind):
             raise TypeError(f"expected {kind.__name__}, got {type(tables).__name__}")
@@ -274,93 +310,114 @@ def _open_kernel(template_block, reference, origin, shifts, counter, kind=None, 
             raise ValueError(f"tables built for {tables.shape}, reference is {ref.shape}")
         orientation = getattr(tables, "orientation", None)
     if orientation is not None and th != tw:
-        raise ValueError(f"diagonal NCC needs a square block, got {t.shape}")
-    bounds = du_lo, du_hi, dv_lo, dv_hi = _inbounds_ranges(origin, t.shape, ref.shape, shifts)
-    if du_lo > du_hi or dv_lo > dv_hi:
-        return bounds, None
+        raise ValueError(f"diagonal NCC needs a square block, got {(th, tw)}")
 
-    region = validate_image(ref[y0 + dv_lo:y0 + dv_hi + th, x0 + du_lo:x0 + du_hi + tw],
-                            "reference")
-    samples = _samples(t, orientation)
-    _, t_c, t_var = _two_pass(samples)
-    if counter is not None:
-        counter.tally((du_hi - du_lo + 1) * (dv_hi - dv_lo + 1), samples.size)
-    r_var = None
-    if kind is not None:
-        # Sum tables read tw x th windows, diagonal tables D-sample ones.
-        r_var = tables.window_var_sum(slice(x0 + du_lo, x0 + du_hi + 1),
-                                      slice(y0 + dv_lo, y0 + dv_hi + 1),
-                                      *((tw, th) if orientation is None else (tw,)))
-    return bounds, (samples, t_c, t_var, region, r_var)
+    # Per block with a shift in bounds: the rows and columns of its in-bounds
+    # window origins, and the index of those shifts in the stacked maps.
+    opened = []
+    for i, (x0, y0) in enumerate(origins):
+        du_lo, du_hi, dv_lo, dv_hi = _inbounds_ranges((x0, y0), (th, tw), ref.shape, shifts)
+        if du_lo <= du_hi and dv_lo <= dv_hi:
+            opened.append((slice(y0 + dv_lo, y0 + dv_hi + 1), slice(x0 + du_lo, x0 + du_hi + 1),
+                           (i, slice(dv_lo - shifts.dv_min, dv_hi - shifts.dv_min + 1),
+                            slice(du_lo - shifts.du_min, du_hi - shifts.du_min + 1))))
+    if opened:
+        rows, cols, _ = zip(*opened)
+        validate_image(ref[min(r.start for r in rows):max(r.stop for r in rows) + th - 1,
+                           min(c.start for c in cols):max(c.stop for c in cols) + tw - 1], "reference")
+
+    n = len(blocks)
+    frame = _Frame(single, np.zeros((n, shifts.n_dv, shifts.n_du)),
+                   np.full((n, shifts.n_dv, shifts.n_du), -1.0), np.zeros(n), [])
+    for ys, xs, inbounds in opened:
+        samples = _samples(blocks[inbounds[0]], orientation)
+        _, t_c, frame.t_var[inbounds[0]] = _two_pass(samples)
+        if kind is not None:
+            # Sum tables read tw x th windows, diagonal tables D-sample ones.
+            frame.r_var[inbounds] = tables.window_var_sum(
+                xs, ys, *((tw, th) if orientation is None else (tw,)))
+        region = ref[ys.start:ys.stop + th - 1, xs.start:xs.stop + tw - 1]
+        frame.blocks.append((inbounds, samples, t_c, region))
+    if counter is not None and opened:
+        counter.tally(sum((ys.stop - ys.start) * (xs.stop - xs.start) for ys, xs, _ in opened),
+                      frame.blocks[0][1].size)
+    return frame
 
 
-def _correlation_map(shifts: ShiftRange, bounds, numerators=None, r_var=None, t_var=0.0,
-                     ok=True) -> CorrelationMap:
-    """Flag, divide and scatter: the tail of every kernel.
+def _correlation_map(shifts: ShiftRange, frame: _Frame, ok=None) -> CorrelationMap:
+    """Flag, divide and scatter: the tail of every kernel, once per call.
 
-    ``numerators``, window variance sums ``r_var`` and extra flags ``ok``
-    cover the in-bounds shifts ``bounds`` (see :func:`_inbounds_ranges`).
-    With no numerators every shift is out of bounds.
+    A shift is out of bounds where ``frame.r_var`` is negative, zero-variance
+    where the window or template variance sum is below ``EPS_VAR`` or the
+    (n, n_dv, n_du) extra flags ``ok`` are False, and valid otherwise. Valid
+    shifts get numerator / sqrt(r_var * t_var), all others 0. Works in place
+    in ``frame.values`` and ``frame.r_var``.
     """
-    values = np.zeros((shifts.n_dv, shifts.n_du))
-    validity = np.full((shifts.n_dv, shifts.n_du), OUT_OF_BOUNDS, dtype=np.uint8)
-    if numerators is not None:
-        du_lo, du_hi, dv_lo, dv_hi = bounds
-        inbounds = (slice(dv_lo - shifts.dv_min, dv_hi - shifts.dv_min + 1),
-                    slice(du_lo - shifts.du_min, du_hi - shifts.du_min + 1))
-        ok = ok & (r_var >= EPS_VAR) & (t_var >= EPS_VAR)
-        np.divide(numerators, np.sqrt(np.where(ok, r_var * t_var, 1.0)),
-                  out=values[inbounds], where=ok)
-        validity[inbounds] = np.where(ok, VALID, ZERO_VARIANCE)
+    values, r_var = frame.values, frame.r_var
+    t_var = frame.t_var[:, None, None]
+    good = r_var >= EPS_VAR
+    good &= t_var >= EPS_VAR
+    if ok is not None:
+        good &= ok
+    validity = np.full(values.shape, ZERO_VARIANCE, dtype=np.uint8)
+    np.copyto(validity, OUT_OF_BOUNDS, where=r_var < 0)
+    np.copyto(validity, VALID, where=good)
+    np.multiply(r_var, t_var, out=r_var, where=good)
+    np.sqrt(r_var, out=r_var, where=good)
+    np.divide(values, r_var, out=values, where=good)
+    np.logical_not(good, out=good)
+    np.copyto(values, 0.0, where=good)
+    if frame.single:
+        values, validity = values[0], validity[0]
     return CorrelationMap(shifts=shifts, values=values, validity=validity)
 
 
 def _direct_map(template_block, reference, origin, shifts: ShiftRange, counter: OpCounter | None,
                 orientation: str | None = None) -> CorrelationMap:
     """Both oracles, :func:`ncc_full_naive` and ``diagonal.ncc_diag``: the
-    opening (:func:`_open_kernel`), a per-shift loop and the tail.
+    opening (:func:`_open_kernel`), a per-block, per-shift loop and the tail.
 
-    Window (iv, iu) is ``region[iv:iv + th, iu:iu + tw]`` of the opening's
+    Window (iv, iu) of a block is ``region[iv:iv + th, iu:iu + tw]`` of its
     region, its samples read as the template's (see :func:`_samples`).
     Per window, the two-pass variance sum and centred samples (see
     :func:`_two_pass`) and the explicit numerator ``sum(centred * t_c)`` go
     to the shared tail, :func:`_correlation_map`.
     """
-    bounds, block = _open_kernel(template_block, reference, origin, shifts, counter,
-                                 orientation=orientation)
-    if block is None:
-        return _correlation_map(shifts, bounds)
-    _, t_c, t_var, region, _ = block
-    th, tw = t_c.shape if orientation is None else (t_c.size, t_c.size)
-    numerators = np.empty((region.shape[0] - th + 1, region.shape[1] - tw + 1))
-    r_var = np.empty_like(numerators)
-    for iv in range(numerators.shape[0]):
-        for iu in range(numerators.shape[1]):
-            window = _samples(region[iv:iv + th, iu:iu + tw], orientation)
-            _, centred, r_var[iv, iu] = _two_pass(window)
-            numerators[iv, iu] = np.add.reduce(centred * t_c, axis=None)
-    return _correlation_map(shifts, bounds, numerators, r_var, t_var)
+    frame = _open_kernel(template_block, reference, origin, shifts, counter,
+                         orientation=orientation)
+    for inbounds, _, t_c, region in frame.blocks:
+        th, tw = t_c.shape if orientation is None else (t_c.size, t_c.size)
+        numerators, r_var = frame.values[inbounds], frame.r_var[inbounds]
+        for iv in range(numerators.shape[0]):
+            for iu in range(numerators.shape[1]):
+                window = _samples(region[iv:iv + th, iu:iu + tw], orientation)
+                _, centred, r_var[iv, iu] = _two_pass(window)
+                numerators[iv, iu] = np.add.reduce(centred * t_c, axis=None)
+    return _correlation_map(shifts, frame)
 
 
 def ncc_full_naive(
-    template_block: GrayImage,
+    template_block: GrayImage | Sequence[GrayImage],
     reference: GrayImage,
-    origin: tuple[int, int],
+    origin: tuple[int, int] | Sequence[tuple[int, int]],
     shifts: ShiftRange,
     *,
     counter: OpCounter | None = None,
 ) -> CorrelationMap:
     """Direct evaluation: per shift, two-pass window mean and explicit sums.
 
-    Validates the template block and the reference region it reads.
+    ``template_block`` is one block at ``origin``, or a sequence of n
+    equal-shape blocks at a sequence of n origins, whose maps come back
+    stacked, (n, n_dv, n_du), each equal to its per-block call's. Validates
+    the blocks and the reference region they read (see :func:`_open_kernel`).
     """
     return _direct_map(template_block, reference, origin, shifts, counter)
 
 
 def ncc_full_fast(
-    template_block: GrayImage,
+    template_block: GrayImage | Sequence[GrayImage],
     reference: GrayImage,
-    origin: tuple[int, int],
+    origin: tuple[int, int] | Sequence[tuple[int, int]],
     shifts: ShiftRange,
     tables: SumTables,
     *,
@@ -375,29 +432,40 @@ def ncc_full_fast(
     of the zero-padded centred template with the reference region they
     read, ``(n_dv + th - 1) x (n_du + tw - 1)``. The wrap-around only
     reaches outputs past the top-left ``n_dv x n_du``, which are discarded.
-    Validates the template block and the reference region it reads.
     """
-    bounds, block = _open_kernel(template_block, reference, origin, shifts, counter, SumTables,
-                                 tables)
-    if block is None:
-        return _correlation_map(shifts, bounds)
-    _, t_c, t_var, region, r_var = block
-    # irfft2 needs s= too: an odd region width is lost from the half spectrum.
-    spectrum = np.fft.rfft2(region) * np.conj(np.fft.rfft2(t_c, s=region.shape))
-    numerators = np.fft.irfft2(spectrum, s=region.shape)[:r_var.shape[0], :r_var.shape[1]]
-    return _correlation_map(shifts, bounds, numerators, r_var, t_var)
+    frame = _open_kernel(template_block, reference, origin, shifts, counter, SumTables, tables)
+    for inbounds, _, t_c, region in frame.blocks:
+        # irfft2 needs s= too: an odd region width is lost from the half spectrum.
+        spectrum = np.fft.rfft2(region) * np.conj(np.fft.rfft2(t_c, s=region.shape))
+        n_dv, n_du = frame.values[inbounds].shape
+        frame.values[inbounds] = np.fft.irfft2(spectrum, s=region.shape)[:n_dv, :n_du]
+    return _correlation_map(shifts, frame)
 
 
-def best_shift(cmap: CorrelationMap) -> BestShift | None:
+def _tie_order(shifts: ShiftRange) -> tuple[np.ndarray, list, list]:
+    """The flat map indices of ``shifts`` in :func:`best_shift`'s tie order,
+    smaller du^2+dv^2, then dv, then du, with the du and dv of each."""
+    dv, du = np.divmod(np.arange(shifts.n_dv * shifts.n_du), shifts.n_du)
+    du, dv = du + shifts.du_min, dv + shifts.dv_min
+    order = np.lexsort((du, dv, du * du + dv * dv))
+    return order, du[order].tolist(), dv[order].tolist()
+
+
+def best_shift(cmap: CorrelationMap) -> BestShift | None | list[BestShift | None]:
     """Valid shift maximizing C; ties prefer smaller du^2+dv^2, then dv, then du.
 
-    Returns None when every shift is flagged.
+    Returns None when every shift is flagged. A stacked (n, n_dv, n_du) map
+    gives the list of its n blocks' results, each what the per-block map
+    gives, from one masked maximum and one pass over the tie order.
     """
-    valid = cmap.valid_mask
-    if not valid.any():
-        return None
-    vmax = cmap.values[valid].max()
-    iv, iu = np.nonzero(valid & (cmap.values == vmax))
-    du, dv = iu + cmap.shifts.du_min, iv + cmap.shifts.dv_min
-    _, best_dv, best_du = min(zip((du * du + dv * dv).tolist(), dv.tolist(), du.tolist()))
-    return BestShift(du=best_du, dv=best_dv, coeff=float(vmax))
+    single = cmap.values.ndim == 2
+    values = cmap.values.reshape(1 if single else len(cmap.values), -1)
+    valid = cmap.valid_mask.reshape(values.shape)
+    vmax = np.max(values, axis=1, where=valid, initial=-np.inf)
+    top = values == vmax[:, None]
+    top &= valid
+    order, du, dv = _tie_order(cmap.shifts)
+    first = top[:, order].argmax(axis=1)
+    results = [BestShift(du=du[k], dv=dv[k], coeff=coeff) if found else None
+               for k, coeff, found in zip(first.tolist(), vmax.tolist(), top.any(axis=1).tolist())]
+    return results[0] if single else results

@@ -18,6 +18,7 @@ import functools
 import hashlib
 import math
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,9 +247,9 @@ def _front_end(t_diag: np.ndarray, region: np.ndarray, orientation: str,
 
 
 def ncc_stream(
-    template_block: GrayImage,
+    template_block: GrayImage | Sequence[GrayImage],
     reference: GrayImage,
-    origin: tuple[int, int],
+    origin: tuple[int, int] | Sequence[tuple[int, int]],
     shifts: ShiftRange,
     tables: DiagTables,
     *,
@@ -268,34 +269,34 @@ def ncc_stream(
     ``tables``). Values are clamped to [-1, 1]; ``clamped`` records the
     shifts whose value was pulled back and is all False when no shift is in
     bounds. Shifts whose zero-mean stream carries no energy (e.g. a
-    degenerate alpha=1 filter) flag zero-variance. Validates the template
-    block and the reference region it reads.
+    degenerate alpha=1 filter) flag zero-variance. Takes one block or a
+    stack of blocks, as ``ncc.ncc_full_naive`` does; block i of a stack
+    reads the streams of ``block_id + i``.
 
     A later call on the same template diagonal and reference region (any
     noise, seed or block id) reuses the noiseless front end, so the result
     is the same bits as a first call; ``counter`` is tallied either way.
     """
-    bounds, block = _open_kernel(template_block, reference, origin, shifts, counter, DiagTables,
-                                 tables)
-    if block is None:
-        return _clamp(_correlation_map(shifts, bounds))
-    t_diag, _, t_var, region, r_var = block
-    d = len(t_diag)
+    frame = _open_kernel(template_block, reference, origin, shifts, counter, DiagTables, tables)
     if noise is None:
         noise = NoiseModel()
-    if ma_config is None:
-        ma_config = MovingAverageConfig.boxcar(d)
-
-    clean, rms_p, ok = _front_end(t_diag, region, tables.orientation, ma_config)
-    numerators = _add_noise(clean.copy(), rms_p, d, noise, (block_id,))
-    return _clamp(_correlation_map(shifts, bounds, numerators.reshape(r_var.shape), r_var,
-                                   t_var, ok.reshape(r_var.shape)))
+    flags = np.zeros(frame.values.shape, dtype=bool)
+    for inbounds, t_diag, _, region in frame.blocks:
+        d = len(t_diag)
+        config = MovingAverageConfig.boxcar(d) if ma_config is None else ma_config
+        clean, rms_p, ok = _front_end(t_diag, region, tables.orientation, config)
+        numerators = _add_noise(clean.copy(), rms_p, d, noise, (block_id + inbounds[0],))
+        shape = frame.values[inbounds].shape
+        frame.values[inbounds] = numerators.reshape(shape)
+        flags[inbounds] = ok.reshape(shape)
+    return _clamp(_correlation_map(shifts, frame, flags))
 
 
 def _clamp(cmap: CorrelationMap) -> CorrelationMap:
     """Clip ``cmap.values`` into [-1, 1] in place, recording in
     ``cmap.clamped`` which shifts moved."""
-    cmap.clamped = np.abs(cmap.values) > 1.0
+    cmap.clamped = cmap.values > 1.0
+    cmap.clamped |= cmap.values < -1.0
     np.clip(cmap.values, -1.0, 1.0, out=cmap.values)
     return cmap
 

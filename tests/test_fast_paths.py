@@ -114,6 +114,57 @@ class TestKernelValidation:
         np.testing.assert_array_equal(got.values, want.values)
 
 
+class TestStackedValidation:
+    """A stacked call checks every block and, once, the bounding box of the
+    regions its blocks read."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_non_finite_in_any_block_raises(self, kernel):
+        ref = random_image(14, 32, 36)
+        blocks = [ref[y:y + BLOCK, x:x + BLOCK].copy() for x, y in ORIGINS]
+        blocks[1][2, 3] = np.nan
+        with pytest.raises(ValueError, match="template_block contains non-finite"):
+            _run_kernel(kernel, blocks, ref, list(ORIGINS), ref)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_non_finite_in_bounding_box_raises(self, kernel):
+        # Between the two blocks' read regions, inside their bounding box.
+        clean = random_image(15, 32, 36)
+        (_, bottom, _, right), (top, _, left, _) = (_read_region(o, clean.shape)
+                                                    for o in ((2, 1), (24, 20)))
+        assert bottom < top and right < left
+        ref = clean.copy()
+        ref[bottom, right] = np.inf
+        blocks = [clean[y:y + BLOCK, x:x + BLOCK] for x, y in ((2, 1), (24, 20))]
+        with pytest.raises(ValueError, match="reference contains non-finite"):
+            _run_kernel(kernel, blocks, ref, [(2, 1), (24, 20)], clean)
+        for block, origin in zip(blocks, ((2, 1), (24, 20))):
+            _run_kernel(kernel, block, ref, origin, clean)  # each region alone is finite
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_mismatched_stacks_rejected(self, kernel):
+        ref = random_image(16, 32, 36)
+        blocks = [ref[y:y + BLOCK, x:x + BLOCK] for x, y in ORIGINS]
+        with pytest.raises(ValueError, match="2 template blocks for 1 origins"):
+            _run_kernel(kernel, blocks, ref, [ORIGINS[0]], ref)
+        with pytest.raises(ValueError, match="0 template blocks for 0 origins"):
+            _run_kernel(kernel, [], ref, [], ref)
+        with pytest.raises(ValueError, match="template blocks differ in shape"):
+            _run_kernel(kernel, [blocks[0], ref[:BLOCK, :BLOCK - 1]], ref, list(ORIGINS), ref)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_stacked_map_holds_per_block_maps(self, kernel):
+        ref = random_image(17, 32, 36)
+        blocks = [ref[y:y + BLOCK, x:x + BLOCK] for x, y in ORIGINS]
+        stacked = _run_kernel(kernel, blocks, ref, list(ORIGINS), ref)
+        assert stacked.values.shape == (2, KERNEL_SHIFTS.n_dv, KERNEL_SHIFTS.n_du)
+        for i, origin in enumerate(ORIGINS):
+            single = _run_kernel(kernel, blocks[i], ref, origin, ref)
+            np.testing.assert_array_equal(stacked.validity[i], single.validity)
+            np.testing.assert_array_equal(stacked.values[i].view(np.uint64),
+                                          single.values.view(np.uint64))
+
+
 class TestBoundaryValidation:
     @given(y=st.integers(0, 47), x=st.integers(0, 47), value=st.sampled_from(NON_FINITE))
     @settings(max_examples=20, deadline=None)
@@ -308,9 +359,10 @@ class TestStridedNumerator:
         origin = NUMERATOR_ORIGINS[edge]
         block = random_image(d + 43, d, d)
         tables = build_diag_tables(reference, orientation)
-        bounds, opened = _open_kernel(block, reference, origin, NUMERATOR_SHIFTS, None, DiagTables,
-                                      tables)
-        _, t_c, t_var, region, r_var = opened
+        frame = _open_kernel(block, reference, origin, NUMERATOR_SHIFTS, None, DiagTables, tables)
+        (inbounds, _, t_c, region), = frame.blocks
+        r_var = frame.r_var[inbounds]
+        bounds = _inbounds_ranges(origin, (d, d), reference.shape, NUMERATOR_SHIFTS)
         assert (bounds == (-16, 16, -16, 16)) == (edge == "inside")
         du_lo, du_hi, dv_lo, dv_hi = bounds
         samples = fancy_gather(reference, origin, d, np.arange(du_lo, du_hi + 1),
@@ -322,7 +374,8 @@ class TestStridedNumerator:
         assert np.all(np.abs(got - gathered) <= 1e-12 * (np.abs(samples) @ np.abs(t_c)))
 
         fast = ncc_diag_fast(block, reference, origin, NUMERATOR_SHIFTS, tables)
-        want = _correlation_map(NUMERATOR_SHIFTS, bounds, gathered, r_var, t_var)
+        frame.values[inbounds] = gathered
+        want = _correlation_map(NUMERATOR_SHIFTS, frame)
         np.testing.assert_array_equal(fast.validity, want.validity)
         assert np.abs(fast.values - want.values).max() <= 1e-12
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nccalign import (
+    EPS_VAR,
     OUT_OF_BOUNDS,
     VALID,
     ZERO_VARIANCE,
@@ -21,7 +22,7 @@ from nccalign import (
     ncc_stream,
 )
 from nccalign.images import _prefix_sums
-from nccalign.ncc import CorrelationMap, OpCounter, _correlation_map, _inbounds_ranges
+from nccalign.ncc import CorrelationMap, OpCounter, _inbounds_ranges
 
 from conftest import (
     assert_rectangle_matches_windows,
@@ -117,7 +118,8 @@ def diagonal_copy(block, kind):
 
 def per_shift_map(kind, block, reference, origin, shifts):
     """The oracles as a formula: per in-bounds shift, :func:`two_pass` of
-    the window's samples, then ``np.sum((window - mean) * t_c)``."""
+    the window's samples, then ``np.sum((window - mean) * t_c)`` divided by
+    the root of the variance sums' product, or a flag."""
     if kind == "full":
         th, tw = block.shape
         t_samples, window_at = block, lambda ys, xs: reference[ys:ys + th, xs:xs + tw]
@@ -137,7 +139,14 @@ def per_shift_map(kind, block, reference, origin, shifts):
             window = window_at(ys, xs)
             mean, r_var[iv, iu] = two_pass(window)
             numerators[iv, iu] = np.sum((window - mean) * t_c)
-    return _correlation_map(shifts, bounds, numerators, r_var, t_var)
+    ok = (r_var >= EPS_VAR) & (t_var >= EPS_VAR)
+    values = np.zeros((shifts.n_dv, shifts.n_du))
+    validity = np.full(values.shape, OUT_OF_BOUNDS, dtype=np.uint8)
+    inbounds = (slice(dv_lo - shifts.dv_min, dv_hi - shifts.dv_min + 1),
+                slice(du_lo - shifts.du_min, du_hi - shifts.du_min + 1))
+    values[inbounds] = np.where(ok, numerators / np.sqrt(np.where(ok, r_var * t_var, 1.0)), 0.0)
+    validity[inbounds] = np.where(ok, VALID, ZERO_VARIANCE)
+    return CorrelationMap(shifts, values, validity)
 
 
 def assert_oracle_equals_formula(kind, block, reference, origin, shifts):
@@ -430,3 +439,23 @@ class TestOpCounter:
         assert c_naive == c_fast
         assert c_naive.shifts == inbounds
         assert c_naive.multiplies == c_naive.adds == inbounds * per_shift
+
+    @pytest.mark.parametrize("kernel", ["full", "full-fast", "diag", "diag-fast"])
+    def test_stacked_call_tallies_its_blocks(self, kernel):
+        ref = random_image(12, 24, 24)
+        origins = [(8, 8), (1, 14), (16, 0)]
+        blocks = [ref[y:y + 8, x:x + 8].copy() for x, y in origins]
+        shifts = ShiftRange.symmetric(3)
+        call = {
+            "full": lambda b, o, c: ncc_full_naive(b, ref, o, shifts, counter=c),
+            "full-fast": lambda b, o, c: ncc_full_fast(b, ref, o, shifts, build_sum_tables(ref),
+                                                       counter=c),
+            "diag": lambda b, o, c: ncc_diag(b, ref, o, shifts, counter=c),
+            "diag-fast": lambda b, o, c: ncc_diag_fast(b, ref, o, shifts, build_diag_tables(ref),
+                                                       counter=c),
+        }[kernel]
+        per_block, stacked = OpCounter(), OpCounter()
+        for block, origin in zip(blocks, origins):
+            call(block, origin, per_block)
+        call(blocks, origins, stacked)
+        assert stacked == per_block
