@@ -52,7 +52,6 @@ from .ncc import (
     ShiftRange,
     SumTables,
     best_shift,
-    block_stats,
     build_sum_tables,
     ncc_full_fast,
     ncc_full_naive,

@@ -209,6 +209,8 @@ class SyntheticSpec:
             raise ValueError(f"image extent must be positive, got {self.width}x{self.height}")
         if not self.regions:
             raise ValueError("disparity pattern must contain at least one region")
+        if self.texture_seed < 0:
+            raise ValueError(f"texture_seed must be non-negative, got {self.texture_seed}")
         if not (0.0 <= self.noise_floor and np.isfinite(self.noise_floor)):
             raise ValueError(f"noise_floor must be a finite non-negative fraction, got {self.noise_floor}")
         bound = min(self.width, self.height) / 4

@@ -15,10 +15,11 @@ cross-correlation of the centred template with the reference region.
 
 All five kernels, these two and those of ``diagonal`` and ``streaming``,
 run one opening, :func:`_open_kernel`, and one tail, :func:`_correlation_map`,
-so they differ only in their samples (block or diagonal) and numerator. A
-call takes one block, or a stack of blocks whose maps it returns stacked:
-the opening and the tail then run once for the stack, the numerators per
-block.
+so they differ only in their samples (block or diagonal) and numerator.
+The tail reads only the variance sums: the stream kernel flags a dead
+stream by writing its window variance sum as 0. A call takes one block, or
+a stack of blocks whose maps it returns stacked: the opening and the tail
+then run once for the stack, the numerators per block.
 """
 
 from __future__ import annotations
@@ -77,10 +78,8 @@ class ShiftRange:
             raise ValueError(f"degenerate shift range {self}")
 
     @classmethod
-    def symmetric(cls, du_radius: int, dv_radius: int | None = None) -> "ShiftRange":
-        if dv_radius is None:
-            dv_radius = du_radius
-        return cls(-du_radius, du_radius, -dv_radius, dv_radius)
+    def symmetric(cls, radius: int) -> "ShiftRange":
+        return cls(-radius, radius, -radius, radius)
 
     @property
     def n_du(self) -> int:
@@ -89,15 +88,6 @@ class ShiftRange:
     @property
     def n_dv(self) -> int:
         return self.dv_max - self.dv_min + 1
-
-    def contains(self, du: int, dv: int) -> bool:
-        return self.du_min <= du <= self.du_max and self.dv_min <= dv <= self.dv_max
-
-
-def block_stats(values: np.ndarray) -> tuple[float, float]:
-    """Two-pass (mean, sum of squared deviations from the mean)."""
-    mean, _, var = _two_pass(np.asarray(values, dtype=np.float64))
-    return mean, var
 
 
 def _two_pass(values: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -117,30 +107,17 @@ def _two_pass(values: np.ndarray) -> tuple[float, np.ndarray, float]:
 class CorrelationMap:
     """C(du, dv) over a shift range, with per-shift validity flags.
 
-    ``values`` and ``validity`` are indexed [dv - dv_min, du - du_min];
-    a stacked map of n blocks adds a leading block axis, (n, n_dv, n_du).
-    ``clamped`` marks shifts whose streaming value was pulled back into
-    [-1, 1]; it stays None for exact variants. :meth:`value_at` and
-    :meth:`flag_at` read per-block maps.
+    A map is its arrays. ``values`` and ``validity`` are indexed
+    [dv - dv_min, du - du_min]; a stacked map of n blocks adds a leading
+    block axis, (n, n_dv, n_du), and whatever reads a map works on both
+    shapes. ``clamped`` marks shifts whose streaming value was pulled back
+    into [-1, 1]; it stays None for exact variants.
     """
 
     shifts: ShiftRange
     values: np.ndarray
     validity: np.ndarray
     clamped: np.ndarray | None = None
-
-    def _index(self, du: int, dv: int) -> tuple[int, int]:
-        if not self.shifts.contains(du, dv):
-            raise ValueError(f"shift ({du}, {dv}) outside search range {self.shifts}")
-        return dv - self.shifts.dv_min, du - self.shifts.du_min
-
-    def value_at(self, du: int, dv: int) -> float:
-        iv, iu = self._index(du, dv)
-        return float(self.values[iv, iu])
-
-    def flag_at(self, du: int, dv: int) -> int:
-        iv, iu = self._index(du, dv)
-        return int(self.validity[iv, iu])
 
     @property
     def valid_mask(self) -> np.ndarray:
@@ -258,7 +235,9 @@ class _Frame:
 
     ``values`` and ``r_var`` are the stacked (n, n_dv, n_du) numerators and
     window variance sums: ``values`` is 0 until the kernel writes each
-    block's numerators, and ``r_var`` is -1 at the out-of-bounds shifts.
+    block's numerators, and ``r_var`` is -1 at the out-of-bounds shifts
+    (a kernel may write 0 at other shifts it flags, see
+    :func:`_correlation_map`).
     ``t_var`` holds the n template variance sums. ``blocks`` holds, per
     block with a shift in bounds, (index of its in-bounds shifts in the
     stacked maps, samples, samples minus their mean, reference region).
@@ -344,21 +323,21 @@ def _open_kernel(template_block, reference, origin, shifts, counter, kind=None, 
     return frame
 
 
-def _correlation_map(shifts: ShiftRange, frame: _Frame, ok=None) -> CorrelationMap:
+def _correlation_map(shifts: ShiftRange, frame: _Frame) -> CorrelationMap:
     """Flag, divide and scatter: the tail of every kernel, once per call.
 
-    A shift is out of bounds where ``frame.r_var`` is negative, zero-variance
-    where the window or template variance sum is below ``EPS_VAR`` or the
-    (n, n_dv, n_du) extra flags ``ok`` are False, and valid otherwise. Valid
-    shifts get numerator / sqrt(r_var * t_var), all others 0. Works in place
-    in ``frame.values`` and ``frame.r_var``.
+    It reads only the variance sums to flag a shift: out of bounds where
+    ``frame.r_var`` is negative, zero-variance where the window or template
+    variance sum is below ``EPS_VAR``, and valid otherwise. A kernel with
+    other dead shifts writes them into ``frame.r_var`` as 0 (see
+    ``streaming.ncc_stream``). Valid shifts get numerator /
+    sqrt(r_var * t_var), all others 0. Works in place in ``frame.values``
+    and ``frame.r_var``.
     """
     values, r_var = frame.values, frame.r_var
     t_var = frame.t_var[:, None, None]
     good = r_var >= EPS_VAR
     good &= t_var >= EPS_VAR
-    if ok is not None:
-        good &= ok
     validity = np.full(values.shape, ZERO_VARIANCE, dtype=np.uint8)
     np.copyto(validity, OUT_OF_BOUNDS, where=r_var < 0)
     np.copyto(validity, VALID, where=good)

@@ -195,7 +195,7 @@ def _add_noise(numerators, rms_p, d, noise, stream_id) -> np.ndarray:
 
 
 # Block front ends by content: digest of (template diagonal, region) ->
-# (clean numerators, clean product RMS, energy flags), least recently used
+# (clean numerators, clean product RMS, dead streams), least recently used
 # first. It holds the blocks whose two noise streams the draw cache holds.
 _front_ends: OrderedDict = OrderedDict()
 
@@ -204,7 +204,8 @@ def _front_end(t_diag: np.ndarray, region: np.ndarray, orientation: str,
                ma_config: MovingAverageConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The noiseless part of :func:`ncc_stream` for one block: per in-bounds
     shift, in row-major order, the clean numerator, the clean product RMS
-    and whether both zero-mean streams carry energy (>= ``EPS_VAR``).
+    and whether the stream is dead: its zero-mean stream or the template's
+    carries energy below ``EPS_VAR``.
 
     The window samples come from ``diagonal._window_view`` of the region,
     copied once into (n, D) sample-ordered streams. The result depends
@@ -236,8 +237,8 @@ def _front_end(t_diag: np.ndarray, region: np.ndarray, orientation: str,
     b_zm = samples - _moving_average_batch(samples, ma_config)
     b_energy = np.sum(b_zm * b_zm, axis=1)
     numerators, rms_p = _clean_products(b_zm, t_zm, b_energy)
-    ok = (b_energy >= EPS_VAR) & (t_energy >= EPS_VAR)
-    entry = (numerators, rms_p, ok)
+    dead = (b_energy < EPS_VAR) | (t_energy < EPS_VAR)
+    entry = (numerators, rms_p, dead)
     for array in entry:
         array.flags.writeable = False
     _front_ends[key] = entry
@@ -268,10 +269,13 @@ def ncc_stream(
     are the exact diagonal variance sums (template two-pass, reference from
     ``tables``). Values are clamped to [-1, 1]; ``clamped`` records the
     shifts whose value was pulled back and is all False when no shift is in
-    bounds. Shifts whose zero-mean stream carries no energy (e.g. a
-    degenerate alpha=1 filter) flag zero-variance. Takes one block or a
-    stack of blocks, as ``ncc.ncc_full_naive`` does; block i of a stack
-    reads the streams of ``block_id + i``.
+    bounds. A dead stream, one whose zero-mean stream or the template's
+    carries no energy (e.g. under a degenerate alpha=1 filter), has its
+    window variance sum written as 0, so the shared tail
+    (``ncc._correlation_map``) flags it zero-variance with value 0, as it
+    does a flat window. Takes one block or a stack of blocks, as
+    ``ncc.ncc_full_naive`` does; block i of a stack reads the streams of
+    ``block_id + i``.
 
     A later call on the same template diagonal and reference region (any
     noise, seed or block id) reuses the noiseless front end, so the result
@@ -280,16 +284,15 @@ def ncc_stream(
     frame = _open_kernel(template_block, reference, origin, shifts, counter, DiagTables, tables)
     if noise is None:
         noise = NoiseModel()
-    flags = np.zeros(frame.values.shape, dtype=bool)
     for inbounds, t_diag, _, region in frame.blocks:
         d = len(t_diag)
         config = MovingAverageConfig.boxcar(d) if ma_config is None else ma_config
-        clean, rms_p, ok = _front_end(t_diag, region, tables.orientation, config)
+        clean, rms_p, dead = _front_end(t_diag, region, tables.orientation, config)
         numerators = _add_noise(clean.copy(), rms_p, d, noise, (block_id + inbounds[0],))
-        shape = frame.values[inbounds].shape
-        frame.values[inbounds] = numerators.reshape(shape)
-        flags[inbounds] = ok.reshape(shape)
-    return _clamp(_correlation_map(shifts, frame, flags))
+        r_var = frame.r_var[inbounds]
+        frame.values[inbounds] = numerators.reshape(r_var.shape)
+        r_var[dead.reshape(r_var.shape)] = 0.0
+    return _clamp(_correlation_map(shifts, frame))
 
 
 def _clamp(cmap: CorrelationMap) -> CorrelationMap:

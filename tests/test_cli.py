@@ -10,7 +10,8 @@ import pytest
 import nccalign
 from nccalign import alignment, cli, load_pgm, save_pgm
 from nccalign.cli import argv_from_header, main
-from nccalign.streaming import DRAW_CACHE_STREAMS, _stream_draws
+from nccalign.streaming import DRAW_CACHE_STREAMS, _front_ends, _stream_draws
+from run_experiments import ALIGN
 
 from conftest import csv_body, csv_rows
 
@@ -339,6 +340,22 @@ class TestNoiseSweep:
         info = _stream_draws.cache_info()
         assert (info.misses, info.hits) == (streams, streams)
 
+    def test_experiment_sweep_repeats_in_one_process(self, tmp_path):
+        # The experiment set's sweep, twice in one process that starts cold.
+        # Its 10 seeds x 64 blocks x 2 stages outnumber the draw cache, so
+        # the second run finds the first run's stream front ends cached but
+        # not its draws.
+        assert 10 * 64 * 2 > DRAW_CACHE_STREAMS
+        _front_ends.clear()
+        _stream_draws.cache_clear()
+        bodies = []
+        for run in ("first", "second"):
+            out = tmp_path / run
+            assert main(["noise-sweep", *ALIGN, "--fractions", "0.01,0.1,0.2", "--seeds", "10",
+                         "--out", str(out)]) == 0
+            bodies.append(csv_body(out / "noise_sweep.csv"))
+        assert bodies[0] == bodies[1]
+
     @pytest.mark.parametrize("flags, named", [
         (["--seeds", "0"], "--seeds"),
         (["--seeds", "-3"], "--seeds"),
@@ -466,6 +483,14 @@ def test_bad_setting_exits_2_before_any_alignment(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "align"])
+def test_negative_gen_seed_exits_2_naming_texture_seed(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main([command, *SMALL_PAIR, "--gen-seed=-1", "--out", str(out)]) == 2
+    assert "texture_seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPower:
     def test_table_and_csv(self, tmp_path, capsys):
         out = tmp_path / "power"
@@ -496,13 +521,46 @@ assert loaded == [], loaded
 """
 
 
+def fresh_python(*args):
+    """Run ``python *args`` in a new process that imports this nccalign,
+    under the tier-1 warning filters."""
+    src = str(Path(nccalign.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                           "-W", "error::RuntimeWarning", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 class TestColdImport:
     def test_pole_filter_runs_without_scipy(self, tmp_path):
-        src = str(Path(nccalign.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         argv = ["align", *SMALL_ALIGN, "--method", "stream", "--ma", "pole:0.25",
                 "--out", str(tmp_path / "o")]
-        done = subprocess.run([sys.executable, "-c", COLD_IMPORT, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
+        fresh_python("-c", COLD_IMPORT, *argv)
         assert (tmp_path / "o" / "disparity.csv").exists()
+
+
+class TestStreamMemo:
+    ALIGN_STREAM = ["align", "--method", "stream", "--seed", "3", "--block", "64", "--crop", "0",
+                    "--search-du=-8:8", "--search-dv=-8:8"]
+    FRACTIONS = ("0.01", "0.1", "0.2")
+
+    def test_fresh_process_frames_equal_in_process_frames(self, tmp_path):
+        # Each frame once in a fresh process, whose stream front-end memo is
+        # cold, then all three in this process, where frames 2 and 3 reuse
+        # the front ends of frame 1.
+        for fraction in self.FRACTIONS:
+            fresh_python("-m", "nccalign", *self.ALIGN_STREAM, "--noise-mult", fraction,
+                         "--out", str(tmp_path / f"cold-{fraction}"))
+        _front_ends.clear()
+        _stream_draws.cache_clear()
+        memo = []
+        for fraction in self.FRACTIONS:
+            assert main([*self.ALIGN_STREAM, "--noise-mult", fraction,
+                         "--out", str(tmp_path / f"warm-{fraction}")]) == 0
+            memo.append(set(_front_ends))
+        assert memo[0] and memo[0] == memo[1] == memo[2]
+        for fraction in self.FRACTIONS:
+            for name in ("disparity.csv", "metrics.csv"):
+                assert (csv_body(tmp_path / f"cold-{fraction}" / name)
+                        == csv_body(tmp_path / f"warm-{fraction}" / name)), (fraction, name)

@@ -142,7 +142,7 @@ class TestNccDiag:
         ref = random_image(21, 24, 24)
         block = ref[4:12, 6:14].copy()
         cmap = ncc_diag(block, ref, (6, 4), ShiftRange.symmetric(3))
-        assert cmap.value_at(0, 0) == pytest.approx(1.0, abs=1e-9)
+        assert cmap.values[3, 3] == pytest.approx(1.0, abs=1e-9)
 
     def test_interior_blocks_recover_uniform_shift(self):
         spec = SyntheticSpec(96, 96, uniform_pattern(96, 96, 3, 5), texture_seed=1)
@@ -164,7 +164,7 @@ class TestNccDiag:
             for dv in range(-2, 3):
                 for du in range(-2, 3):
                     expected = oracle_diag_ncc(block, ref, (5, 5), du, dv, orientation)
-                    assert cmap.value_at(du, dv) == pytest.approx(expected, abs=1e-9)
+                    assert cmap.values[2 + dv, 2 + du] == pytest.approx(expected, abs=1e-9)
 
     def test_non_square_block_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -189,7 +189,7 @@ class TestNccDiagFast:
         block = ref[10:26, 12:28].copy()
         tables = build_diag_tables(ref)
         cmap = ncc_diag_fast(block, ref, (12, 10), ShiftRange.symmetric(4), tables)
-        assert cmap.value_at(0, 0) == pytest.approx(1.0, abs=1e-9)
+        assert cmap.values[4, 4] == pytest.approx(1.0, abs=1e-9)
 
     def test_flat_diagonal_flags_while_full_ncc_works(self):
         # Textured block whose main diagonal is constant: diagonal NCC cannot
@@ -201,10 +201,10 @@ class TestNccDiagFast:
         ref[8:16, 8:16] = block
         tables = build_diag_tables(ref)
         dmap = ncc_diag_fast(block, ref, (8, 8), ShiftRange(0, 0, 0, 0), tables)
-        assert dmap.flag_at(0, 0) == ZERO_VARIANCE
+        assert dmap.validity[0, 0] == ZERO_VARIANCE
         fmap = ncc_full_naive(block, ref, (8, 8), ShiftRange(0, 0, 0, 0))
-        assert fmap.flag_at(0, 0) == VALID
-        assert fmap.value_at(0, 0) == pytest.approx(1.0, abs=1e-9)
+        assert fmap.validity[0, 0] == VALID
+        assert fmap.values[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestCostModel:

@@ -259,7 +259,7 @@ class TestFftNumerator:
         x0, y0 = 1760, 920  # far from the origin: the prefix sums are largest here
         block = reference[y0 + 3:y0 + 131, x0 - 5:x0 + 123].copy()
         fast = assert_full_fast_equals_naive(block, reference, (x0, y0), ShiftRange.symmetric(16))
-        assert fast.flag_at(-5, 3) == VALID and fast.value_at(-5, 3) == pytest.approx(1.0)
+        assert fast.validity[16 + 3, 16 - 5] == VALID and fast.values[16 + 3, 16 - 5] == pytest.approx(1.0)
 
 
 # -- strided window view ---------------------------------------------------

@@ -12,7 +12,6 @@ from nccalign import (
     ZERO_VARIANCE,
     ShiftRange,
     best_shift,
-    block_stats,
     build_diag_tables,
     build_sum_tables,
     ncc_diag,
@@ -22,7 +21,7 @@ from nccalign import (
     ncc_stream,
 )
 from nccalign.images import _prefix_sums
-from nccalign.ncc import CorrelationMap, OpCounter, _inbounds_ranges
+from nccalign.ncc import CorrelationMap, OpCounter, _inbounds_ranges, _two_pass
 
 from conftest import (
     assert_rectangle_matches_windows,
@@ -201,13 +200,14 @@ class TestOracleLoop:
             x0, y0 = origin
             block = reference[y0 + 3:y0 + 131, x0 - 2:x0 + 126].copy()
             cmap = assert_oracle_equals_formula(kind, block, reference, origin, shifts)
-            assert cmap.flag_at(-2, 3) == VALID
+            assert cmap.validity[16 + 3, 16 - 2] == VALID
 
     @pytest.mark.parametrize("values", [
         random_image(44, 9, 13), np.asfortranarray(random_image(45, 9, 13)),
         random_image(46, 1, 128)[0], [0.25, 0.5, 1.0], np.full((4, 4), 0.37)])
-    def test_block_stats_equals_two_pass(self, values):
-        got, want = block_stats(values), two_pass(values)
+    def test_two_pass_equals_whole_array_two_pass(self, values):
+        mean, _, var = _two_pass(np.asarray(values, dtype=np.float64))
+        got, want = (mean, var), two_pass(values)
         assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
@@ -216,14 +216,14 @@ class TestNccFullNaive:
         ref = random_image(1, 24, 24)
         block = ref[5:13, 7:15].copy()
         cmap = ncc_full_naive(block, ref, (7, 5), ShiftRange.symmetric(3))
-        assert cmap.value_at(0, 0) == pytest.approx(1.0, abs=1e-9)
+        assert cmap.values[3, 3] == pytest.approx(1.0, abs=1e-9)
 
     def test_negated_window_is_minus_one(self):
         ref = random_image(2, 20, 20)
         window = ref[4:12, 4:12]
         block = -(window - window.mean())
         cmap = ncc_full_naive(block, ref, (4, 4), ShiftRange(0, 0, 0, 0))
-        assert cmap.value_at(0, 0) == pytest.approx(-1.0, abs=1e-9)
+        assert cmap.values[0, 0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_flat_template_flags_zero_variance(self):
         ref = random_image(3, 20, 20)
@@ -234,9 +234,9 @@ class TestNccFullNaive:
         ref = random_image(4, 16, 16)
         block = ref[0:8, 0:8].copy()
         cmap = ncc_full_naive(block, ref, (0, 0), ShiftRange.symmetric(2))
-        assert cmap.flag_at(-1, 0) == OUT_OF_BOUNDS
-        assert cmap.flag_at(0, -2) == OUT_OF_BOUNDS
-        assert cmap.flag_at(1, 1) == VALID
+        assert cmap.validity[2 + 0, 2 - 1] == OUT_OF_BOUNDS
+        assert cmap.validity[2 - 2, 2 + 0] == OUT_OF_BOUNDS
+        assert cmap.validity[2 + 1, 2 + 1] == VALID
 
     def test_template_larger_than_reference_rejected(self):
         with pytest.raises(ValueError, match="larger"):
@@ -412,9 +412,9 @@ class TestInvariants:
     def test_swap_symmetry_at_zero_shift(self):
         ref = random_image(9, 20, 20)
         block = random_image(10, 8, 8)
-        c1 = ncc_full_naive(block, ref, (6, 6), ShiftRange(0, 0, 0, 0)).value_at(0, 0)
+        c1 = ncc_full_naive(block, ref, (6, 6), ShiftRange(0, 0, 0, 0)).values[0, 0]
         window = ref[6:14, 6:14].copy()
-        c2 = ncc_full_naive(window, block, (0, 0), ShiftRange(0, 0, 0, 0)).value_at(0, 0)
+        c2 = ncc_full_naive(window, block, (0, 0), ShiftRange(0, 0, 0, 0)).values[0, 0]
         assert c1 == pytest.approx(c2, abs=1e-12)
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nccalign import (
+    OUT_OF_BOUNDS,
     ZERO_VARIANCE,
     MovingAverageConfig,
     NoiseModel,
@@ -231,7 +232,7 @@ class TestNccStream:
         block = reference[30:158, 40:168].copy()
         cmap = ncc_stream(block, reference, (40, 30), ShiftRange(0, 0, 0, 0),
                           build_diag_tables(reference))
-        assert cmap.value_at(0, 0) == pytest.approx(1.0, abs=0.05)
+        assert cmap.values[0, 0] == pytest.approx(1.0, abs=0.05)
 
     def test_degenerate_pole_flags_everything(self):
         ref = random_image(43, 32, 32)
@@ -253,7 +254,7 @@ class TestNccStream:
             block, ref, (20, 10), ShiftRange(0, 0, 0, 0), build_diag_tables(ref),
             ma_config=MovingAverageConfig.single_pole(0.01),
         )
-        assert cmap.value_at(0, 0) == 1.0
+        assert cmap.values[0, 0] == 1.0
         assert bool(cmap.clamped[0, 0])
 
     def test_values_stay_in_unit_range(self):
@@ -320,6 +321,53 @@ def assert_maps_bit_equal(a, b):
     np.testing.assert_array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
     np.testing.assert_array_equal(a.validity, b.validity)
     np.testing.assert_array_equal(a.clamped, b.clamped)
+
+
+class TestDeadStreams:
+    """Under a filter that passes the signal whole, every zero-mean stream
+    is (nearly) 0: a dead stream. It reaches the shared tail as a window
+    variance sum of 0, so it flags zero-variance with value 0, noise or
+    not, and out-of-bounds shifts keep their flag."""
+
+    REF_SHAPE, BLOCK = (40, 48), 8
+    SHIFTS = ShiftRange(2, 5, -3, 3)
+    # Inside; clipped at the top; clipped at the right and bottom; no shift
+    # in bounds, as du >= 2 leaves the reference's right edge.
+    ORIGINS = [(16, 16), (4, 1), (36, 30), (40, 16)]
+
+    def inbounds(self):
+        """Per origin, the shifts whose window lies inside the reference,
+        (n, n_dv, n_du)."""
+        h, w = self.REF_SHAPE
+        dv = np.arange(self.SHIFTS.dv_min, self.SHIFTS.dv_max + 1)[:, None]
+        du = np.arange(self.SHIFTS.du_min, self.SHIFTS.du_max + 1)[None, :]
+        return np.array([(x + du >= 0) & (x + du + self.BLOCK <= w)
+                         & (y + dv >= 0) & (y + dv + self.BLOCK <= h) for x, y in self.ORIGINS])
+
+    @pytest.mark.parametrize("ma_config", [MovingAverageConfig.single_pole(1.0),
+                                           MovingAverageConfig.boxcar(1)], ids=["pole", "boxcar"])
+    @pytest.mark.parametrize("orientation", ["main", "anti"])
+    def test_dead_streams_flag_zero_variance(self, ma_config, orientation):
+        ref = random_image(50, *self.REF_SHAPE)
+        tables = build_diag_tables(ref, orientation)
+        blocks = [ref[y:y + self.BLOCK, x:x + self.BLOCK].copy() for x, y in self.ORIGINS]
+        noise = NoiseModel(0.1, 0.2, seed=23)
+        stacked = ncc_stream(blocks, ref, self.ORIGINS, self.SHIFTS, tables, ma_config=ma_config,
+                             noise=noise)
+        inbounds = self.inbounds()
+        assert inbounds[:3].any(axis=(1, 2)).all() and not inbounds[3].any()
+        assert not inbounds[1:].all(axis=(1, 2)).any()
+        assert (stacked.validity[inbounds] == ZERO_VARIANCE).all()
+        assert (stacked.validity[~inbounds] == OUT_OF_BOUNDS).all()
+        assert (stacked.values.view(np.uint64) == 0).all()
+        assert not stacked.clamped.any()
+        for i, (block, origin) in enumerate(zip(blocks, self.ORIGINS)):
+            single = ncc_stream(block, ref, origin, self.SHIFTS, tables, ma_config=ma_config,
+                                noise=noise, block_id=i)
+            np.testing.assert_array_equal(stacked.values[i].view(np.uint64),
+                                          single.values.view(np.uint64))
+            np.testing.assert_array_equal(stacked.validity[i], single.validity)
+            np.testing.assert_array_equal(stacked.clamped[i], single.clamped)
 
 
 class TestDrawCache:
