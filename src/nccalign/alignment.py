@@ -16,6 +16,7 @@ from .images import GrayImage, chunk_rows, image_array, row_chunks, validate_ima
 from .ncc import (
     OpCounter,
     ShiftRange,
+    _inbounds_ranges,
     best_shift,
     build_sum_tables,
     ncc_full_fast,
@@ -95,10 +96,6 @@ class DisparityField:
     coeff: np.ndarray
     status: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.du.shape
-
     def copy(self) -> "DisparityField":
         return DisparityField(self.du.copy(), self.dv.copy(), self.coeff.copy(), self.status.copy())
 
@@ -145,6 +142,16 @@ def estimate_disparity(
 
     origins = [(x0, y0) for _, _, x0, y0 in grid.origins()]
     blocks = [t[y0:y0 + b, x0:x0 + b] for x0, y0 in origins]
+    # The kernel maps only the shifts some block keeps in bounds. Each block's
+    # in-bounds ranges hold shift 0 before clipping, so their union per axis
+    # is one range; every shift dropped is out of bounds for every block.
+    spans = [span for span in (_inbounds_ranges(xy, (b, b), ref.shape, shifts) for xy in origins)
+             if span[0] <= span[1] and span[2] <= span[3]]
+    if spans:
+        du_lo, du_hi, dv_lo, dv_hi = zip(*spans)
+        shifts = ShiftRange(min(du_lo), max(du_hi), min(dv_lo), max(dv_hi))
+    else:  # one out-of-bounds shift: the kernel still runs once
+        shifts = ShiftRange(shifts.du_min, shifts.du_min, shifts.dv_min, shifts.dv_min)
     if method == "full":
         cmap = ncc_full_naive(blocks, ref, origins, shifts, counter=counter)
     elif method == "full-fast":

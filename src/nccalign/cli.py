@@ -11,6 +11,7 @@ they measure real time). Exit statuses: 0 success, 1 computation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import statistics
@@ -122,14 +123,27 @@ def _write_csv(path: Path, config: RunConfig, schema: str, columns, rows) -> Non
             fh.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
-def _parse_span(text: str, flag: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise ValueError(f"{flag} must be MIN:MAX, got {text!r}")
+@contextlib.contextmanager
+def _naming(args, *names: str):
+    """Re-raise a ValueError from the body prefixed with the flags it read,
+    ``--flag=value`` for each of ``names`` that the command sets in ``args``."""
     try:
-        return int(lo), int(hi)
+        yield
     except ValueError as exc:
-        raise ValueError(f"{flag} must be MIN:MAX with integer bounds, got {text!r}") from exc
+        flags = " ".join(f"--{name.replace('_', '-')}={_fmt(getattr(args, name))}"
+                         for name in names if getattr(args, name, None) is not None)
+        raise ValueError(f"{flags}: {exc}") from exc
+
+
+def _parse_span(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition(":")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError as exc:
+        raise ValueError(f"must be MIN:MAX with integer bounds, got {text!r}") from exc
+    if lo > hi:
+        raise ValueError(f"must be MIN:MAX with MIN <= MAX, got {text!r}")
+    return lo, hi
 
 
 def _parse_pattern(text: str, width: int, height: int):
@@ -164,19 +178,22 @@ def _load_or_generate(args) -> tuple[np.ndarray, np.ndarray, GroundTruth | None]
 
 
 def _synthetic_spec(args) -> SyntheticSpec:
-    return SyntheticSpec(
-        width=args.width,
-        height=args.height,
-        regions=_parse_pattern(args.pattern, args.width, args.height),
-        texture_seed=args.gen_seed,
-        noise_floor=args.noise_floor,
-    )
+    with _naming(args, "width", "height", "pattern", "noise_floor", "gen_seed"):
+        return SyntheticSpec(
+            width=args.width,
+            height=args.height,
+            regions=_parse_pattern(args.pattern, args.width, args.height),
+            texture_seed=args.gen_seed,
+            noise_floor=args.noise_floor,
+        )
 
 
 def _shift_range(args) -> ShiftRange:
     radius = max(1, args.block // 8)
-    du = _parse_span(args.search_du, "--search-du") if args.search_du else (-radius, radius)
-    dv = _parse_span(args.search_dv, "--search-dv") if args.search_dv else (-radius, radius)
+    with _naming(args, "search_du"):
+        du = _parse_span(args.search_du) if args.search_du else (-radius, radius)
+    with _naming(args, "search_dv"):
+        dv = _parse_span(args.search_dv) if args.search_dv else (-radius, radius)
     return ShiftRange(du_min=du[0], du_max=du[1], dv_min=dv[0], dv_max=dv[1])
 
 
@@ -220,7 +237,8 @@ def run_alignment(template, reference, args, *, noise: NoiseModel | None = None)
     if np.shape(template) != np.shape(reference):
         raise ValueError(f"template {np.shape(template)} and reference {np.shape(reference)} "
                          "extents differ")
-    grid = partition_template(template, args.block, args.crop)
+    with _naming(args, "block", "crop"):
+        grid = partition_template(template, args.block, args.crop)
     shifts = _shift_range(args)
     raw = estimate_disparity(template, reference, grid, args.method, shifts, orientation=args.orientation,
                              ma_config=args.ma if args.method == "stream" else None, noise=noise)
@@ -245,16 +263,10 @@ def _stream_noises(args, fractions, seeds) -> list[list[NoiseModel]]:
     """Build the stream settings once, before any alignment: parse ``args.ma``
     in place (None: a boxcar of the block) and return the NoiseModel of each
     seed (outer) and multiplier fraction (inner). Errors name their flags."""
-    try:
+    with _naming(args, "ma"):
         args.ma = MovingAverageConfig.parse(args.ma) if args.ma else None
-    except ValueError as exc:
-        raise ValueError(f"--ma={args.ma}: {exc}") from exc
-    try:
+    with _naming(args, "fractions", "noise_mult", "noise_int", "seed"):
         return [[NoiseModel(fraction, args.noise_int, seed) for fraction in fractions] for seed in seeds]
-    except ValueError as exc:
-        flag = (f"--fractions={args.fractions}" if args.command == "noise-sweep"
-                else f"--noise-mult={_fmt(args.noise_mult)}")
-        raise ValueError(f"{flag} --noise-int={_fmt(args.noise_int)} --seed={args.seed}: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -326,7 +338,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--runs must be >= 1, got {args.runs}")
     config = RunConfig.from_args(args)
     template, reference, _ = _load_or_generate(args)
-    grid = partition_template(template, args.block, args.crop)
+    with _naming(args, "block", "crop"):
+        grid = partition_template(template, args.block, args.crop)
     shifts = _shift_range(args)
 
     counters = {method: OpCounter() for method in ("full-fast", "diag-fast")}
@@ -375,10 +388,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
-    try:
+    with _naming(args, "fractions"):
         fractions = [float(f) for f in args.fractions.split(",") if f != ""]
-    except ValueError as exc:
-        raise ValueError(f"--fractions must be comma-separated numbers, got {args.fractions!r}") from exc
     if not fractions:
         raise ValueError(f"--fractions must name at least one fraction, got {args.fractions!r}")
     if args.seeds < 1:
@@ -432,14 +443,12 @@ def cmd_robustness(args) -> int:
     else:
         parameter = args.parameter
 
-    try:
+    # A default parameter is valid, so the flags named are those given.
+    with _naming(args, "mode", "parameter", *(("seed",) if args.mode == "random" else ())):
         if args.mode == "uniform":
             perturbed = scale_intensity(template, parameter)
         else:
             perturbed = random_intensity_perturbation(template, args.seed, parameter)
-    except ValueError as exc:
-        seed = f" --seed={args.seed}" if args.mode == "random" else ""
-        raise ValueError(f"--mode {args.mode} --parameter={_fmt(parameter)}{seed}: {exc}") from exc
     baseline = run_alignment(template, reference, args, noise=noise)
     run = run_alignment(perturbed, reference, args, noise=noise)
 
@@ -470,7 +479,8 @@ def cmd_robustness(args) -> int:
 
 def cmd_power(args) -> int:
     config = RunConfig.from_args(args)
-    budget = power_budget(args.channels)
+    with _naming(args, "channels"):
+        budget = power_budget(args.channels)
     header = f"{'component':<12}{'quantity':>10}{'unit_mW':>12}{'power_mW':>12}"
     print(header)
     rows = []

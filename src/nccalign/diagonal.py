@@ -28,7 +28,7 @@ from .ncc import (
     _direct_map,
     _offset,
     _open_kernel,
-    _var_sum,
+    _PrefixTables,
 )
 
 ORIENTATIONS = ("main", "anti")
@@ -40,23 +40,18 @@ def _check_orientation(orientation: str) -> None:
 
 
 @dataclass(frozen=True)
-class DiagTables:
+class DiagTables(_PrefixTables):
     """Prefix tables of one orientation, for O(1) diagonal window stats.
 
-    The diagonal counterpart of :class:`~nccalign.ncc.SumTables`. Main
-    tables accumulate from the up-left neighbor:
+    Main tables accumulate from the up-left neighbor:
     table[y + 1, x + 1] = r[y, x] + table[y, x]. Anti tables accumulate from
     the down-left neighbor: table[y, x + 1] = r[y, x] + table[y + 1, x].
-    Out-of-image terms are zero via padding.
+    Out-of-image terms are zero via padding. A window of size (length,) is
+    ``length`` consecutive diagonal samples from (x0, y0), for the anti
+    orientation r[y0 + length - 1 - k, x0 + k]; it costs 2 lookups.
     """
 
     orientation: str
-    sum_table: np.ndarray
-    sumsq_table: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.sum_table.shape[0] - 1, self.sum_table.shape[1] - 1
 
     def _window(self, table: np.ndarray, x0, y0, length: int):
         """(far entry, window sum): the main tables read the far entry at
@@ -66,21 +61,6 @@ class DiagTables:
         else:
             far, near = table[y0, _offset(x0, length)], table[_offset(y0, length), x0]
         return far, far - near
-
-    def window_sum(self, x0, y0, length: int):
-        """Sum of ``length`` consecutive diagonal samples starting at (x0, y0).
-
-        For the anti orientation the window's samples are
-        r[y0 + length - 1 - k, x0 + k]. x0/y0 are ints, or slices of
-        consecutive origins: then the result is the (rows, columns)
-        rectangle of windows. Two lookups each.
-        """
-        return self._window(self.sum_table, x0, y0, length)[1]
-
-    def window_var_sum(self, x0, y0, length: int):
-        """Variance sum of the window's samples (see ``ncc._var_sum``)."""
-        far, sq = self._window(self.sumsq_table, x0, y0, length)
-        return _var_sum(self.window_sum(x0, y0, length), sq, far, length)
 
 
 def build_diag_tables(reference: GrayImage, orientation: str = "main") -> DiagTables:

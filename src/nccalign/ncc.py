@@ -24,6 +24,7 @@ then run once for the stack, the numerators per block.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -131,13 +132,17 @@ class BestShift:
     coeff: float
 
 
-@dataclass(frozen=True)
-class SumTables:
-    """Padded prefix tables of reference intensities and their squares.
+def _offset(index, k: int):
+    """A table index (int or slice of consecutive entries) moved by ``k``."""
+    if isinstance(index, slice):
+        return slice(index.start + k, index.stop + k)
+    return index + k
 
-    ``table[y + 1, x + 1]`` holds the sum over the rectangle [0..x] x [0..y],
-    so any window sum costs 4 lookups.
-    """
+
+@dataclass(frozen=True)
+class _PrefixTables:
+    """Padded prefix tables of reference intensities and their squares, read
+    through the corners of each kind's ``_window(table, x0, y0, *size)``."""
 
     sum_table: np.ndarray
     sumsq_table: np.ndarray
@@ -146,30 +151,23 @@ class SumTables:
     def shape(self) -> tuple[int, int]:
         return self.sum_table.shape[0] - 1, self.sum_table.shape[1] - 1
 
-    def window_sum(self, x0, y0, width: int, height: int):
-        """Sum over the window with top-left (x0, y0). x0/y0 are ints, or
-        slices of consecutive origins: then the result is the (rows,
-        columns) rectangle of windows."""
-        return _window_lookup(self.sum_table, x0, y0, width, height)[1]
-
-    def window_var_sum(self, x0, y0, width: int, height: int):
-        """Sum of squared deviations from the window mean (see :func:`_var_sum`)."""
-        far, sq = _window_lookup(self.sumsq_table, x0, y0, width, height)
-        return _var_sum(self.window_sum(x0, y0, width, height), sq, far, width * height)
+    def window_var_sum(self, x0, y0, *size: int):
+        """Variance sum of the window at (x0, y0) of extent ``size`` (see
+        :func:`_var_sum`). x0/y0 are ints, or slices of consecutive origins:
+        then the result is the (rows, columns) rectangle of windows."""
+        far, sq = self._window(self.sumsq_table, x0, y0, *size)
+        return _var_sum(self._window(self.sum_table, x0, y0, *size)[1], sq, far, math.prod(size))
 
 
-def _offset(index, k: int):
-    """A table index (int or slice of consecutive entries) moved by ``k``."""
-    if isinstance(index, slice):
-        return slice(index.start + k, index.stop + k)
-    return index + k
+class SumTables(_PrefixTables):
+    """Rectangle tables: ``table[y + 1, x + 1]`` holds the sum over [0..x] x
+    [0..y], so a window of size (width, height) costs 4 lookups."""
 
-
-def _window_lookup(table: np.ndarray, x0, y0, width: int, height: int):
-    """(far corner ``table[y0 + height, x0 + width]``, window sum)."""
-    y1, x1 = _offset(y0, height), _offset(x0, width)
-    far = table[y1, x1]
-    return far, far - table[y0, x1] - table[y1, x0] + table[y0, x0]
+    def _window(self, table: np.ndarray, x0, y0, width: int, height: int):
+        """(far corner ``table[y0 + height, x0 + width]``, window sum)."""
+        y1, x1 = _offset(y0, height), _offset(x0, width)
+        far = table[y1, x1]
+        return far, far - table[y0, x1] - table[y1, x0] + table[y0, x0]
 
 
 def _var_sum(s, sq, far, n: int):

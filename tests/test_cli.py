@@ -470,15 +470,27 @@ class TestRobustness:
     (["robustness", "--method", "stream", "--noise-mult=-1"], "--noise-mult=-1"),
     (["align", "--method", "stream", "--ma", "boxcar:0"], "--ma=boxcar:0"),
     (["noise-sweep", "--ma", "pole:2"], "--ma=pole:2"),
+    (["align", "--gen-seed=-1"], "--gen-seed=-1"),
+    (["align", "--width", "0"], "--width=0"),
+    (["align", "--noise-floor", "nan"], "--noise-floor=nan"),
+    (["align", "--pattern", "uniform:40,0"], "--pattern=uniform:40,0"),
+    (["align", "--pattern", "quadrant:1,1:1,1:1,1:x,1"], "--pattern=quadrant:1,1:1,1:1,1:x,1"),
+    (["noise-sweep", "--search-du=5:-5"], "--search-du=5:-5"),
+    (["align", "--block", "4"], "--block=4"),
+    (["bench", "--crop", "0.5"], "--crop=0.5"),
+    (["power", "--channels=-2"], "--channels=-2"),
 ], ids=("sweep-fraction", "random-amplitude", "uniform-factor", "random-seed", "ma-argument",
-        "align-noise-int", "robustness-noise-mult", "ma-window", "sweep-ma-alpha"))
+        "align-noise-int", "robustness-noise-mult", "ma-window", "sweep-ma-alpha", "gen-seed",
+        "width", "noise-floor", "pattern-bound", "pattern-literal", "search-range", "block",
+        "bench-crop", "power-channels"))
 def test_bad_setting_exits_2_before_any_alignment(tmp_path, capsys, monkeypatch, argv, named):
     def refuse(*args, **kwargs):
         raise AssertionError("an alignment ran before the usage error")
 
     monkeypatch.setattr(cli, "estimate_disparity", refuse)
     out = tmp_path / "o"
-    assert main([argv[0], *SMALL_ALIGN, *argv[1:], "--out", str(out)]) == 2
+    common = [] if argv[0] == "power" else SMALL_ALIGN  # power reads no image flags
+    assert main([argv[0], *common, *argv[1:], "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
 
@@ -487,7 +499,8 @@ def test_bad_setting_exits_2_before_any_alignment(tmp_path, capsys, monkeypatch,
 def test_negative_gen_seed_exits_2_naming_texture_seed(tmp_path, capsys, command):
     out = tmp_path / "o"
     assert main([command, *SMALL_PAIR, "--gen-seed=-1", "--out", str(out)]) == 2
-    assert "texture_seed must be non-negative, got -1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--gen-seed=-1" in err and "texture_seed must be non-negative, got -1" in err
     assert not out.exists()
 
 

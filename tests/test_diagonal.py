@@ -104,24 +104,27 @@ class TestDiagTables:
         img[5:20, 8:30] = 0.25  # flat windows, whose variance counts as 0
         tables = build_diag_tables(img, orientation)
         for xs, ys in edge_rectangles(29, 41, length, length):
-            assert_rectangle_matches_windows(lambda x0, y0: tables.window_sum(x0, y0, length),
-                                             xs, ys)
             assert_rectangle_matches_windows(lambda x0, y0: tables.window_var_sum(x0, y0, length),
                                              xs, ys)
 
-    def test_constant_image_diag_sums(self):
+    def test_constant_image_has_zero_diag_variance(self):
         for orientation in ("main", "anti"):
             tables = build_diag_tables(np.full((8, 8), 0.5), orientation)
             for x0 in range(4):
                 for y0 in range(4):
-                    assert tables.window_sum(x0, y0, 4) == pytest.approx(2.0)
+                    assert tables.window_var_sum(x0, y0, 4) == 0.0
 
     def test_single_row_image(self):
         img = np.array([[0.1, 0.4, 0.9, 0.2]])
         main, anti = build_diag_tables(img, "main"), build_diag_tables(img, "anti")
+        # Every diagonal of one row holds one pixel: the main tables keep it
+        # below the row, the anti tables above it.
+        np.testing.assert_array_equal(main.sum_table[1, 1:], img[0])
+        np.testing.assert_array_equal(anti.sum_table[0, 1:], img[0])
+        np.testing.assert_array_equal(main.sumsq_table[1, 1:], img[0] ** 2)
+        np.testing.assert_array_equal(anti.sumsq_table[0, 1:], img[0] ** 2)
         for x in range(4):
-            assert main.window_sum(x, 0, 1) == pytest.approx(img[0, x])
-            assert anti.window_sum(x, 0, 1) == pytest.approx(img[0, x])
+            assert main.window_var_sum(x, 0, 1) == anti.window_var_sum(x, 0, 1) == 0.0
 
     @pytest.mark.parametrize("orientation", ["main", "anti"])
     def test_window_variance_matches_direct(self, orientation):

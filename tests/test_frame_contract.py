@@ -4,7 +4,8 @@
 one ``best_shift`` call, looking both up by module-global name at call time,
 so a tracer that rebinds those names (as ``perfbench/spans.py`` does) sees
 every call. Inputs are validated a fixed number of times per frame, however
-many blocks it has. At the paper size each fast method's blocks equal its
+many blocks it has. The kernel's maps span only the shifts some block can
+keep in bounds. At the paper size each fast method's blocks equal its
 oracle's.
 """
 
@@ -14,10 +15,11 @@ import sys
 import pytest
 
 from nccalign import alignment, images
-from nccalign.alignment import METHODS
+from nccalign.alignment import BLOCK_INVALID, METHODS, estimate_disparity, partition_template
 from nccalign.cli import main
+from nccalign.ncc import OpCounter, ShiftRange
 
-from conftest import csv_rows
+from conftest import csv_body, csv_rows, random_image
 
 SMALL = ["--width", "256", "--height", "256", "--crop", "0"]
 
@@ -77,6 +79,51 @@ def test_traced_names_see_every_frame_call(monkeypatch, tmp_path, method):
     assert "counter" in calls[KERNELS[method]][0]
     assert len(calls["best_shift"]) == 1
     assert len(calls.get("build_diag_tables", [])) == (method in ("diag-fast", "stream"))
+
+
+def bound_kernel(monkeypatch, method, n_max, seen):
+    """Rebind the kernel of ``method`` with a wrapper that records the shift
+    range of each call in ``seen`` and fails, before any map is allocated,
+    on one wider than ``n_max`` shifts per axis."""
+    original = getattr(alignment, KERNELS[method])
+
+    def bounded(blocks, reference, origins, shifts, *args, **kwargs):
+        seen.append(shifts)
+        assert shifts.n_du <= n_max and shifts.n_dv <= n_max, shifts
+        return original(blocks, reference, origins, shifts, *args, **kwargs)
+
+    monkeypatch.setattr(alignment, KERNELS[method], bounded)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_search_range_wider_than_image_costs_the_reachable_span(monkeypatch, tmp_path, method):
+    """At 64x64 with 16-pixel blocks and no crop, no block keeps a shift
+    beyond +-48 in bounds: a +-100000 search hands the kernel at most 97
+    shifts per axis and gives the +-48 run's blocks."""
+    seen = []
+    bound_kernel(monkeypatch, method, 97, seen)
+    bodies = []
+    for radius in (48, 100000):
+        out = align(tmp_path, f"r{radius}", "--width", "64", "--height", "64", "--block", "16",
+                    "--crop", "0", f"--search-du=-{radius}:{radius}",
+                    f"--search-dv=-{radius}:{radius}", "--method", method, "--noise-mult", "0.1")
+        bodies.append(csv_body(out / "disparity.csv"))
+    assert bodies[0] == bodies[1]
+    assert seen == [ShiftRange.symmetric(48)] * 2
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_kernel_sees_one_shift_when_none_is_in_bounds(monkeypatch, method):
+    """With no shift in bounds for any block, the kernel still runs once, on
+    a single out-of-bounds shift, and every block is invalid."""
+    image = random_image(52, 64, 64)
+    grid = partition_template(image, 16, 0.0)
+    seen, counter = [], OpCounter()
+    bound_kernel(monkeypatch, method, 1, seen)
+    field = estimate_disparity(image, image, grid, method, ShiftRange(49, 1000, -2, 2),
+                               counter=counter)
+    assert seen == [ShiftRange(49, 49, -2, -2)]
+    assert (field.status == BLOCK_INVALID).all() and counter.shifts == 0
 
 
 # One paper-size frame (1920x1080, block 128, crop 0.10) at +-4.
