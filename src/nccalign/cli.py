@@ -75,8 +75,10 @@ class RunConfig:
         for key, value in sorted(vars(args).items()):
             if key in ("func", "command") or key in unread or value is None:
                 continue
-            flag = "--" + key.replace("_", "-")
-            pairs.append((flag, str(value)))
+            flag, text = "--" + key.replace("_", "-"), str(value)
+            if "\n" in text or "\r" in text:
+                raise ValueError(f"{flag}={text!r}: a line break cannot go in an output header")
+            pairs.append((flag, text))
         return cls(command=args.command, options=tuple(pairs))
 
     def comment_lines(self, schema: str) -> list[str]:
@@ -501,7 +503,7 @@ def _add_synthetic_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pattern", default=DEFAULT_PATTERN,
                         help="ground-truth pattern: uniform:DU,DV or quadrant:DU,DV:DU,DV:DU,DV:DU,DV")
     parser.add_argument("--noise-floor", dest="noise_floor", type=float, default=0.01,
-                        help="Gaussian noise added to the synthetic template")
+                        help="standard deviation, in [0, 1], of the noise added to the synthetic template")
     parser.add_argument("--gen-seed", dest="gen_seed", type=int, default=7,
                         help="texture seed for the synthetic pair")
 

@@ -211,8 +211,8 @@ class SyntheticSpec:
             raise ValueError("disparity pattern must contain at least one region")
         if self.texture_seed < 0:
             raise ValueError(f"texture_seed must be non-negative, got {self.texture_seed}")
-        if not (0.0 <= self.noise_floor and np.isfinite(self.noise_floor)):
-            raise ValueError(f"noise_floor must be a finite non-negative fraction, got {self.noise_floor}")
+        if not 0.0 <= self.noise_floor <= 1.0:  # the template is clipped to [0, 1]
+            raise ValueError(f"noise_floor must be a standard deviation in [0, 1], got {self.noise_floor}")
         bound = min(self.width, self.height) / 4
         cover = np.zeros((self.height, self.width), dtype=np.uint8)
         for region in self.regions:

@@ -238,8 +238,9 @@ class _Frame:
     :func:`_correlation_map`).
     ``t_var`` holds the n template variance sums. ``blocks`` holds, per
     block with a shift in bounds, (index of its in-bounds shifts in the
-    stacked maps, samples, samples minus their mean, reference region).
-    ``single`` marks a per-block call, whose map drops the block axis.
+    stacked maps, samples, samples minus their mean, reference region);
+    ``box`` is the bounding box of those regions, a view. ``single`` marks
+    a per-block call, whose map drops the block axis.
     """
 
     single: bool
@@ -247,6 +248,7 @@ class _Frame:
     r_var: np.ndarray
     t_var: np.ndarray
     blocks: list
+    box: np.ndarray
 
 
 def _open_kernel(template_block, reference, origin, shifts, counter, kind=None, tables=None,
@@ -298,14 +300,16 @@ def _open_kernel(template_block, reference, origin, shifts, counter, kind=None, 
             opened.append((slice(y0 + dv_lo, y0 + dv_hi + 1), slice(x0 + du_lo, x0 + du_hi + 1),
                            (i, slice(dv_lo - shifts.dv_min, dv_hi - shifts.dv_min + 1),
                             slice(du_lo - shifts.du_min, du_hi - shifts.du_min + 1))))
+    box = ref[:0, :0]
     if opened:
         rows, cols, _ = zip(*opened)
-        validate_image(ref[min(r.start for r in rows):max(r.stop for r in rows) + th - 1,
-                           min(c.start for c in cols):max(c.stop for c in cols) + tw - 1], "reference")
+        box = ref[min(r.start for r in rows):max(r.stop for r in rows) + th - 1,
+                  min(c.start for c in cols):max(c.stop for c in cols) + tw - 1]
+        validate_image(box, "reference")
 
     n = len(blocks)
     frame = _Frame(single, np.zeros((n, shifts.n_dv, shifts.n_du)),
-                   np.full((n, shifts.n_dv, shifts.n_du), -1.0), np.zeros(n), [])
+                   np.full((n, shifts.n_dv, shifts.n_du), -1.0), np.zeros(n), [], box)
     for ys, xs, inbounds in opened:
         samples = _samples(blocks[inbounds[0]], orientation)
         _, t_c, frame.t_var[inbounds[0]] = _two_pass(samples)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -194,57 +193,38 @@ def _add_noise(numerators, rms_p, d, noise, stream_id) -> np.ndarray:
     return numerators
 
 
-# Block front ends by content: digest of (template diagonal, region) ->
-# (clean numerators, clean product RMS, dead streams), least recently used
-# first. It holds the blocks whose two noise streams the draw cache holds.
-_front_ends: OrderedDict = OrderedDict()
+# The last ncc_stream call's front ends, one per block with a shift in
+# bounds, under the call's digest: at most one entry.
+_front_ends: dict = {}
 
 
 def _front_end(t_diag: np.ndarray, region: np.ndarray, orientation: str,
-               ma_config: MovingAverageConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The noiseless part of :func:`ncc_stream` for one block: per in-bounds
-    shift, in row-major order, the clean numerator, the clean product RMS
-    and whether the stream is dead: its zero-mean stream or the template's
-    carries energy below ``EPS_VAR``.
+               ma_config: MovingAverageConfig | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The noiseless part of :func:`ncc_stream` for one block under
+    ``ma_config`` (None: a boxcar of the block): per in-bounds shift, in
+    row-major order, the clean numerator, the clean product RMS and whether
+    the stream is dead: its zero-mean stream or the template's carries
+    energy below ``EPS_VAR``.
 
     The window samples come from ``diagonal._window_view`` of the region,
-    copied once into (n, D) sample-ordered streams. The result depends
-    only on the template diagonal, the reference region the windows
-    cover, the orientation and ``ma_config``, so it is memoised in
-    ``_front_ends``, keyed by a SHA-256 digest of both arrays' shapes and
-    float64 bytes (no pixels are kept), for the last
-    ``DRAW_CACHE_STREAMS // 2`` blocks. The arrays are read-only, since
-    every later call on the same pixels shares them.
+    copied once into (n, D) sample-ordered streams. The arrays are
+    read-only: ``ncc_stream`` keeps them for its next call.
     """
     d = len(t_diag)
-    # The digest reads C-ordered bytes; the diagonal is a view of the block.
-    t_diag, region = np.ascontiguousarray(t_diag), np.ascontiguousarray(region)
-    digest = hashlib.sha256(repr((t_diag.shape, region.shape)).encode())
-    digest.update(t_diag)
-    digest.update(region)
-    key = (digest.digest(), d, orientation, ma_config)
-    entry = _front_ends.get(key)
-    if entry is not None:
-        _front_ends.move_to_end(key)
-        return entry
-
-    t_zm = zero_mean_stream(t_diag, ma_config)
+    config = MovingAverageConfig.boxcar(d) if ma_config is None else ma_config
+    t_zm = zero_mean_stream(t_diag, config)
     t_energy = float(np.sum(t_zm * t_zm))
     # The view holds anti-diagonal sample D - 1 - k at index k: flip it so
     # that each stream runs in sample order. One C-order copy, (n, D).
     view = _window_view(region, d, orientation)
     samples = (view if orientation == "main" else view[:, ::-1]).transpose(0, 2, 1).reshape(-1, d)
-    b_zm = samples - _moving_average_batch(samples, ma_config)
+    b_zm = samples - _moving_average_batch(samples, config)
     b_energy = np.sum(b_zm * b_zm, axis=1)
     numerators, rms_p = _clean_products(b_zm, t_zm, b_energy)
     dead = (b_energy < EPS_VAR) | (t_energy < EPS_VAR)
-    entry = (numerators, rms_p, dead)
-    for array in entry:
+    for array in (numerators, rms_p, dead):
         array.flags.writeable = False
-    _front_ends[key] = entry
-    if len(_front_ends) > DRAW_CACHE_STREAMS // 2:
-        _front_ends.popitem(last=False)
-    return entry
+    return numerators, rms_p, dead
 
 
 def ncc_stream(
@@ -277,18 +257,29 @@ def ncc_stream(
     ``ncc.ncc_full_naive`` does; block i of a stack reads the streams of
     ``block_id + i``.
 
-    A later call on the same template diagonal and reference region (any
-    noise, seed or block id) reuses the noiseless front end, so the result
-    is the same bits as a first call; ``counter`` is tallied either way.
+    A call that reads what the call before it read reuses its noiseless
+    front ends, so the result is the same bits as a first call; ``counter``
+    is tallied either way. The key, one SHA-256 digest, covers the
+    reference shape, origins, shift range, orientation and filter, the
+    opened blocks' diagonals and the rows of ``_Frame.box`` (hashed in
+    place), but not the noise, seed or block ids.
     """
     frame = _open_kernel(template_block, reference, origin, shifts, counter, DiagTables, tables)
     if noise is None:
         noise = NoiseModel()
-    for inbounds, t_diag, _, region in frame.blocks:
-        d = len(t_diag)
-        config = MovingAverageConfig.boxcar(d) if ma_config is None else ma_config
-        clean, rms_p, dead = _front_end(t_diag, region, tables.orientation, config)
-        numerators = _add_noise(clean.copy(), rms_p, d, noise, (block_id + inbounds[0],))
+    diagonals = np.array([t_diag for _, t_diag, _, _ in frame.blocks])
+    digest = hashlib.sha256(repr((tables.shape, np.asarray(origin).tolist(), shifts, tables.orientation,
+                                  ma_config, diagonals.shape)).encode())
+    digest.update(diagonals)
+    for row in frame.box:
+        digest.update(np.ascontiguousarray(row))
+    key = digest.digest()
+    if key not in _front_ends:
+        _front_ends.clear()
+        _front_ends[key] = [_front_end(t_diag, region, tables.orientation, ma_config)
+                            for _, t_diag, _, region in frame.blocks]
+    for (inbounds, t_diag, _, _), (clean, rms_p, dead) in zip(frame.blocks, _front_ends[key]):
+        numerators = _add_noise(clean.copy(), rms_p, len(t_diag), noise, (block_id + inbounds[0],))
         r_var = frame.r_var[inbounds]
         frame.values[inbounds] = numerators.reshape(r_var.shape)
         r_var[dead.reshape(r_var.shape)] = 0.0

@@ -479,20 +479,45 @@ class TestRobustness:
     (["align", "--block", "4"], "--block=4"),
     (["bench", "--crop", "0.5"], "--crop=0.5"),
     (["power", "--channels=-2"], "--channels=-2"),
+    (["gen", "--noise-floor", "1e308"], "--noise-floor=1e+308"),
+    (["align", "--noise-floor", "2"], "--noise-floor=2"),
 ], ids=("sweep-fraction", "random-amplitude", "uniform-factor", "random-seed", "ma-argument",
         "align-noise-int", "robustness-noise-mult", "ma-window", "sweep-ma-alpha", "gen-seed",
         "width", "noise-floor", "pattern-bound", "pattern-literal", "search-range", "block",
-        "bench-crop", "power-channels"))
+        "bench-crop", "power-channels", "gen-noise-floor-huge", "align-noise-floor-above-1"))
 def test_bad_setting_exits_2_before_any_alignment(tmp_path, capsys, monkeypatch, argv, named):
     def refuse(*args, **kwargs):
         raise AssertionError("an alignment ran before the usage error")
 
     monkeypatch.setattr(cli, "estimate_disparity", refuse)
     out = tmp_path / "o"
-    common = [] if argv[0] == "power" else SMALL_ALIGN  # power reads no image flags
+    # power reads no image flags, gen no search flags.
+    common = {"power": [], "gen": SMALL_PAIR}.get(argv[0], SMALL_ALIGN)
     assert main([argv[0], *common, *argv[1:], "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\r"], ids=("lf", "cr"))
+@pytest.mark.parametrize("command, flag", [
+    ("power", "--out"), ("gen", "--out"), ("align", "--out"), ("align", "--template"),
+], ids=("power-out", "gen-out", "align-out", "align-input"))
+def test_line_break_in_flag_value_exits_2_before_any_output(tmp_path, capsys, command, flag,
+                                                            line_break):
+    # A line break would end the value's header line, and the rest would
+    # read as a bare line before the column line.
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    template, reference = inputs / f"t{line_break}x.pgm", inputs / "r.pgm"
+    save_pgm(np.random.default_rng(3).random((96, 96)), template)
+    save_pgm(np.random.default_rng(4).random((96, 96)), reference)
+    out = tmp_path / (f"o{line_break}x" if flag == "--out" else "o")
+    argv = {"power": [], "gen": SMALL_PAIR, "align": SMALL_ALIGN}[command]
+    if flag == "--template":
+        argv = [*argv, "--template", str(template), "--reference", str(reference)]
+    assert main([command, *argv, "--out", str(out)]) == 2
+    assert f"{flag}=" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
 
 
 @pytest.mark.parametrize("command", ["gen", "align"])

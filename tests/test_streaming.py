@@ -16,9 +16,9 @@ from nccalign import (
     zero_mean_stream,
 )
 from nccalign import best_shift, build_diag_tables
+from nccalign import streaming
 from nccalign.ncc import OpCounter
 from nccalign.streaming import (
-    DRAW_CACHE_STREAMS,
     _add_noise,
     _clean_products,
     _front_ends,
@@ -418,7 +418,8 @@ class TestDrawCache:
 
 
 class TestFrontEndMemo:
-    """The noiseless front end of ``ncc_stream``, memoised by content."""
+    """The noiseless front ends of the last ``ncc_stream`` call, kept under
+    one digest of what the call reads."""
 
     NOISE = NoiseModel(0.1, 0.2, seed=21)
     ORIGIN, SHIFTS = (12, 10), ShiftRange.symmetric(4)
@@ -427,31 +428,66 @@ class TestFrontEndMemo:
     def reference():
         return random_image(49, 48, 48)
 
-    def stream_map(self, ref, block=None, *, noise=NOISE, orientation="main", ma_config=None,
-                   counter=None):
-        x0, y0 = self.ORIGIN
+    def stream_map(self, ref, block=None, *, origin=ORIGIN, shifts=SHIFTS, noise=NOISE,
+                   orientation="main", ma_config=None, counter=None):
         if block is None:
+            x0, y0 = origin
             block = ref[y0:y0 + 16, x0:x0 + 16].copy()
-        return ncc_stream(block, ref, self.ORIGIN, self.SHIFTS,
-                          build_diag_tables(ref, orientation), ma_config=ma_config,
-                          noise=noise, block_id=3, counter=counter)
+        return ncc_stream(block, ref, origin, shifts, build_diag_tables(ref, orientation),
+                          ma_config=ma_config, noise=noise, block_id=3, counter=counter)
+
+    @staticmethod
+    def held():
+        """The memo's one entry: a list of per-block front ends."""
+        (entry,) = _front_ends.values()
+        return entry
+
+    def cold(self, *args, **kwargs):
+        _front_ends.clear()
+        return self.stream_map(*args, **kwargs)
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """A list that gains one item per front end computed: a miss computes
+        one per opened block, a hit none."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return front_end(*args)
+
+        front_end = streaming._front_end
+        monkeypatch.setattr(streaming, "_front_end", counted)
+        return calls
 
     @pytest.mark.parametrize("ma_config, orientation", [
         (None, "main"),
         (MovingAverageConfig.parse("pole:0.5"), "main"),
         (None, "anti"),
     ], ids=["boxcar", "pole", "anti"])
-    def test_cold_and_warm_maps_bit_equal(self, ma_config, orientation):
+    def test_cold_and_warm_maps_bit_equal(self, computed, ma_config, orientation):
         ref = self.reference()
-        _front_ends.clear()
-        cold = self.stream_map(ref, orientation=orientation, ma_config=ma_config)
-        _front_ends.clear()
-        # A different noise setting fills the memo; the warm call reads it.
+        cold = self.cold(ref, orientation=orientation, ma_config=ma_config)
+        entry = self.held()
+        # A different noise setting reads the same front ends: the entry's
+        # arrays, with none computed again.
         self.stream_map(ref, noise=NoiseModel(0.01, 0.0, seed=5), orientation=orientation,
                         ma_config=ma_config)
         warm = self.stream_map(ref, orientation=orientation, ma_config=ma_config)
-        assert len(_front_ends) == 1
+        assert len(computed) == 1 and self.held() is entry
         assert_maps_bit_equal(cold, warm)
+
+    def assert_misses(self, ref, block, pixel=None, **settings):
+        """A call after setting ``pixel``, (array, index, value), or with other
+        ``settings`` misses and gives the bits of a cold call."""
+        self.cold(ref, block)
+        entry = self.held()
+        if pixel is not None:
+            array, index, value = pixel
+            array[index] = value
+        warm = self.stream_map(ref, block, **settings)
+        assert self.held() is not entry
+        assert_maps_bit_equal(warm, self.cold(ref, block, **settings))
 
     @pytest.mark.parametrize("change", ["region_ulp", "diagonal_ulp", "negative_zero"])
     def test_changed_pixel_misses(self, change):
@@ -459,78 +495,88 @@ class TestFrontEndMemo:
         x0, y0 = self.ORIGIN
         block = ref[y0:y0 + 16, x0:x0 + 16].copy()
         ref[y0 + 18, x0 - 3] = 0.0  # inside the region the windows cover
-        _front_ends.clear()
-        self.stream_map(ref, block)
-        if change == "region_ulp":
-            ref[y0 + 3, x0 + 5] = np.nextafter(ref[y0 + 3, x0 + 5], 1.0)
-        elif change == "diagonal_ulp":
-            block[7, 7] = np.nextafter(block[7, 7], 1.0)
-        else:
-            ref[y0 + 18, x0 - 3] = -0.0
-        self.stream_map(ref, block)
-        assert len(_front_ends) == 2
+        pixel = {"region_ulp": (ref, (y0 + 3, x0 + 5), np.nextafter(ref[y0 + 3, x0 + 5], 1.0)),
+                 "diagonal_ulp": (block, (7, 7), np.nextafter(block[7, 7], 1.0)),
+                 "negative_zero": (ref, (y0 + 18, x0 - 3), -0.0)}[change]
+        self.assert_misses(ref, block, pixel)
 
-    def test_other_filter_or_orientation_misses(self):
+    @pytest.mark.parametrize("settings", [
+        {"ma_config": MovingAverageConfig.boxcar(8)},
+        {"ma_config": MovingAverageConfig.single_pole(0.5)},
+        {"orientation": "anti"},
+    ], ids=["boxcar", "pole", "anti"])
+    def test_other_filter_or_orientation_misses(self, settings):
         ref = self.reference()
         x0, y0 = self.ORIGIN
         block = ref[y0:y0 + 16, x0:x0 + 16].copy()
         k = np.arange(16)
         block[15 - k, k] = block[k, k]  # both orientations read the same template diagonal
-        _front_ends.clear()
-        for ma_config, orientation in ((None, "main"), (MovingAverageConfig.boxcar(8), "main"),
-                                       (MovingAverageConfig.single_pole(0.5), "main"),
-                                       (None, "anti")):
-            self.stream_map(ref, block, orientation=orientation, ma_config=ma_config)
-        assert len(_front_ends) == 4
+        self.assert_misses(ref, block, **settings)
+
+    def test_moved_blocks_miss(self):
+        # One block at two origins, then at the same two swapped: the same
+        # diagonals and reference box, read at other places.
+        ref = self.reference()
+        block = ref[10:26, 12:28].copy()
+        for origins in ([(12, 10), (20, 18)], [(20, 18), (12, 10)]):
+            warm = self.stream_map(ref, [block, block], origin=origins)
+            assert_maps_bit_equal(warm, self.cold(ref, [block, block], origin=origins))
+
+    def test_other_shift_range_misses(self):
+        # Corner blocks read the whole reference at +-4 and at +-8.
+        ref = self.reference()
+        origins = [(0, 0), (32, 0), (0, 32), (32, 32)]
+        blocks = [ref[y:y + 16, x:x + 16] for x, y in origins]
+        for shifts in (ShiftRange.symmetric(4), ShiftRange.symmetric(8)):
+            warm = self.stream_map(ref, blocks, origin=origins, shifts=shifts)
+            assert_maps_bit_equal(warm, self.cold(ref, blocks, origin=origins, shifts=shifts))
+
+    def test_other_reference_shape_misses(self):
+        # A 16 x 24 reference and the same bytes as 24 x 16: at du, dv in
+        # [0, 8] one block reads all of either, along one axis each.
+        wide = random_image(50, 16, 24)
+        block, at = wide[:, :16].copy(), {"origin": (0, 0), "shifts": ShiftRange(0, 8, 0, 8)}
+        for ref in (wide, wide.reshape(24, 16)):
+            warm = self.stream_map(ref, block, **at)
+            assert_maps_bit_equal(warm, self.cold(ref, block, **at))
+
+    def test_holds_the_last_call_only(self, computed):
+        # A per-block call between two equal stacked calls replaces their
+        # entry, so the second stacked call misses.
+        ref = self.reference()
+        origins = [(12, 10), (20, 18), (4, 30)]
+        blocks = [ref[y:y + 16, x:x + 16] for x, y in origins]
+        stacked = self.cold(ref, blocks, origin=origins)
+        self.stream_map(ref)
+        assert len(computed) == 4 and len(self.held()) == 1
+        assert_maps_bit_equal(stacked, self.stream_map(ref, blocks, origin=origins))
+        assert len(computed) == 7 and len(_front_ends) == 1
 
     def test_off_diagonal_template_pixel_gives_cold_result(self):
         ref = self.reference()
         x0, y0 = self.ORIGIN
         block = ref[y0:y0 + 16, x0:x0 + 16].copy()
-        _front_ends.clear()
-        self.stream_map(ref, block)
+        self.cold(ref, block)
+        entry = self.held()
         block[2, 9] += 0.25
         warm = self.stream_map(ref, block)
-        assert len(_front_ends) == 1
-        _front_ends.clear()
-        assert_maps_bit_equal(warm, self.stream_map(ref, block))
+        assert self.held() is entry
+        assert_maps_bit_equal(warm, self.cold(ref, block))
 
     def test_counter_tallies_on_hit_and_miss(self):
         ref = self.reference()
-        _front_ends.clear()
         miss, hit = OpCounter(), OpCounter()
-        self.stream_map(ref, counter=miss)
+        self.cold(ref, counter=miss)
         self.stream_map(ref, counter=hit)
-        assert len(_front_ends) == 1
         assert hit == miss and miss.shifts > 0
 
     def test_cached_arrays_read_only(self):
-        _front_ends.clear()
-        self.stream_map(self.reference())
-        (entry,) = _front_ends.values()
-        for array in entry:
+        self.cold(self.reference())
+        (front_end,) = self.held()
+        for array in front_end:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
-
-    def test_bounded_least_recently_used(self):
-        bound = DRAW_CACHE_STREAMS // 2
-        ref = random_image(50, 40, 40)
-        tables = build_diag_tables(ref)
-        origins = [(x, y) for y in range(0, 36, 1) for x in range(0, 36, 1)][:bound + 20]
-
-        def run(x, y):
-            ncc_stream(ref[y:y + 4, x:x + 4], ref, (x, y), ShiftRange(0, 0, 0, 0), tables)
-
-        _front_ends.clear()
-        for x, y in origins:
-            run(x, y)
-        keys = list(_front_ends)
-        assert len(keys) == bound
-        run(*origins[20])  # the oldest block held: a hit makes it the newest
-        assert list(_front_ends) == keys[1:] + keys[:1]
-        run(*origins[0])  # evicted: a miss evicts the least recently used
-        assert list(_front_ends)[:-1] == keys[2:] + keys[:1]
 
 
 class TestDynamicRange:
