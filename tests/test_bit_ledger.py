@@ -12,7 +12,10 @@ hashes the float64 and uint8 bytes themselves:
   ``stream``;
 - ``values``, ``validity`` and (stream) ``clamped`` of each kernel's maps for
   five blocks of the small pair, inside, clipped and flat, under two search
-  ranges: once as five per-block calls, once as one stacked call.
+  ranges: once as five per-block calls, once as one stacked call;
+- the frame stages after the estimate: ``interpolate_disparity``'s ``du`` and
+  ``dv`` and ``warp``'s ``out`` and ``mask``, for the paper ``diag-fast``
+  frame and a 512x512 noisy ``stream`` frame (block 64, crop 0, +-8).
 
 Every hash was recorded before the kernels took stacked blocks, the stacked
 ones as the per-block maps stacked, so a stacked call must return the
@@ -36,6 +39,8 @@ from nccalign import (
     build_diag_tables,
     build_sum_tables,
     estimate_disparity,
+    fill_invalid,
+    interpolate_disparity,
     make_synthetic_stereo,
     ncc_diag,
     ncc_diag_fast,
@@ -44,6 +49,7 @@ from nccalign import (
     ncc_stream,
     partition_template,
     quadrant_pattern,
+    warp,
 )
 
 RECORDED_WITH = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
@@ -84,6 +90,18 @@ PAPER_FIELDS = {
     "diag-fast-anti": "fd7ac07e6b0920360bf1eb6bf4c07d2f5c2d2ea355a9d7735d7733274e52f3e8",
     "stream": "7864185f70bb895cfdfb7d2254b85fc2c0847a0847041eee7a2f38f55c0a8eb6",
     "stream-noisy": "7620a3eae18cbc8700ac4998dec588cdee2b80e68efc99e51fc5a8cd45bdc933",
+}
+
+# name -> (interpolate_disparity's du and dv, warp's out and mask)
+FRAME_STAGES = {
+    "paper-diag-fast": (
+        "ba698f339fb975d5d51ebf10a5178f3635ec9f4b35772dc77edfa4bb07d6765b",
+        "27a1e527642348488e85f46778b940432b24ac8376789d98691569678e9c767b",
+    ),
+    "stream-512": (
+        "b8d900149f5ad82cdb10cc975e0ade10b09dc70cbbfa97e2410306dbea5a39df",
+        "3b27a1cb9daa58be15e51133c35dbcb78138b70b875f052cb3bea3d2f83a06da",
+    ),
 }
 
 KERNEL_MAPS = {
@@ -183,6 +201,35 @@ def test_small_pair_fields(small, name):
 def test_paper_frame_fields(paper, name):
     got = field_digest(*paper, name, block=128, crop=0.10, radius=16)
     assert got == PAPER_FIELDS[name], _platform()
+
+
+@pytest.fixture(scope="module")
+def stream_pair():
+    spec = SyntheticSpec(width=512, height=512,
+                         regions=quadrant_pattern(512, 512, [(3, 5), (-4, 2), (6, -7), (-2, -6)]),
+                         texture_seed=7, noise_floor=0.01)
+    template, reference, _ = make_synthetic_stereo(spec)
+    return template, reference
+
+
+# name -> (pair fixture, estimate_disparity name, block, crop, radius)
+FRAMES = {
+    "paper-diag-fast": ("paper", "diag-fast-main", 128, 0.10, 16),
+    "stream-512": ("stream_pair", "stream-noisy", 64, 0.0, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_STAGES))
+def test_frame_stages(request, name):
+    pair, method, block, crop, radius = FRAMES[name]
+    template, reference = request.getfixturevalue(pair)
+    method, kwargs = METHODS[method]
+    grid = partition_template(template, block, crop)
+    field = fill_invalid(estimate_disparity(template, reference, grid, method,
+                                            ShiftRange.symmetric(radius), **kwargs))
+    dense = interpolate_disparity(field, grid, template.shape[::-1])
+    got = (_digest(dense.du, dense.dv), _digest(*warp(template, dense)))
+    assert got == FRAME_STAGES[name], _platform()
 
 
 # Five 32x32 blocks of the small pair: inside, clipped at the top left,
