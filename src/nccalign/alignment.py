@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
+from . import images
 from .diagonal import build_diag_tables, ncc_diag, ncc_diag_fast
 from .errors import UnalignableError, UndefinedMetricError
 from .images import GrayImage, chunk_rows, image_array, row_chunks, validate_image
@@ -256,6 +258,12 @@ def bilinear_grid_sample(
     (a len(qy) x len(cx) grid), then along x, a chunk of rows at a time
     through one chunk of scratch. Equal to the four-corner blend up to
     rounding, and exactly so when the products are exact.
+
+    An output row depends only on its row of the grid, so a row whose grid
+    row has the bits of the one before it (+0.0 and -0.0 differ) is a copy
+    of that row's output and is not blended again. Where the blocks around a
+    band of rows agree, as above and below the outermost centres or between
+    two rows of equal integral shifts, the band is one x-blend and copies.
     """
     j0, j1, wx = _axis_weights(np.asarray(centers_x, dtype=np.float64), np.asarray(query_x, dtype=np.float64))
     i0, i1, wy = _axis_weights(np.asarray(centers_y, dtype=np.float64), np.asarray(query_y, dtype=np.float64))
@@ -263,16 +271,24 @@ def bilinear_grid_sample(
     # The y-blend is small (len(qy) x len(cx)); the x-blend is the full-size pass.
     grid = values[i0] * (1.0 - wy)[:, None] + values[i1] * wy[:, None]
     height, width = len(i0), len(j0)
+    bits = grid.view(np.uint64)
+    repeat = np.zeros(height, dtype=bool)
+    np.all(bits[1:] == bits[:-1], axis=1, out=repeat[1:])
+    # [a, b) runs of rows to blend; the rows up to the next run repeat row b - 1.
+    runs = np.flatnonzero(np.diff(np.concatenate(([True], repeat, [True])))).reshape(-1, 2)
     out = np.empty((height, width))
     rows = chunk_rows(height, width)
     upper = np.empty((rows, width))
-    for a, b in row_chunks(height, rows):
-        lower, up = out[a:b], upper[:b - a]
-        np.take(grid[a:b], j0, axis=1, out=lower, mode="clip")
-        lower *= ux
-        np.take(grid[a:b], j1, axis=1, out=up, mode="clip")
-        up *= wx
-        lower += up
+    for (a, b), stop in zip(runs.tolist(), [*runs[1:, 0].tolist(), height]):
+        for c in range(a, b, rows):
+            d = min(c + rows, b)
+            lower, up = out[c:d], upper[:d - c]
+            np.take(grid[c:d], j0, axis=1, out=lower, mode="clip")
+            lower *= ux
+            np.take(grid[c:d], j1, axis=1, out=up, mode="clip")
+            up *= wx
+            lower += up
+        out[b:stop] = out[b - 1]
     return out
 
 
@@ -283,14 +299,22 @@ def interpolate_disparity(
 ) -> DenseDisparity:
     """Bilinear interpolation of block-center disparities to a dense field.
 
-    ``extent`` is (width, height) of the output; pixels beyond the outermost
-    centers take the nearest-center value. The field must be complete
-    (no invalid blocks; run fill_invalid first). Each component is one
-    :func:`bilinear_grid_sample`.
+    ``extent`` is (width, height) of the output, both at least 1; pixels
+    beyond the outermost centers take the nearest-center value. The field
+    must have the grid's rows x cols shape and be complete (no invalid
+    blocks; run fill_invalid first); a ValueError names the shape or extent
+    that is not. Each component is one :func:`bilinear_grid_sample`, which
+    blends only the rows whose y-blend differs from the row before.
     """
+    shape = (grid.rows, grid.cols)
+    for part in (field.du, field.dv, field.status):
+        if np.shape(part) != shape:
+            raise ValueError(f"disparity field {np.shape(part)} does not match the {shape} block grid")
+    width, height = extent
+    if width < 1 or height < 1:
+        raise ValueError(f"extent (width, height) must be at least (1, 1), got {extent}")
     if np.any(field.status == BLOCK_INVALID):
         raise ValueError("disparity field still has invalid blocks; fill_invalid first")
-    width, height = extent
     cx, cy = grid.center_coords()
     qx = np.arange(width, dtype=np.float64)
     qy = np.arange(height, dtype=np.float64)
@@ -308,8 +332,12 @@ def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndar
     template, or at a non-finite shift, are masked out (and set to 0).
     Validates the whole template.
 
-    Works a chunk of rows at a time through one set of scratch buffers;
-    see :func:`_warp_rows` for the per-chunk formula.
+    A ``images.TILE``-square tile of the field where ``du`` and ``dv`` are
+    each one integral value is a shifted copy of the template (see
+    :func:`_copy_shifted`), bit for bit what the blend gives. Every other
+    pixel goes through :func:`_warp_rows` a chunk of rows at a time, through
+    one set of scratch buffers: runs of tiles in a band of rows, or, when no
+    tile is constant, the whole image in chunks of full rows.
     """
     t = validate_image(template)
     h, w = t.shape
@@ -322,17 +350,112 @@ def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndar
     mask = np.empty((h, w), dtype=bool)
     rows = chunk_rows(h, w)
     buffers = (
-        np.empty((6, rows, w)),
-        np.empty((3, rows, w), dtype=np.int64),
-        np.empty((2, rows, w), dtype=bool),
+        np.empty((6, rows * w)),
+        np.empty((3, rows * w), dtype=np.int64),
+        np.empty((2, rows * w), dtype=bool),
     )
-    for a, b in row_chunks(h, rows):
-        _warp_rows(flat, h, w, xs, ys[a:b], dense.du[a:b], dense.dv[a:b], out[a:b], mask[a:b], buffers)
+
+    def blend(a, b, c, d):
+        step = max(1, min(b - a, rows * w // (d - c)))
+        for r0 in range(a, b, step):
+            r1 = min(r0 + step, b)
+            _warp_rows(flat, h, w, xs[c:d], ys[r0:r1], dense.du[r0:r1, c:d], dense.dv[r0:r1, c:d],
+                       out[r0:r1, c:d], mask[r0:r1, c:d], buffers)
+
+    shifts = _constant_tiles(dense.du, dense.dv)
+    if shifts is None:
+        blend(0, h, 0, w)
+        return out, mask
+    tile = images.TILE
+    for a, band in zip(range(0, h, tile), shifts):
+        b = min(a + tile, h)
+        c = 0
+        for shift, run in groupby(band):
+            d = min(c + tile * len(list(run)), w)
+            if shift is None:
+                blend(a, b, c, d)
+            else:
+                _copy_shifted(t, out, mask, (a, b, c, d), shift)
+            c = d
     return out, mask
 
 
+def _constant_tiles(du, dv):
+    """The integral (du, dv) of each ``images.TILE``-square tile of the
+    field, row-major (the last row and column of tiles cut short), or None
+    for a tile where either is not one integral value; None for the whole
+    field when no tile is constant.
+
+    Candidates are the tiles whose four corners agree, found in one gather;
+    each band of candidates is then checked pixel by pixel. A shift is
+    clipped to the template's extent, beyond which every sample is outside,
+    as it is at +-inf (NaN is never equal, so never constant).
+    """
+    h, w = du.shape
+    tile = images.TILE
+    top, left = np.arange(0, h, tile), np.arange(0, w, tile)
+    bottom, right = np.minimum(top + tile, h) - 1, np.minimum(left + tile, w) - 1
+    nr, nc = len(top), len(left)
+    corner_rows, corner_cols = np.concatenate((top, bottom))[:, None], np.concatenate((left, right))
+    ok = np.ones((nr, nc), dtype=bool)
+    values = []
+    for field in (du, dv):
+        corners = field[corner_rows, corner_cols]
+        value = corners[:nr, :nc]
+        ok &= (value == corners[nr:, :nc]) & (value == corners[:nr, nc:]) & (value == corners[nr:, nc:])
+        ok &= np.floor(value) == value
+        values.append(value)
+    for i in np.flatnonzero(ok.any(axis=1)).tolist():
+        a, b = top[i], bottom[i] + 1
+        same = np.ones((b - a, w), dtype=bool)
+        for field, value in zip((du, dv), values):
+            same &= field[a:b] == np.repeat(np.where(ok[i], value[i], np.nan), right - left + 1)
+        ok[i] = np.logical_and.reduceat(same.all(axis=0), left)
+    if not ok.any():
+        return None
+    dus, dvs = (np.clip(np.where(ok, value, 0.0), -extent, extent).astype(np.int64).tolist()
+                for value, extent in zip(values, (w, h)))
+    return [[(p, q) if good else None for good, p, q in zip(*band)]
+            for band in zip(ok.tolist(), dus, dvs)]
+
+
+def _copy_shifted(t, out, mask, region, shift) -> None:
+    """Warp ``region`` (rows a:b, columns c:d) of ``out`` and ``mask`` at
+    the one integral shift (du, dv): a slice copy of the template, 0 and
+    masked out where the sample falls outside it.
+
+    At an integral sample :func:`_warp_rows` gives the +1 taps weight +0.0
+    and the sample weight 1.0, so it returns the sample itself, except that
+    a -0.0 sample stays -0.0 only when each +0-weighted tap is negative or
+    -0.0. So those taps are added, as the blend adds them, only where a
+    copied pixel is zero.
+    """
+    h, w = t.shape
+    a, b, c, d = region
+    du, dv = shift
+    y0, y1, x0, x1 = max(a, dv), min(b, h + dv), max(c, du), min(d, w + du)
+    if (y0, y1, x0, x1) != region:
+        out[a:b, c:d] = 0.0
+        mask[a:b, c:d] = False
+    if y0 >= y1 or x0 >= x1:
+        return
+    dst = out[y0:y1, x0:x1]
+    dst[...] = t[y0 - dv:y1 - dv, x0 - du:x1 - du]
+    mask[y0:y1, x0:x1] = True
+    if not dst.all():
+        ys, xs = np.nonzero(dst == 0)
+        ys0, xs0 = ys + (y0 - dv), xs + (x0 - du)
+        ys1, xs1 = np.minimum(ys0 + 1, h - 1), np.minimum(xs0 + 1, w - 1)
+        zeros = dst[ys, xs]
+        zeros += t[ys0, xs1] * 0.0
+        zeros += t[ys1, xs0] * 0.0
+        zeros += t[ys1, xs1] * 0.0
+        dst[ys, xs] = zeros
+
+
 def _warp_rows(flat, h, w, xs, ys, du, dv, out, mask, buffers) -> None:
-    """Warp one chunk of rows into ``out``/``mask`` through ``buffers``.
+    """Warp one chunk, some rows of a run of columns, into ``out``/``mask``
+    through ``buffers``, which hold at least as many pixels.
 
     The sample coordinates are clamped to the template (``fmax``/``fmin``,
     which also send NaN to 0 and +-inf to an edge), and a pixel is in the
@@ -348,8 +471,8 @@ def _warp_rows(flat, h, w, xs, ys, du, dv, out, mask, buffers) -> None:
     bit-identical to it. Every step writes into ``buffers`` and mixes no
     dtypes, so numpy needs no cast buffer of its own.
     """
-    n = len(out)
-    floats, ints, bools = (buf[:, :n] for buf in buffers)
+    n, width = out.shape
+    floats, ints, bools = (buf[:, :n * width].reshape(-1, n, width) for buf in buffers)
     sx, sy, wx, wy, x0, y0 = floats
     tap00, tap01, tap = ints
     last_x, last_y = bools

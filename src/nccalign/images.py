@@ -24,6 +24,10 @@ SUPPORTED_MAXVALS = (255, 65535)
 # pixels, so a chunk's temporaries stay in cache.
 CHUNK_PIXELS = 1 << 15
 
+# Side of the square tiles the warp tests for one integral shift, and copies
+# whole where it finds one.
+TILE = 64
+
 
 def chunk_rows(height: int, width: int) -> int:
     """Rows per chunk of a height x width image: at least one, at most all."""

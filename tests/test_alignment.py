@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,25 @@ class TestInterpolateDisparity:
         field = make_field(np.zeros((2, 2)), np.zeros((2, 2)), status)
         with pytest.raises(ValueError, match="invalid"):
             interpolate_disparity(field, grid, extent=(32, 32))
+
+    @pytest.mark.parametrize("du_shape, dv_shape", (((4, 5), (4, 5)), ((1, 1), (1, 1)),
+                                                    ((2, 3), (3, 2)), ((3, 2), (2, 3))))
+    def test_rejects_field_of_another_shape(self, du_shape, dv_shape):
+        # A larger field was read from its top-left corner, a smaller one
+        # failed with an IndexError.
+        grid = partition_template(np.zeros((32, 48)), 16, 0.0)
+        field = make_field(np.zeros(du_shape), np.zeros(du_shape))
+        field.dv = np.zeros(dv_shape)
+        bad = du_shape if du_shape != (2, 3) else dv_shape
+        with pytest.raises(ValueError, match=rf"\({bad[0]}, {bad[1]}\) .*\(2, 3\) block grid"):
+            interpolate_disparity(field, grid, extent=(48, 32))
+
+    @pytest.mark.parametrize("extent", ((0, 32), (-5, 32), (48, 0), (48, -1)))
+    def test_rejects_empty_extent(self, extent):
+        grid = partition_template(np.zeros((32, 48)), 16, 0.0)
+        field = make_field(np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=rf"extent .*{re.escape(str(extent))}"):
+            interpolate_disparity(field, grid, extent=extent)
 
 
 class TestWarp:

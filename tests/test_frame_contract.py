@@ -6,16 +6,18 @@ so a tracer that rebinds those names (as ``perfbench/spans.py`` does) sees
 every call. Inputs are validated a fixed number of times per frame, however
 many blocks it has. The kernel's maps span only the shifts some block can
 keep in bounds. At the paper size each fast method's blocks equal its
-oracle's, and noiseless ``stream`` picks ``diag``'s shifts.
+oracle's, and noiseless ``stream`` picks ``diag``'s shifts. The warp copies
+the tiles of one integral shift and blends only the rest.
 """
 
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from nccalign import alignment, images
-from nccalign.alignment import BLOCK_INVALID, METHODS, estimate_disparity, partition_template
+from nccalign.alignment import BLOCK_INVALID, METHODS, DenseDisparity, estimate_disparity, partition_template, warp
 from nccalign.cli import main
 from nccalign.ncc import OpCounter, ShiftRange
 
@@ -168,3 +170,40 @@ def test_paper_frame_fast_method_equals_oracle(paper_blocks, oracle, fast):
         x, y = float(a["coeff"]), float(b["coeff"])
         assert abs(x - y) <= 1e-9 or (math.isnan(x) and math.isnan(y))
 
+
+
+def blended_chunks(monkeypatch):
+    """Rebind ``alignment._warp_rows`` with a wrapper that records the
+    first and stop row and the width of each chunk it blends."""
+    original, chunks = alignment._warp_rows, []
+
+    def recorded(flat, h, w, xs, ys, *args):
+        chunks.append((int(ys[0, 0]), int(ys[-1, 0]) + 1, len(xs)))
+        return original(flat, h, w, xs, ys, *args)
+
+    monkeypatch.setattr(alignment, "_warp_rows", recorded)
+    return chunks
+
+
+def test_paper_frame_blends_under_a_third_of_the_warp(monkeypatch, tmp_path):
+    """At the paper ``diag-fast`` frame (+-16) the tiles of one integral
+    shift cover most of the field, so at most 30% of the pixels are blended
+    (64-pixel tiles blend about 26%; blending only the cells between
+    unequal blocks would blend 17.7%)."""
+    chunks = blended_chunks(monkeypatch)
+    align(tmp_path, "paper", "--width", "1920", "--height", "1080", "--block", "128", "--crop", "0.10",
+          "--search-du=-16:16", "--search-dv=-16:16", "--method", "diag-fast")
+    blended = sum((b - a) * width for a, b, width in chunks)
+    assert 0 < blended <= 0.30 * 1920 * 1080
+
+
+def test_random_field_blends_in_full_width_row_chunks(monkeypatch):
+    """With no tile of one integral shift the warp blends the whole image,
+    in the chunks of full rows ``images.row_chunks`` gives."""
+    chunks = blended_chunks(monkeypatch)
+    rng = np.random.default_rng(3)
+    template = rng.random((1080, 1920))
+    du, dv = rng.uniform(-16.0, 16.0, (2, 1080, 1920))
+    warp(template, DenseDisparity(du=du, dv=dv))
+    rows = images.chunk_rows(1080, 1920)
+    assert chunks == [(a, b, 1920) for a, b in images.row_chunks(1080, rows)]

@@ -59,8 +59,11 @@ def indices_warp(template, du, dv):
 
 
 def assert_warp_bits(got, got_mask, template, du, dv):
-    """``got`` and ``got_mask`` equal :func:`indices_warp`'s bit for bit."""
-    want, want_mask = indices_warp(template, du, dv)
+    """``got`` and ``got_mask`` equal :func:`indices_warp`'s bit for bit; a
+    pixel with a non-finite shift is 0 and masked out."""
+    bad = ~(np.isfinite(du) & np.isfinite(dv))
+    want, want_mask = indices_warp(template, np.where(bad, 0.0, du), np.where(bad, 0.0, dv))
+    want[bad], want_mask[bad] = 0.0, False
     np.testing.assert_array_equal(got_mask, want_mask)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -68,8 +71,24 @@ def assert_warp_bits(got, got_mask, template, du, dv):
 # Sample coordinates a uniform field rarely hits: "halves" are integral and
 # half-integral, "last" lie exactly on the last column and row for about
 # half the pixels, "zeros" are shifts of +0.0 and -0.0, and "-0.0 template"
-# puts -0.0 in about half the template under a "halves" field.
-WARP_KINDS = ("uniform", "halves", "last", "zeros", "-0.0 template")
+# puts -0.0 in about half the template under a "halves" field. "tiles" is
+# constant on squares of 1 to 12 pixels but for a few pixels, each square
+# one of: an integral or half-integral shift, +-0.0, a shift past the
+# template's edge, NaN, +-inf or +-1e300; its template is half +-0.0 and half uniform on [-1, 1), so a
+# copied zero's +0-weighted taps have either sign.
+WARP_KINDS = ("uniform", "halves", "last", "zeros", "-0.0 template", "tiles")
+
+
+def _tile_fields(rng, h, w, reach):
+    """du and dv constant on the same squares of 1 to 12 pixels, but for
+    about one pixel in 50 set half a pixel off (see WARP_KINDS)."""
+    side = int(rng.integers(1, 13))
+    pool = np.concatenate((np.arange(-np.ceil(reach), np.ceil(reach) + 1), [0.5, -1.5, 2.5, 0.0, -0.0],
+                           [w + 2.0, -h - 3.0, np.nan, np.inf, -np.inf, 1e300, -1e300]))
+    weights = np.concatenate((np.full(len(pool) - 7, 8.0), np.ones(7)))
+    pieces = rng.choice(pool, (2, -(-h // side), -(-w // side)), p=weights / weights.sum())
+    fields = np.repeat(np.repeat(pieces, side, axis=1), side, axis=2)[:, :h, :w]
+    return np.where(rng.random((2, h, w)) < 0.02, fields + 0.5, fields)
 
 
 def _warp_case(seed, h, w, reach, kind="uniform"):
@@ -86,6 +105,9 @@ def _warp_case(seed, h, w, reach, kind="uniform"):
         dv = np.where(pick[1], np.arange(h)[:, None] - (h - 1.0), dv)
     elif kind == "zeros":
         du, dv = np.where(pick, 0.0, -0.0)
+    elif kind == "tiles":
+        template = np.where(pick[0], rng.choice((0.0, -0.0), (h, w)), rng.uniform(-1.0, 1.0, (h, w)))
+        du, dv = _tile_fields(rng, h, w, reach)
     return template, du, dv
 
 
@@ -95,11 +117,13 @@ class TestWarpBands:
     @pytest.mark.parametrize("h, w, reach", ((1, 9, 3.0), (2, 5, 1.5), (5, 7, 4.0), (6, 1, 2.0),
                                              (24, 19, 8.0), (37, 41, 30.0)))
     def test_equals_one_band_and_oracle(self, monkeypatch, band, h, w, reach, kind):
-        # Bands of ``band`` rows against one band of the whole image.
+        # Bands of ``band`` rows and tiles of ``band + 2`` pixels, which
+        # divide few of the sizes, against one band and one tile.
         template, du, dv = _warp_case(1000 * h + w, h, w, reach, kind)
         inputs = (template.copy(), du.copy(), dv.copy())
         want, want_mask = warp(template, DenseDisparity(du=du, dv=dv))
         monkeypatch.setattr(images, "CHUNK_PIXELS", band * w)
+        monkeypatch.setattr(images, "TILE", band + 2)
         got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
 
         np.testing.assert_array_equal(got_mask, want_mask)
@@ -110,10 +134,13 @@ class TestWarpBands:
 
     @pytest.mark.parametrize("kind", WARP_KINDS)
     @pytest.mark.parametrize("seed", (1, 3))
+    @pytest.mark.parametrize("tile", (1, 4, images.TILE))
     @pytest.mark.parametrize("chunk", (1, 7, 40, images.CHUNK_PIXELS))
-    def test_chunks_equal_oracle(self, monkeypatch, seed, chunk, kind):
-        # Chunks of one row, of a few rows, and one chunk for the image.
+    def test_chunks_equal_oracle(self, monkeypatch, seed, chunk, tile, kind):
+        # Chunks of one row, of a few rows, and one chunk for the image;
+        # tiles of one pixel, of a few, and one tile for the image.
         monkeypatch.setattr(images, "CHUNK_PIXELS", chunk)
+        monkeypatch.setattr(images, "TILE", tile)
         template, du, dv = _warp_case(seed, 29, 13, 9.0, kind)
         got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
         assert_warp_bits(got, got_mask, template, du, dv)
@@ -213,16 +240,37 @@ def assert_sample_bits(got, want):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _grid_values(rng, ny, nx, kind):
+    """Samples of a ``ny`` x ``nx`` grid. "uniform" is uniform on [-8, 8).
+    "tiles" repeats one row of integral and half-integral values, NaN,
+    +-1e300 and +-0.0 (the first column is a zero), with the signs of its
+    zeros flipped in the bottom half: bands of query rows blend alike, and
+    between them is a band that blends alike but for the sign of a zero."""
+    if kind == "uniform":
+        return rng.uniform(-8, 8, (ny, nx))
+    row = rng.choice((0.0, -0.0, -3.0, 0.5, 2.0, np.nan, 1e300, -1e300), nx)
+    row[0] = rng.choice((0.0, -0.0))
+    values = np.repeat(row[None], ny, axis=0)
+    values[ny // 2:] = np.where(row == 0.0, -row, row)
+    return values
+
+
 class TestBandedInterpolation:
+    @pytest.mark.parametrize("kind", ("uniform", "tiles"))
+    @pytest.mark.parametrize("ny, nx", ((4, 5), (1, 5), (4, 1)))
     @pytest.mark.parametrize("seed", (1, 2, 3))
     @pytest.mark.parametrize("chunk", (1, 50, images.CHUNK_PIXELS))
     @pytest.mark.parametrize("height, width", ((1, 1), (1, 70), (45, 1), (31, 37)))
-    def test_equals_separable_sample(self, monkeypatch, seed, chunk, height, width):
+    def test_equals_separable_sample(self, monkeypatch, seed, chunk, height, width, ny, nx, kind):
+        # "tiles" puts the centres at half pixels 8 apart, like a block
+        # grid's, so the weights are exact and equal rows blend to equal bits.
         monkeypatch.setattr(images, "CHUNK_PIXELS", chunk)
         rng = np.random.default_rng((seed, height, width))
-        cx = np.sort(rng.uniform(0, width, 5))
-        cy = np.sort(rng.uniform(0, height, 4))
-        values = rng.uniform(-8, 8, (4, 5))
+        if kind == "tiles":
+            cx, cy = np.arange(nx) * 8.0 + 3.5, np.arange(ny) * 8.0 + 3.5
+        else:
+            cx, cy = np.sort(rng.uniform(0, width, nx)), np.sort(rng.uniform(0, height, ny))
+        values = _grid_values(rng, ny, nx, kind)
         qx = np.arange(width, dtype=np.float64)
         qy = np.arange(height, dtype=np.float64)
         assert_sample_bits(alignment.bilinear_grid_sample(cx, cy, values, qx, qy),
