@@ -275,11 +275,11 @@ def bilinear_grid_sample(
     repeat = np.zeros(height, dtype=bool)
     np.all(bits[1:] == bits[:-1], axis=1, out=repeat[1:])
     # [a, b) runs of rows to blend; the rows up to the next run repeat row b - 1.
-    runs = np.flatnonzero(np.diff(np.concatenate(([True], repeat, [True])))).reshape(-1, 2)
+    runs = np.flatnonzero(np.diff(np.concatenate(([True], repeat, [True])))).reshape(-1, 2).tolist()
     out = np.empty((height, width))
     rows = chunk_rows(height, width)
     upper = np.empty((rows, width))
-    for (a, b), stop in zip(runs.tolist(), [*runs[1:, 0].tolist(), height]):
+    for (a, b), stop in zip(runs, [start for start, _ in runs[1:]] + [height]):
         for c in range(a, b, rows):
             d = min(c + rows, b)
             lower, up = out[c:d], upper[:d - c]
@@ -336,8 +336,9 @@ def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndar
     each one integral value is a shifted copy of the template (see
     :func:`_copy_shifted`), bit for bit what the blend gives. Every other
     pixel goes through :func:`_warp_rows` a chunk of rows at a time, through
-    one set of scratch buffers: runs of tiles in a band of rows, or, when no
-    tile is constant, the whole image in chunks of full rows.
+    one set of scratch buffers: runs of tiles within a band of rows, and
+    bands with no constant tile (the whole image when no tile is constant)
+    in chunks of full rows.
     """
     t = validate_image(template)
     h, w = t.shape
@@ -367,16 +368,21 @@ def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndar
         blend(0, h, 0, w)
         return out, mask
     tile = images.TILE
-    for a, band in zip(range(0, h, tile), shifts):
-        b = min(a + tile, h)
-        c = 0
-        for shift, run in groupby(band):
-            d = min(c + tile * len(list(run)), w)
-            if shift is None:
-                blend(a, b, c, d)
-            else:
-                _copy_shifted(t, out, mask, (a, b, c, d), shift)
-            c = d
+    for constant, bands in groupby(zip(range(0, h, tile), shifts), key=lambda band: any(band[1])):
+        bands = list(bands)
+        if not constant:
+            blend(bands[0][0], min(bands[-1][0] + tile, h), 0, w)
+            continue
+        for a, band in bands:
+            b = min(a + tile, h)
+            c = 0
+            for shift, run in groupby(band):
+                d = min(c + tile * len(list(run)), w)
+                if shift is None:
+                    blend(a, b, c, d)
+                else:
+                    _copy_shifted(t, out, mask, (a, b, c, d), shift)
+                c = d
     return out, mask
 
 
@@ -387,9 +393,9 @@ def _constant_tiles(du, dv):
     field when no tile is constant.
 
     Candidates are the tiles whose four corners agree, found in one gather;
-    each band of candidates is then checked pixel by pixel. A shift is
-    clipped to the template's extent, beyond which every sample is outside,
-    as it is at +-inf (NaN is never equal, so never constant).
+    each band of rows with a candidate is then checked pixel by pixel. A
+    shift is clipped to the template's extent, beyond which every sample is
+    outside, as it is at +-inf (NaN is never equal, so never constant).
     """
     h, w = du.shape
     tile = images.TILE
@@ -497,28 +503,31 @@ def _warp_rows(flat, h, w, xs, ys, du, dv, out, mask, buffers) -> None:
     ux, uy, value = sx, sy, x0
     np.subtract(1.0, wx, out=ux)
     np.subtract(1.0, wy, out=uy)
+    # A run of columns is a strided view of ``out``, on which each in-place
+    # step is several times slower: such a chunk sums in scratch instead.
+    acc = out if out.flags.c_contiguous else y0
 
-    np.take(flat, tap00, out=out, mode="clip")
-    out *= uy
-    out *= ux
+    np.take(flat, tap00, out=acc, mode="clip")
+    acc *= uy
+    acc *= ux
     np.add(tap00, 1, out=tap01)
     np.copyto(tap01, tap00, where=last_x)
     np.take(flat, tap01, out=value, mode="clip")
     value *= uy
     value *= wx
-    out += value
+    acc += value
     np.add(tap00, w, out=tap)
     np.copyto(tap, tap00, where=last_y)
     np.take(flat, tap, out=value, mode="clip")
     value *= wy
     value *= ux
-    out += value
+    acc += value
     np.add(tap01, w, out=tap)
     np.copyto(tap, tap01, where=last_y)
     np.take(flat, tap, out=value, mode="clip")
     value *= wy
     value *= wx
-    out += value
+    np.add(acc, value, out=out)
     np.logical_not(mask, out=last_y)
     np.copyto(out, 0.0, where=last_y)
 
