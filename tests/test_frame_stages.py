@@ -74,8 +74,9 @@ def assert_warp_bits(got, got_mask, template, du, dv):
 # puts -0.0 in about half the template under a "halves" field. "tiles" is
 # constant on squares of 1 to 12 pixels but for a few pixels, each square
 # one of: an integral or half-integral shift, +-0.0, a shift past the
-# template's edge, NaN, +-inf or +-1e300; its template is half +-0.0 and half uniform on [-1, 1), so a
-# copied zero's +0-weighted taps have either sign.
+# template's edge, NaN, +-inf or +-1e300. Its template is half +-0.0 and
+# half uniform on [-1, 1), so a copied zero's +0-weighted taps have either
+# sign; tiles at zero shift read the last row's and column's taps.
 WARP_KINDS = ("uniform", "halves", "last", "zeros", "-0.0 template", "tiles")
 
 
