@@ -368,11 +368,8 @@ def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndar
             _warp_rows(flat, h, w, xs[c:d], ys[r0:r1], dense.du[r0:r1, c:d], dense.dv[r0:r1, c:d],
                        out[r0:r1, c:d], mask[r0:r1, c:d], buffers)
 
-    shifts = _constant_tiles(dense.du, dense.dv)
-    if shifts is None:
-        blend(0, h, 0, w)
-        return out, mask
     tile = images.TILE
+    shifts = _constant_tiles(dense.du, dense.dv)
     for constant, bands in groupby(zip(range(0, h, tile), shifts), key=lambda band: any(band[1])):
         bands = list(bands)
         if not constant:
@@ -394,8 +391,7 @@ def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndar
 def _constant_tiles(du, dv):
     """The integral (du, dv) of each ``images.TILE``-square tile of the
     field, row-major (the last row and column of tiles cut short), or None
-    for a tile where either is not one integral value; None for the whole
-    field when no tile is constant.
+    for a tile where either is not one integral value.
 
     Candidates are the tiles whose four corners agree, found in one gather;
     each run of candidates in a band of rows is then checked pixel by pixel.
@@ -418,17 +414,12 @@ def _constant_tiles(du, dv):
         values.append(value)
     for i in np.flatnonzero(ok.any(axis=1)).tolist():
         a, b = top[i], bottom[i] + 1
-        # numpy compares a strided run of columns at about half the speed of
-        # whole rows, so a band mostly of candidates is compared whole.
-        for k0, k1 in _runs(ok[i]) if 2 * np.count_nonzero(ok[i]) < nc else [(0, nc)]:
+        for k0, k1 in _runs(ok[i]):
             c, d = left[k0], right[k1 - 1] + 1
             same = np.ones((b - a, d - c), dtype=bool)
             for field, value in zip((du, dv), values):
-                same &= field[a:b, c:d] == np.repeat(np.where(ok[i, k0:k1], value[i, k0:k1], np.nan),
-                                                     right[k0:k1] - left[k0:k1] + 1)
+                same &= field[a:b, c:d] == np.repeat(value[i, k0:k1], right[k0:k1] - left[k0:k1] + 1)
             ok[i, k0:k1] = np.logical_and.reduceat(same.all(axis=0), left[k0:k1] - c)
-    if not ok.any():
-        return None
     dus, dvs = (np.clip(np.where(ok, value, 0.0), -extent, extent).astype(np.int64).tolist()
                 for value, extent in zip(values, (w, h)))
     return [[(p, q) if good else None for good, p, q in zip(*band)]
