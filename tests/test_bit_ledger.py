@@ -13,9 +13,13 @@ hashes the float64 and uint8 bytes themselves:
 - ``values``, ``validity`` and (stream) ``clamped`` of each kernel's maps for
   five blocks of the small pair, inside, clipped and flat, under two search
   ranges: once as five per-block calls, once as one stacked call;
-- the frame stages after the estimate: ``interpolate_disparity``'s ``du`` and
-  ``dv`` and ``warp``'s ``out`` and ``mask``, for the paper ``diag-fast``
-  frame and a 512x512 noisy ``stream`` frame (block 64, crop 0, +-8).
+- the frame stages after the estimate, for the paper ``diag-fast`` frame
+  and a 512x512 noisy ``stream`` frame (block 64, crop 0, +-8):
+  ``interpolate_disparity``'s ``du`` and ``dv``, ``warp``'s ``out`` and
+  ``mask``, the raw bytes of the three PGM files ``align`` writes from them
+  (the two maps with ``_normalize=True``, then the 8-bit aligned image),
+  and the float64 bits of ``global_correlation((template, warped),
+  reference, mask)``, which ``metrics.csv`` prints to only 10 digits.
 
 Every hash was recorded before the kernels took stacked blocks, the stacked
 ones as the per-block maps stacked, so a stacked call must return the
@@ -40,6 +44,7 @@ from nccalign import (
     build_sum_tables,
     estimate_disparity,
     fill_invalid,
+    global_correlation,
     interpolate_disparity,
     make_synthetic_stereo,
     ncc_diag,
@@ -49,6 +54,7 @@ from nccalign import (
     ncc_stream,
     partition_template,
     quadrant_pattern,
+    save_pgm,
     warp,
 )
 
@@ -92,15 +98,21 @@ PAPER_FIELDS = {
     "stream-noisy": "7620a3eae18cbc8700ac4998dec588cdee2b80e68efc99e51fc5a8cd45bdc933",
 }
 
-# name -> (interpolate_disparity's du and dv, warp's out and mask)
+# name -> (interpolate_disparity's du and dv, warp's out and mask, the
+# disparity_x, disparity_y and aligned PGM files, and the float.hex of
+# corr_before and corr_after)
 FRAME_STAGES = {
     "paper-diag-fast": (
         "ba698f339fb975d5d51ebf10a5178f3635ec9f4b35772dc77edfa4bb07d6765b",
         "27a1e527642348488e85f46778b940432b24ac8376789d98691569678e9c767b",
+        "bac3becf988ff61aab6728d8c8ae251dff8ca9af27bd42e751763d134e108252",
+        ("0x1.04a23eddbf96bp-5", "0x1.d1e4fe394d5c3p-1"),
     ),
     "stream-512": (
         "b8d900149f5ad82cdb10cc975e0ade10b09dc70cbbfa97e2410306dbea5a39df",
         "3b27a1cb9daa58be15e51133c35dbcb78138b70b875f052cb3bea3d2f83a06da",
+        "aea055ec41ef55214a9ed5b770abfa2b653bfe2e642b814c685471145afcc40b",
+        ("0x1.39bfa106a53c9p-5", "0x1.c8424fa5085a3p-1"),
     ),
 }
 
@@ -220,7 +232,7 @@ FRAMES = {
 
 
 @pytest.mark.parametrize("name", sorted(FRAME_STAGES))
-def test_frame_stages(request, name):
+def test_frame_stages(request, tmp_path, name):
     pair, method, block, crop, radius = FRAMES[name]
     template, reference = request.getfixturevalue(pair)
     method, kwargs = METHODS[method]
@@ -228,7 +240,15 @@ def test_frame_stages(request, name):
     field = fill_invalid(estimate_disparity(template, reference, grid, method,
                                             ShiftRange.symmetric(radius), **kwargs))
     dense = interpolate_disparity(field, grid, template.shape[::-1])
-    got = (_digest(dense.du, dense.dv), _digest(*warp(template, dense)))
+    warped, mask = warp(template, dense)
+    files = hashlib.sha256()
+    for image, normalize in ((dense.du, True), (dense.dv, True), (warped, False)):
+        path = tmp_path / "out.pgm"
+        save_pgm(image, path, _normalize=normalize)
+        files.update(path.read_bytes())
+    score = global_correlation((template, warped), reference, mask)
+    got = (_digest(dense.du, dense.dv), _digest(warped, mask), files.hexdigest(),
+           tuple(map(float.hex, score)))
     assert got == FRAME_STAGES[name], _platform()
 
 
