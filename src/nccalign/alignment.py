@@ -14,7 +14,7 @@ import numpy as np
 from . import images
 from .diagonal import build_diag_tables, ncc_diag, ncc_diag_fast
 from .errors import UnalignableError, UndefinedMetricError
-from .images import GrayImage, chunk_rows, image_array, row_chunks, validate_image
+from .images import GrayImage, _runs, chunk_rows, distinct_row_runs, image_array, row_chunks, validate_image
 from .ncc import (
     OpCounter,
     ShiftRange,
@@ -244,11 +244,6 @@ def _axis_weights(centers: np.ndarray, queries: np.ndarray):
     return idx, upper, weight
 
 
-def _runs(flags: np.ndarray) -> list[list[int]]:
-    """The [start, stop) index ranges of the runs of True in ``flags``."""
-    return np.flatnonzero(np.diff(np.concatenate(([False], flags, [False])))).reshape(-1, 2).tolist()
-
-
 def bilinear_grid_sample(
     centers_x: np.ndarray,
     centers_y: np.ndarray,
@@ -265,10 +260,12 @@ def bilinear_grid_sample(
     rounding, and exactly so when the products are exact.
 
     An output row depends only on its row of the grid, so a row whose grid
-    row has the bits of the one before it (+0.0 and -0.0 differ) is a copy
-    of that row's output and is not blended again. Where the blocks around a
-    band of rows agree, as above and below the outermost centres or between
-    two rows of equal integral shifts, the band is one x-blend and copies.
+    row has the bits of the one before it (+0.0 and -0.0 differ; found by
+    :func:`images.distinct_row_runs`) is a copy of that row's output and is
+    not blended again. Where the blocks around a band of rows agree, as
+    above and below the outermost centres or between two rows of equal
+    integral shifts, the band is one x-blend and copies. Those output rows
+    repeat bit for bit, so ``save_pgm`` quantizes each band's map once.
     """
     j0, j1, wx = _axis_weights(np.asarray(centers_x, dtype=np.float64), np.asarray(query_x, dtype=np.float64))
     i0, i1, wy = _axis_weights(np.asarray(centers_y, dtype=np.float64), np.asarray(query_y, dtype=np.float64))
@@ -276,15 +273,10 @@ def bilinear_grid_sample(
     # The y-blend is small (len(qy) x len(cx)); the x-blend is the full-size pass.
     grid = values[i0] * (1.0 - wy)[:, None] + values[i1] * wy[:, None]
     height, width = len(i0), len(j0)
-    bits = grid.view(np.uint64)
-    repeat = np.zeros(height, dtype=bool)
-    np.all(bits[1:] == bits[:-1], axis=1, out=repeat[1:])
-    # [a, b) runs of rows to blend; the rows up to the next run repeat row b - 1.
-    runs = _runs(~repeat)
     out = np.empty((height, width))
     rows = chunk_rows(height, width)
     upper = np.empty((rows, width))
-    for (a, b), stop in zip(runs, [start for start, _ in runs[1:]] + [height]):
+    for a, b, stop in distinct_row_runs(grid):
         for c in range(a, b, rows):
             d = min(c + rows, b)
             lower, up = out[c:d], upper[:d - c]

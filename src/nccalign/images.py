@@ -40,6 +40,46 @@ def row_chunks(stop: int, rows: int):
         yield a, min(a + rows, stop)
 
 
+def _runs(flags: np.ndarray) -> list[list[int]]:
+    """The [start, stop) index ranges of the runs of True in a 1D boolean
+    array, found by ``bytes.find`` on its bytes (False is 0, True is 1)."""
+    data = flags.tobytes()
+    runs, start = [], data.find(1)
+    while start >= 0:
+        stop = data.find(0, start)
+        stop = len(data) if stop < 0 else stop
+        runs.append([start, stop])
+        start = data.find(1, stop)
+    return runs
+
+
+def distinct_row_runs(arr: np.ndarray) -> list[tuple[int, int, int]]:
+    """The rows of a 2D float64 array that differ from the row above, as
+    (a, b, stop) runs in order: rows a to b - 1 differ in their bits from
+    the row above (row 0 always does), and rows b to stop - 1 repeat row
+    b - 1 bit for bit (+0.0 and -0.0 differ; a NaN repeats only its own
+    bits). Each stop is the next run's start, the last one the height.
+
+    Candidates are the rows that repeat the row above in three sampled
+    columns; each run of them is then compared whole with the rows above
+    it, a chunk of rows at a time. So an array with no repeated row costs
+    only the sample, one cache line per row and column.
+    """
+    height, width = arr.shape
+    bits = arr.view(np.uint64)
+    repeat = np.zeros(height, dtype=bool)
+    np.equal(bits[1:, width // 2], bits[:-1, width // 2], out=repeat[1:])
+    for x in (width // 4, 3 * width // 4):
+        repeat[1:] &= bits[1:, x] == bits[:-1, x]
+    rows = chunk_rows(height, width)
+    for k0, k1 in _runs(repeat):
+        for c in range(k0, k1, rows):
+            d = min(c + rows, k1)
+            np.all(bits[c:d] == bits[c - 1:d - 1], axis=1, out=repeat[c:d])
+    runs = _runs(~repeat)
+    return [(a, b, stop) for (a, b), (stop, _) in zip(runs, runs[1:] + [[height, 0]])]
+
+
 def image_array(image: GrayImage, name: str = "image") -> np.ndarray:
     """Check the GrayImage shape invariants and return the array as float64.
 
@@ -136,40 +176,43 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
     escapes so a path keeps its bytes. A non-finite pixel or an unencodable
     comment raises ``ValueError`` before the file is opened.
 
-    The image is checked and quantized a chunk of rows at a time through
-    one chunk-sized buffer, straight into the output array; a chunk is
-    checked as :func:`validate_image` checks an image. With the private
-    ``_normalize`` (the CLI's disparity maps), each checked chunk is first
-    scaled onto [0, 1] as (chunk - lo) / (hi - lo) in that buffer, lo and hi
-    being the image's min and max (0.5 everywhere if they are equal), so
-    the image itself is left as it is.
+    Only the rows whose bits differ from the row above are read past
+    :func:`distinct_row_runs`: they are checked and quantized a chunk at a
+    time through one chunk-sized buffer, straight into the output array,
+    and the bytes of each such run's last row are copied down the rows that
+    repeat it. A repeated row holds no value that its checked original does
+    not, so the bytes and the errors are those of quantizing every row.
+
+    A chunk is checked as :func:`validate_image` checks an image. With the
+    private ``_normalize`` (the CLI's disparity maps), it is instead scaled
+    onto [0, 1] as (chunk - lo) / (hi - lo) in that buffer, lo and hi being
+    the min and max of the distinct rows, which are the image's (0.5
+    everywhere if they are equal; both are halved first if hi - lo
+    overflows). NaN makes the min NaN and an inf is the min or the max, so
+    finite lo and hi prove every pixel finite. The image itself is left as
+    it is.
     """
     if maxval not in SUPPORTED_MAXVALS:
         raise PgmError(f"unsupported maxval {maxval}, expected 255 or 65535")
     arr = image_array(image)
     height, width = arr.shape
+    runs = distinct_row_runs(arr)
+    scale = None
     if _normalize:
-        lo, hi = arr.min(), arr.max()
+        lo = float(np.min([arr[a:b].min() for a, b, _ in runs]))
+        hi = float(np.max([arr[a:b].max() for a, b, _ in runs]))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("image contains non-finite intensities")
+        scale = (lo, hi)
     dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
     quantized = np.empty((height, width), dtype=dtype)
     rows = chunk_rows(height, width)
     scaled = np.empty((rows, width))
-    for a, b in row_chunks(height, rows):
-        chunk, s = arr[a:b], scaled[:b - a]
-        if not _all_finite(chunk):
-            raise ValueError("image contains non-finite intensities")
-        if not _normalize:
-            np.clip(chunk, 0.0, 1.0, out=s)
-        elif hi > lo:
-            # Rounding is monotone, so lo <= c <= hi lands in [0, 1] unclamped.
-            np.subtract(chunk, lo, out=s)
-            s /= hi - lo
-        else:
-            s.fill(0.5)
-        # floor(c * maxval + 0.5) <= maxval for c <= 1, so the cast cannot wrap.
-        s *= maxval
-        s += 0.5
-        np.floor(s, out=quantized[a:b], casting="unsafe")
+    for a, b, stop in runs:
+        for c in range(a, b, rows):
+            d = min(c + rows, b)
+            _quantize_rows(arr[c:d], quantized[c:d], scaled[:d - c], maxval, scale)
+        quantized[b:stop] = quantized[b - 1]
     header = "P5\n"
     for comment in comments or ():
         if "\n" in comment or "\r" in comment:
@@ -179,6 +222,33 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(quantized)
+
+
+def _quantize_rows(chunk, out, s, maxval, scale) -> None:
+    """Quantize one chunk of :func:`save_pgm`'s rows into ``out`` through the
+    scratch ``s``: checked and clamped, or with ``scale`` = (lo, hi) scaled
+    onto [0, 1]."""
+    if scale is None:
+        if not _all_finite(chunk):
+            raise ValueError("image contains non-finite intensities")
+        np.clip(chunk, 0.0, 1.0, out=s)
+    else:
+        lo, hi = scale
+        if hi == lo:
+            s.fill(0.5)
+        elif math.isfinite(hi - lo):
+            # Rounding is monotone, so lo <= c <= hi lands in [0, 1] unclamped.
+            np.subtract(chunk, lo, out=s)
+            s /= hi - lo
+        else:  # hi - lo overflows; halving is exact and keeps the order
+            np.multiply(chunk, 0.5, out=s)
+            s -= 0.5 * lo
+            s /= 0.5 * hi - 0.5 * lo
+    # 0.5 <= c * maxval + 0.5 <= maxval + 0.5 for 0 <= c <= 1, so the cast's
+    # truncation is the floor, and it cannot wrap.
+    s *= maxval
+    s += 0.5
+    np.copyto(out, s, casting="unsafe")
 
 
 @dataclass(frozen=True)
