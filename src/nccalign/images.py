@@ -40,16 +40,17 @@ def row_chunks(stop: int, rows: int):
         yield a, min(a + rows, stop)
 
 
-def _runs(flags: np.ndarray) -> list[list[int]]:
-    """The [start, stop) index ranges of the runs of True in a 1D boolean
-    array, found by ``bytes.find`` on its bytes (False is 0, True is 1)."""
+def _runs(flags: np.ndarray, value: bool = True) -> list[list[int]]:
+    """The [start, stop) index ranges of the runs of ``value`` in a 1D
+    boolean array, found by ``bytes.find`` on its bytes (False is 0, True
+    is 1)."""
     data = flags.tobytes()
-    runs, start = [], data.find(1)
+    runs, start = [], data.find(value)
     while start >= 0:
-        stop = data.find(0, start)
+        stop = data.find(not value, start)
         stop = len(data) if stop < 0 else stop
         runs.append([start, stop])
-        start = data.find(1, stop)
+        start = data.find(value, stop)
     return runs
 
 
@@ -71,12 +72,16 @@ def distinct_row_runs(arr: np.ndarray) -> list[tuple[int, int, int]]:
     np.equal(bits[1:, width // 2], bits[:-1, width // 2], out=repeat[1:])
     for x in (width // 4, 3 * width // 4):
         repeat[1:] &= bits[1:, x] == bits[:-1, x]
+    # save_pgm calls this right after the previous file's write, when each
+    # numpy call starts on cold caches and costs more than the sample's
+    # reads; so the check calls the reduction itself, not np.all's wrapper,
+    # and the distinct runs are read without an inverted copy.
     rows = chunk_rows(height, width)
     for k0, k1 in _runs(repeat):
         for c in range(k0, k1, rows):
             d = min(c + rows, k1)
-            np.all(bits[c:d] == bits[c - 1:d - 1], axis=1, out=repeat[c:d])
-    runs = _runs(~repeat)
+            np.logical_and.reduce(bits[c:d] == bits[c - 1:d - 1], axis=1, out=repeat[c:d])
+    runs = _runs(repeat, False)
     return [(a, b, stop) for (a, b), (stop, _) in zip(runs, runs[1:] + [[height, 0]])]
 
 

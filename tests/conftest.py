@@ -98,3 +98,16 @@ def assert_rectangle_matches_windows(lookup, xs: slice, ys: slice) -> None:
     expected = np.array(windows, dtype=np.float64)
     assert rect.shape == expected.shape
     np.testing.assert_array_equal(rect.view(np.uint64), expected.view(np.uint64))
+
+
+def record_quantized_chunks(monkeypatch, images) -> list:
+    """Rebind ``images._quantize_rows`` with a wrapper that records each
+    chunk of rows ``save_pgm`` hands it (a view of the saved image)."""
+    original, chunks = images._quantize_rows, []
+
+    def recorded(chunk, *args):
+        chunks.append(chunk)
+        return original(chunk, *args)
+
+    monkeypatch.setattr(images, "_quantize_rows", recorded)
+    return chunks

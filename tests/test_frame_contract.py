@@ -7,21 +7,23 @@ every call. Inputs are validated a fixed number of times per frame, however
 many blocks it has. The kernel's maps span only the shifts some block can
 keep in bounds. At the paper size each fast method's blocks equal its
 oracle's, and noiseless ``stream`` picks ``diag``'s shifts. The warp copies
-the tiles of one integral shift and blends only the rest.
+the tiles of one integral shift and blends only the rest, and ``save_pgm``
+quantises only the rows of a map that differ from the row above.
 """
 
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nccalign import alignment, images
+from nccalign import alignment, cli, images
 from nccalign.alignment import BLOCK_INVALID, METHODS, DenseDisparity, estimate_disparity, partition_template, warp
 from nccalign.cli import main
 from nccalign.ncc import OpCounter, ShiftRange
 
-from conftest import csv_body, csv_rows, random_image
+from conftest import csv_body, csv_rows, random_image, record_quantized_chunks
 
 SMALL = ["--width", "256", "--height", "256", "--crop", "0"]
 
@@ -207,3 +209,34 @@ def test_random_field_blends_in_full_width_row_chunks(monkeypatch):
     warp(template, DenseDisparity(du=du, dv=dv))
     rows = images.chunk_rows(1080, 1920)
     assert chunks == [(a, b, 1920) for a, b in images.row_chunks(1080, rows)]
+
+
+def test_paper_frame_quantises_few_map_rows(monkeypatch, tmp_path):
+    """At the paper ``diag-fast`` frame (+-16) 88% of the rows of each dense
+    map repeat the row above, so ``save_pgm`` quantises at most 15% of the
+    rows of each map."""
+    chunks = record_quantized_chunks(monkeypatch, images)
+    rows, save_pgm = {}, cli.save_pgm
+
+    def counted(image, path, *args, **kwargs):
+        start = len(chunks)
+        save_pgm(image, path, *args, **kwargs)
+        rows[Path(path).name] = sum(map(len, chunks[start:]))
+
+    monkeypatch.setattr(cli, "save_pgm", counted)
+    align(tmp_path, "paper", "--width", "1920", "--height", "1080", "--block", "128", "--crop", "0.10",
+          "--search-du=-16:16", "--search-dv=-16:16", "--method", "diag-fast")
+    for name in ("disparity_x.pgm", "disparity_y.pgm"):
+        assert 0 < rows[name] <= 0.15 * 1080, (name, rows[name])
+
+
+@pytest.mark.parametrize("normalize", (True, False))
+def test_random_field_quantises_in_full_row_chunks(monkeypatch, tmp_path, normalize):
+    """With no repeated row, ``save_pgm`` quantises the whole image in the
+    chunks of rows ``images.row_chunks`` gives."""
+    chunks = record_quantized_chunks(monkeypatch, images)
+    field = np.random.default_rng(4).uniform(-16.0, 16.0, (1080, 1920))
+    images.save_pgm(field, tmp_path / "field.pgm", _normalize=normalize)
+    starts = [(chunk.ctypes.data - field.ctypes.data) // field.strides[0] for chunk in chunks]
+    rows = images.chunk_rows(1080, 1920)
+    assert [(a, a + len(chunk)) for a, chunk in zip(starts, chunks)] == list(images.row_chunks(1080, rows))

@@ -5,7 +5,8 @@ The warp and the dense interpolation loop over bands (chunks) of rows on
 the calling thread; the correlation sums chunks of rows in two passes,
 with no masked copy, and centres the reference side once for a tuple of
 images; the diagonal tables hold the one orientation a run reads; PGM
-files are checked, quantised and read a chunk at a time. Each stage has
+files are checked, quantised and read a chunk at a time, and a row that
+repeats the row above is written as a copy of its bytes. Each stage has
 one test-local reference: the ``np.indices`` warp and a whole-array
 separable interpolation with its own axis lookup (both compared bit for
 bit), the whole-array quantisation and normalisation, the masked-copy
@@ -14,6 +15,7 @@ correlation and one ``global_correlation`` call per image.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from nccalign import (
 from nccalign import alignment, images
 from nccalign.alignment import DenseDisparity, DisparityField, warp
 
-from conftest import random_image
+from conftest import random_image, record_quantized_chunks
 
 
 # -- bilinear warp ---------------------------------------------------------
@@ -544,6 +546,51 @@ def normalised_pgm_body(image):
 CHUNK_SHAPES = ((1, 1), (1, 40_000), (32_768, 1), (32_769, 1), (128, 256), (129, 256), (200, 170), (3, 33_000))
 
 
+def with_repeats(image, repeat):
+    """``image`` with each row where ``repeat`` is True a copy of the row
+    above it, so a run of them repeats the row before the run."""
+    return image[np.maximum.accumulate(np.where(repeat, 0, np.arange(len(image))))]
+
+
+def boundary_repeats(height, width):
+    """Repeat flags with a run across each chunk boundary of a height x
+    width image and one run across a third of its rows."""
+    rows = images.chunk_rows(height, width)
+    repeat = np.zeros(height, dtype=bool)
+    for a in range(rows, height, rows):
+        repeat[max(1, a - 1):a + 2] = True
+    repeat[max(1, height // 3):2 * height // 3] = True
+    return repeat
+
+
+def reference_row_runs(image):
+    """``images.distinct_row_runs`` from a bit compare of every row with the
+    row above."""
+    bits = image.view(np.uint64)
+    runs = []
+    for r in range(len(bits)):
+        if r and np.array_equal(bits[r], bits[r - 1]):
+            runs[-1][2] = r + 1
+        elif runs and runs[-1][1] == runs[-1][2] == r:
+            runs[-1][1] = runs[-1][2] = r + 1
+        else:
+            runs.append([r, r + 1, r + 1])
+    return [tuple(run) for run in runs]
+
+
+def quantization_edge(maxval):
+    """A value whose byte differs from that of the float just below it."""
+    for k in range(1, maxval + 1):
+        v = (k - 0.5) / maxval
+        if whole_array_pgm_body(np.array([v]), maxval) != whole_array_pgm_body(np.array([np.nextafter(v, 0.0)]), maxval):
+            return v
+    raise AssertionError("no quantization edge")
+
+
+# The columns distinct_row_runs samples in a row of 37, and two it does not.
+EDGE_COLUMNS = (9, 18, 27, 0, 36)
+
+
 class TestChunkedPgm:
     @pytest.mark.parametrize("maxval", (255, 65535))
     @pytest.mark.parametrize("shape", CHUNK_SHAPES)
@@ -595,6 +642,152 @@ class TestChunkedPgm:
         with pytest.raises(ValueError, match="^image contains non-finite intensities$"):
             save_pgm(image, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("maxval", (255, 65535))
+    @pytest.mark.parametrize("shape", CHUNK_SHAPES)
+    def test_repeats_across_chunks_equal_whole_array_quantisation(self, tmp_path, monkeypatch, maxval, shape):
+        image = np.random.default_rng(shape[0] * 3 + shape[1]).uniform(-0.3, 1.3, shape)
+        repeat = boundary_repeats(*shape)
+        image = with_repeats(image, repeat)
+        chunks = record_quantized_chunks(monkeypatch, images)
+        path = tmp_path / "r.pgm"
+        save_pgm(image, path, maxval=maxval)
+        header = f"P5\n{shape[1]} {shape[0]}\n{maxval}\n".encode("ascii")
+        assert path.read_bytes() == header + whole_array_pgm_body(image, maxval)
+        assert sum(map(len, chunks)) == shape[0] - np.count_nonzero(repeat)
+
+    @pytest.mark.parametrize("shape", CHUNK_SHAPES)
+    def test_normalised_repeats_across_chunks(self, tmp_path, shape):
+        image = with_repeats(np.random.default_rng(shape[0] * 11 + shape[1]).uniform(-4.0, 6.0, shape),
+                             boundary_repeats(*shape))
+        path = tmp_path / "n.pgm"
+        save_pgm(image, path, _normalize=True)
+        assert path.read_bytes() == f"P5\n{shape[1]} {shape[0]}\n255\n".encode("ascii") + normalised_pgm_body(image)
+
+    @pytest.mark.parametrize("column", EDGE_COLUMNS)
+    @pytest.mark.parametrize("maxval", (255, 65535))
+    def test_rows_one_last_bit_apart_are_distinct(self, tmp_path, maxval, column):
+        """Rows equal but for one pixel's last bit, at a sampled column or
+        not, are quantised apart; the pixel sits on a byte edge, so copying
+        the row above would change the bytes."""
+        row = np.random.default_rng(21).random(37)
+        row[column] = quantization_edge(maxval)
+        image = np.tile(row, (40, 1))
+        image[5:25:2, column] = np.nextafter(row[column], 0.0)
+        assert images.distinct_row_runs(image) == reference_row_runs(image)
+        path = tmp_path / "b.pgm"
+        save_pgm(image, path, maxval=maxval)
+        body = whole_array_pgm_body(image, maxval)
+        assert path.read_bytes() == f"P5\n37 40\n{maxval}\n".encode("ascii") + body
+        assert body != whole_array_pgm_body(np.tile(row, (40, 1)), maxval)
+        save_pgm(image, path, _normalize=True)
+        assert path.read_bytes() == b"P5\n37 40\n255\n" + normalised_pgm_body(image)
+
+    @pytest.mark.parametrize("column", EDGE_COLUMNS)
+    def test_rows_apart_only_in_the_sign_of_zero_are_distinct(self, tmp_path, column):
+        image = np.tile(np.random.default_rng(22).random(37), (40, 1))
+        image[:, column] = 0.0
+        image[3:30:3, column] = -0.0
+        assert images.distinct_row_runs(image) == reference_row_runs(image)
+        assert sum(b - a for a, b, _ in images.distinct_row_runs(image)) == 19
+        for normalize, body in ((False, whole_array_pgm_body(image, 255)), (True, normalised_pgm_body(image))):
+            path = tmp_path / "z.pgm"
+            save_pgm(image, path, _normalize=normalize)
+            assert path.read_bytes() == b"P5\n37 40\n255\n" + body
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distinct_row_runs_equal_a_row_by_row_compare(self, seed):
+        """Planted repeats, NaN rows (two payloads) and rows that differ
+        only in an unsampled column, against the row-by-row compare."""
+        rng = np.random.default_rng(seed)
+        height, width = rng.integers(1, 90), rng.integers(1, 50)
+        image = with_repeats(rng.random((height, width)), rng.random(height) < 0.6)
+        image[rng.random(height) < 0.1, rng.integers(width)] = np.nan
+        image[rng.random(height) < 0.1, rng.integers(width)] = -np.float64(np.nan)
+        twins = np.flatnonzero(rng.random(height) < 0.2)
+        image[twins[twins > 0]] = image[twins[twins > 0] - 1]
+        image[twins[twins > 0], 0] += 1.0
+        assert images.distinct_row_runs(image) == reference_row_runs(image)
+
+    @pytest.mark.parametrize("normalize", (False, True))
+    @pytest.mark.parametrize("shape", ((1, 7), (5, 1), (300, 170), (32_769, 1)))
+    def test_every_row_repeating_is_quantised_once(self, tmp_path, monkeypatch, normalize, shape):
+        image = np.tile(np.random.default_rng(23).uniform(-0.5, 1.5, shape[1]), (shape[0], 1))
+        chunks = record_quantized_chunks(monkeypatch, images)
+        path = tmp_path / "t.pgm"
+        save_pgm(image, path, _normalize=normalize)
+        body = normalised_pgm_body(image) if normalize else whole_array_pgm_body(image, 255)
+        assert path.read_bytes() == f"P5\n{shape[1]} {shape[0]}\n255\n".encode("ascii") + body
+        assert [len(chunk) for chunk in chunks] == [1]
+
+    @pytest.mark.parametrize("normalize", (False, True))
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf, (np.inf, -np.inf), (1e308, 1e308)),
+                             ids=("nan", "inf", "-inf", "inf and -inf", "overflowing sum"))
+    @pytest.mark.parametrize("where", ((0, 0), (199, 169), (195, 3)))
+    def test_non_finite_in_repeated_rows_raises_before_file_exists(self, tmp_path, value, where, normalize):
+        """The pixel's row is one of four equal rows, so only the first of
+        them is read; it raises all the same, normalised or not."""
+        image = np.random.default_rng(15).random((200, 170))
+        y, x = where
+        if isinstance(value, tuple):
+            image[y, x], image[y, x ^ 1] = value
+        else:
+            image[where] = value
+        first = min(y, 196)
+        image[first:first + 4] = image[y]
+        path = tmp_path / "bad.pgm"
+        if np.all(np.isfinite(value)):
+            save_pgm(image, path, _normalize=normalize)
+            body = normalised_pgm_body(image) if normalize else whole_array_pgm_body(image, 255)
+            assert path.read_bytes() == b"P5\n170 200\n255\n" + body
+            return
+        with pytest.raises(ValueError, match="^image contains non-finite intensities$"):
+            save_pgm(image, path, _normalize=normalize)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("maxval", (255, 65535))
+    @pytest.mark.parametrize("layout", ("every other column", "transposed", "fortran"))
+    def test_strided_and_fortran_inputs_with_repeats(self, tmp_path, maxval, layout):
+        base = with_repeats(np.random.default_rng(24).uniform(-0.3, 1.3, (300, 340)),
+                            boundary_repeats(300, 340))
+        image = {"every other column": base[:, ::2], "transposed": np.ascontiguousarray(base.T).T,
+                 "fortran": np.asfortranarray(base)}[layout]
+        np.testing.assert_array_equal(image, base[:, ::2] if layout == "every other column" else base)
+        for normalize in (False, True):
+            path = tmp_path / "s.pgm"
+            save_pgm(image, path, maxval=255 if normalize else maxval, _normalize=normalize)
+            body = normalised_pgm_body(image) if normalize else whole_array_pgm_body(image, maxval)
+            h, w = image.shape
+            assert path.read_bytes() == f"P5\n{w} {h}\n{255 if normalize else maxval}\n".encode("ascii") + body
+
+    @pytest.mark.parametrize("extreme", ("min", "max", "both"))
+    def test_normalised_extremes_in_repeated_runs(self, tmp_path, extreme):
+        """The min or max of a map lies only in a run of repeated rows (and
+        in the row that run repeats)."""
+        image = np.random.default_rng(25).uniform(-4.0, 6.0, (150, 90))
+        repeat = np.zeros(150, dtype=bool)
+        repeat[41:77] = repeat[101:140] = True
+        if extreme in ("min", "both"):
+            image[40, 7] = -9.5
+        if extreme in ("max", "both"):
+            image[100, 60] = 11.25
+        image = with_repeats(image, repeat)
+        path = tmp_path / "e.pgm"
+        save_pgm(image, path, _normalize=True)
+        body = normalised_pgm_body(image)
+        assert path.read_bytes() == b"P5\n90 150\n255\n" + body
+        assert (extreme == "max" or body[70 * 90 + 7] == 0) and (extreme == "min" or body[120 * 90 + 60] == 255)
+
+    def test_normalised_span_that_overflows(self, tmp_path):
+        """hi - lo overflows at +-1e308: both are halved, so the middle
+        value lands on 128 with no warning."""
+        path = tmp_path / "wide.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_pgm(np.array([[-1e308, 0.0, 1e308]]), path, _normalize=True)
+            save_pgm(np.array([[1e308], [-1e308], [-1e308]]), tmp_path / "column.pgm", _normalize=True)
+        assert path.read_bytes() == b"P5\n3 1\n255\n" + bytes([0, 128, 255])
+        assert (tmp_path / "column.pgm").read_bytes() == b"P5\n1 3\n255\n" + bytes([255, 0, 0])
 
     @pytest.mark.parametrize("maxval", (255, 65535))
     @pytest.mark.parametrize("shape", ((1, 1), (3, 1), (1, 5), (131, 257)))
