@@ -13,8 +13,10 @@ hashes the float64 and uint8 bytes themselves:
 - ``values``, ``validity`` and (stream) ``clamped`` of each kernel's maps for
   five blocks of the small pair, inside, clipped and flat, under two search
   ranges: once as five per-block calls, once as one stacked call;
-- the frame stages after the estimate, for the paper ``diag-fast`` frame
-  and a 512x512 noisy ``stream`` frame (block 64, crop 0, +-8):
+- the frame stages after the estimate, for the paper ``diag-fast`` frame,
+  a 512x512 noisy ``stream`` frame (block 64, +-8) at crop 0 and at crop
+  0.10, and a 640x480 ``diag-fast`` frame of one shift, (3, 5), across the
+  whole image (block 128, crop 0.10, +-16):
   ``interpolate_disparity``'s ``du`` and ``dv``, ``warp``'s ``out`` and
   ``mask``, the raw bytes of the three PGM files ``align`` writes from them
   (the two maps with ``_normalize=True``, then the 8-bit aligned image),
@@ -55,6 +57,7 @@ from nccalign import (
     partition_template,
     quadrant_pattern,
     save_pgm,
+    uniform_pattern,
     warp,
 )
 
@@ -113,6 +116,18 @@ FRAME_STAGES = {
         "3b27a1cb9daa58be15e51133c35dbcb78138b70b875f052cb3bea3d2f83a06da",
         "aea055ec41ef55214a9ed5b770abfa2b653bfe2e642b814c685471145afcc40b",
         ("0x1.39bfa106a53c9p-5", "0x1.c8424fa5085a3p-1"),
+    ),
+    "stream-512-crop": (
+        "a5f37753ea8efdec22de4a639a72387000aca47172713cbf869617ac9784861d",
+        "05ce13e4527a4e6e5f63b05c848c6cdbb2914b1423d4d461361da0f6e76accd9",
+        "3f467bbfe0e15ffe35f621f7b4634af325aa8ee4152410f560cbf93f1020f2a2",
+        ("0x1.37b9da5fca492p-5", "0x1.b132fae5d113fp-1"),
+    ),
+    "uniform-640": (
+        "da9a1655d3cb87ca883cef09c534bb911effa8063497a18319c922862841632a",
+        "764aa0ec51c260f034730eff7992726beb6557c8bcd47d6859409f641767e0b3",
+        "87cbabff91a73ef663a335fc33a52cff6f5893a97bfdc178c3bac825fa081f16",
+        ("0x1.048504a354b35p-8", "0x1.fdf9e800fc13bp-1"),
     ),
 }
 
@@ -224,10 +239,20 @@ def stream_pair():
     return template, reference
 
 
+@pytest.fixture(scope="module")
+def uniform_pair():
+    spec = SyntheticSpec(width=640, height=480, regions=uniform_pattern(640, 480, 3, 5),
+                         texture_seed=7, noise_floor=0.01)
+    template, reference, _ = make_synthetic_stereo(spec)
+    return template, reference
+
+
 # name -> (pair fixture, estimate_disparity name, block, crop, radius)
 FRAMES = {
     "paper-diag-fast": ("paper", "diag-fast-main", 128, 0.10, 16),
     "stream-512": ("stream_pair", "stream-noisy", 64, 0.0, 8),
+    "stream-512-crop": ("stream_pair", "stream-noisy", 64, 0.10, 8),
+    "uniform-640": ("uniform_pair", "diag-fast-main", 128, 0.10, 16),
 }
 
 
