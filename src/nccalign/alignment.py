@@ -7,14 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
-from . import images
 from .diagonal import build_diag_tables, ncc_diag, ncc_diag_fast
 from .errors import UnalignableError, UndefinedMetricError
-from .images import GrayImage, _runs, chunk_rows, distinct_row_runs, image_array, row_chunks, validate_image
+from .images import GrayImage, chunk_rows, distinct_row_runs, image_array, row_chunks, validate_image
 from .ncc import (
     OpCounter,
     ShiftRange,
@@ -84,7 +82,7 @@ def partition_template(image: GrayImage, block_size: int, crop_fraction: float =
     rows = (h - 2 * margin_y) // block_size
     if rows < 1 or cols < 1:
         raise ValueError(
-            f"cropped region {h - 2 * margin_y}x{w - 2 * margin_x} smaller than one {block_size} block"
+            f"cropped region {w - 2 * margin_x}x{h - 2 * margin_y} smaller than one {block_size} block"
         )
     return BlockGrid(block_size=block_size, margin_x=margin_x, margin_y=margin_y, rows=rows, cols=cols)
 
@@ -329,18 +327,23 @@ def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndar
     template, or at a non-finite shift, are masked out (and set to 0).
     Validates the whole template.
 
-    A ``images.TILE``-square tile of the field where ``du`` and ``dv`` are
-    each one integral value is a shifted copy of the template (see
-    :func:`_copy_shifted`), bit for bit what the blend gives. Every other
-    pixel goes through :func:`_warp_rows` a chunk of rows at a time, through
-    one set of scratch buffers: runs of tiles within a band of rows, and
-    bands with no constant tile (the whole image when no tile is constant)
-    in chunks of full rows.
+    The field is read through :func:`images.distinct_row_runs` of ``du``
+    and ``dv`` (read as float64): in each run (a, b, stop), rows b - 1 to
+    stop - 1 share one field row, which :func:`_column_runs` splits into
+    runs of columns. A run of one integral (du, dv) is a shifted copy of
+    the template (see :func:`_copy_shifted`), bit for bit what the blend
+    gives; every other pixel goes through :func:`_warp_rows`. Rows a to
+    b - 2, and the runs with nothing to copy, are blended whole together
+    with the rows next to them, so a field with nothing to copy is blended
+    in the chunks of :func:`images.row_chunks`. Copies and blends share one
+    loop over chunks of rows, each chunk as tall as lets its blended pixels
+    fill one set of scratch buffers, so a copy is made a chunk at a time.
     """
     t = validate_image(template)
     h, w = t.shape
-    if dense.du.shape != t.shape or dense.dv.shape != t.shape:
-        raise ValueError(f"dense field {dense.du.shape} does not match template {t.shape}")
+    du, dv = np.asarray(dense.du, dtype=np.float64), np.asarray(dense.dv, dtype=np.float64)
+    if du.shape != t.shape or dv.shape != t.shape:
+        raise ValueError(f"dense field {du.shape} does not match template {t.shape}")
     flat = t.ravel()
     xs = np.arange(w, dtype=np.float64)
     ys = np.arange(h, dtype=np.float64)[:, None]
@@ -352,76 +355,64 @@ def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndar
         np.empty((3, rows * w), dtype=np.int64),
         np.empty((2, rows * w), dtype=bool),
     )
-
-    def blend(a, b, c, d):
-        step = max(1, min(b - a, rows * w // (d - c)))
+    # (first row, stop row, column runs); a band blended whole grows over the next.
+    whole, bands = [(0, w, None)], []
+    for a, b, stop in distinct_row_runs(du, dv):
+        runs = _column_runs(du[b - 1], dv[b - 1], stop - b + 1, h)
+        if bands and bands[-1][2] is whole:
+            a = bands.pop()[0]
+        top = b - 1 if runs else stop
+        if top > a:
+            bands.append((a, top, whole))
+        if runs:
+            bands.append((b - 1, stop, runs))
+    for a, b, runs in bands:
+        step = rows * w // (sum(d - c for c, d, shift in runs if shift is None) or w)
         for r0 in range(a, b, step):
             r1 = min(r0 + step, b)
-            _warp_rows(flat, h, w, xs[c:d], ys[r0:r1], dense.du[r0:r1, c:d], dense.dv[r0:r1, c:d],
-                       out[r0:r1, c:d], mask[r0:r1, c:d], buffers)
-
-    tile = images.TILE
-    shifts = _constant_tiles(dense.du, dense.dv)
-    for constant, bands in groupby(zip(range(0, h, tile), shifts), key=lambda band: any(band[1])):
-        bands = list(bands)
-        if not constant:
-            blend(bands[0][0], min(bands[-1][0] + tile, h), 0, w)
-            continue
-        for a, band in bands:
-            b = min(a + tile, h)
-            c = 0
-            for shift, run in groupby(band):
-                d = min(c + tile * len(list(run)), w)
+            for c, d, shift in runs:
                 if shift is None:
-                    blend(a, b, c, d)
+                    _warp_rows(flat, h, w, xs[c:d], ys[r0:r1], du[r0:r1, c:d], dv[r0:r1, c:d],
+                               out[r0:r1, c:d], mask[r0:r1, c:d], buffers)
                 else:
-                    _copy_shifted(t, out, mask, (a, b, c, d), shift)
-                c = d
+                    _copy_shifted(t, out, mask, (r0, r1, c, d), shift)
     return out, mask
 
 
-def _constant_tiles(du, dv):
-    """The integral (du, dv) of each ``images.TILE``-square tile of the
-    field, row-major (the last row and column of tiles cut short), or None
-    for a tile where either is not one integral value.
+def _column_runs(du, dv, rows, h):
+    """The runs of columns of one field row that ``rows`` rows share, as
+    (start, stop, shift) in order: ``shift`` is the one integral (du, dv) of
+    a run to copy, None for the columns between those. Empty when nothing
+    is copied; ``h`` is the template's height.
 
-    Candidates are the tiles whose four corners agree, found in one gather;
-    each run of candidates in a band of rows is then checked pixel by pixel.
-    A shift is clipped to the template's extent, beyond which every sample is
-    outside, as it is at +-inf (NaN is never equal, so never constant).
+    A run of one integral shift is copied when it holds an image row's
+    worth of pixels (columns x ``rows`` >= the width), so many small runs
+    are blended whole. A shift is clipped to the template's extent, past
+    which every sample is outside, as at +-inf (NaN is never a run).
     """
-    h, w = du.shape
-    tile = images.TILE
-    top, left = np.arange(0, h, tile), np.arange(0, w, tile)
-    bottom, right = np.minimum(top + tile, h) - 1, np.minimum(left + tile, w) - 1
-    nr, nc = len(top), len(left)
-    corner_rows, corner_cols = np.concatenate((top, bottom))[:, None], np.concatenate((left, right))
-    ok = np.ones((nr, nc), dtype=bool)
-    values = []
-    for field in (du, dv):
-        corners = field[corner_rows, corner_cols]
-        value = corners[:nr, :nc]
-        ok &= (value == corners[nr:, :nc]) & (value == corners[:nr, nc:]) & (value == corners[nr:, nc:])
-        ok &= np.floor(value) == value
-        values.append(value)
-    for i in np.flatnonzero(ok.any(axis=1)).tolist():
-        a, b = top[i], bottom[i] + 1
-        for k0, k1 in _runs(ok[i]):
-            c, d = left[k0], right[k1 - 1] + 1
-            same = np.ones((b - a, d - c), dtype=bool)
-            for field, value in zip((du, dv), values):
-                same &= field[a:b, c:d] == np.repeat(value[i, k0:k1], right[k0:k1] - left[k0:k1] + 1)
-            ok[i, k0:k1] = np.logical_and.reduceat(same.all(axis=0), left[k0:k1] - c)
-    dus, dvs = (np.clip(np.where(ok, value, 0.0), -extent, extent).astype(np.int64).tolist()
-                for value, extent in zip(values, (w, h)))
-    return [[(p, q) if good else None for good, p, q in zip(*band)]
-            for band in zip(ok.tolist(), dus, dvs)]
+    w = len(du)
+    starts = np.flatnonzero(np.concatenate(([True], (du[1:] != du[:-1]) | (dv[1:] != dv[:-1]))))
+    stops = np.append(starts[1:], w)
+    long = (stops - starts) * rows >= w
+    starts, stops = starts[long], stops[long]
+    p, q = du[starts], dv[starts]
+    copy = (np.floor(p) == p) & (np.floor(q) == q)
+    shifts = zip(np.clip(p[copy], -w, w).astype(np.int64).tolist(),
+                 np.clip(q[copy], -h, h).astype(np.int64).tolist())
+    runs, c = [], 0
+    for start, stop, shift in zip(starts[copy].tolist(), stops[copy].tolist(), shifts):
+        if start > c:
+            runs.append((c, start, None))
+        runs.append((start, stop, shift))
+        c = stop
+    return runs + [(c, w, None)] if runs and c < w else runs
 
 
 def _copy_shifted(t, out, mask, region, shift) -> None:
     """Warp ``region`` (rows a:b, columns c:d) of ``out`` and ``mask`` at
-    the one integral shift (du, dv): a slice copy of the template, 0 and
-    masked out where the sample falls outside it.
+    the one integral shift (du, dv), which may lie past the template's
+    extent: a slice copy of the template, 0 and masked out where the sample
+    falls outside it.
 
     At an integral sample :func:`_warp_rows` gives the +1 taps weight +0.0
     and the sample weight 1.0, so it returns the sample itself, except that

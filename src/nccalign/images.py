@@ -24,10 +24,6 @@ SUPPORTED_MAXVALS = (255, 65535)
 # pixels, so a chunk's temporaries stay in cache.
 CHUNK_PIXELS = 1 << 15
 
-# Side of the square tiles the warp tests for one integral shift, and copies
-# whole where it finds one.
-TILE = 64
-
 
 def chunk_rows(height: int, width: int) -> int:
     """Rows per chunk of a height x width image: at least one, at most all."""
@@ -54,24 +50,28 @@ def _runs(flags: np.ndarray, value: bool = True) -> list[list[int]]:
     return runs
 
 
-def distinct_row_runs(arr: np.ndarray) -> list[tuple[int, int, int]]:
-    """The rows of a 2D float64 array that differ from the row above, as
-    (a, b, stop) runs in order: rows a to b - 1 differ in their bits from
-    the row above (row 0 always does), and rows b to stop - 1 repeat row
-    b - 1 bit for bit (+0.0 and -0.0 differ; a NaN repeats only its own
-    bits). Each stop is the next run's start, the last one the height.
+def distinct_row_runs(*arrays: np.ndarray) -> list[tuple[int, int, int]]:
+    """The rows of 2D float64 arrays of one shape that differ from the row
+    above, as (a, b, stop) runs in order: rows a to b - 1 differ in their
+    bits from the row above in some array (row 0 always does), and rows b
+    to stop - 1 repeat row b - 1 bit for bit in every array (+0.0 and -0.0
+    differ; a NaN repeats only its own bits). Each stop is the next run's
+    start, the last one the height.
 
     Candidates are the rows that repeat the row above in three sampled
-    columns; each run of them is then compared whole with the rows above
-    it, a chunk of rows at a time. So an array with no repeated row costs
-    only the sample, one cache line per row and column.
+    columns of each array; each run of them is then compared whole with the
+    rows above it, a chunk of rows at a time. So arrays with no repeated row
+    cost only the sample, one cache line per row, column and array.
     """
-    height, width = arr.shape
-    bits = arr.view(np.uint64)
+    height, width = arrays[0].shape
+    first, *rest = [arr.view(np.uint64) for arr in arrays]
     repeat = np.zeros(height, dtype=bool)
-    np.equal(bits[1:, width // 2], bits[:-1, width // 2], out=repeat[1:])
+    np.equal(first[1:, width // 2], first[:-1, width // 2], out=repeat[1:])
     for x in (width // 4, 3 * width // 4):
-        repeat[1:] &= bits[1:, x] == bits[:-1, x]
+        repeat[1:] &= first[1:, x] == first[:-1, x]
+    for more in rest:
+        for x in (width // 4, width // 2, 3 * width // 4):
+            repeat[1:] &= more[1:, x] == more[:-1, x]
     # save_pgm calls this right after the previous file's write, when each
     # numpy call starts on cold caches and costs more than the sample's
     # reads; so the check calls the reduction itself, not np.all's wrapper,
@@ -80,7 +80,9 @@ def distinct_row_runs(arr: np.ndarray) -> list[tuple[int, int, int]]:
     for k0, k1 in _runs(repeat):
         for c in range(k0, k1, rows):
             d = min(c + rows, k1)
-            np.logical_and.reduce(bits[c:d] == bits[c - 1:d - 1], axis=1, out=repeat[c:d])
+            np.logical_and.reduce(first[c:d] == first[c - 1:d - 1], axis=1, out=repeat[c:d])
+            for more in rest:
+                repeat[c:d] &= np.logical_and.reduce(more[c:d] == more[c - 1:d - 1], axis=1)
     runs = _runs(repeat, False)
     return [(a, b, stop) for (a, b), (stop, _) in zip(runs, runs[1:] + [[height, 0]])]
 

@@ -131,6 +131,14 @@ class TestAlign:
         assert code == 2
         assert "crop" in capsys.readouterr().err
 
+    def test_small_region_named_width_by_height(self, tmp_path, capsys):
+        # Crop 0.1 of 128x96 leaves 116x88, width first as in the flags
+        # and the PGM header.
+        code = main(["align", "--width", "128", "--height", "96", "--method", "full",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "cropped region 116x88 smaller than one 128 block" in capsys.readouterr().err
+
     def test_flat_pair_unalignable_exits_1(self, tmp_path, capsys):
         # all-flat synthetic: noise floor 0 over a zero-texture pattern is
         # impossible via gen, so use a flat PGM pair on disk.

@@ -6,8 +6,9 @@ so a tracer that rebinds those names (as ``perfbench/spans.py`` does) sees
 every call. Inputs are validated a fixed number of times per frame, however
 many blocks it has. The kernel's maps span only the shifts some block can
 keep in bounds. At the paper size each fast method's blocks equal its
-oracle's, and noiseless ``stream`` picks ``diag``'s shifts. The warp copies
-the tiles of one integral shift and blends only the rest, and ``save_pgm``
+oracle's, and noiseless ``stream`` picks ``diag``'s shifts. In the rows of
+the dense field that repeat the row above, the warp copies the runs of
+columns of one integral shift and blends only the rest, and ``save_pgm``
 quantises only the rows of a map that differ from the row above.
 """
 
@@ -19,7 +20,8 @@ import numpy as np
 import pytest
 
 from nccalign import alignment, cli, images
-from nccalign.alignment import BLOCK_INVALID, METHODS, DenseDisparity, estimate_disparity, partition_template, warp
+from nccalign.alignment import (BLOCK_INVALID, METHODS, DenseDisparity, DisparityField, estimate_disparity,
+                                interpolate_disparity, partition_template, warp)
 from nccalign.cli import main
 from nccalign.ncc import OpCounter, ShiftRange
 
@@ -187,25 +189,51 @@ def blended_chunks(monkeypatch):
     return chunks
 
 
-def test_paper_frame_blends_under_a_third_of_the_warp(monkeypatch, tmp_path):
-    """At the paper ``diag-fast`` frame (+-16) the tiles of one integral
-    shift cover most of the field, so at most 30% of the pixels are blended
-    (64-pixel tiles blend about 26%; blending only the cells between
-    unequal blocks would blend 17.7%)."""
+# name -> (align flags, the most of a frame's pixels the warp may blend)
+BLENDED = {
+    # 17.7% of the paper diag-fast frame (+-16) has no one integral shift.
+    "paper": (["--width", "1920", "--height", "1080", "--block", "128", "--crop", "0.10",
+               "--search-du=-16:16", "--search-dv=-16:16", "--method", "diag-fast"], 0.20),
+    # The vga-stream-sweep geometry, 23.4% without one integral shift.
+    "vga-stream-sweep": (["--width", "512", "--height", "512", "--block", "64", "--crop", "0",
+                          "--search-du=-8:8", "--search-dv=-8:8", "--method", "stream",
+                          "--noise-mult", "0.1"], 0.25),
+}
+
+
+@pytest.mark.parametrize("name", BLENDED)
+def test_frame_blends_only_pixels_without_one_integral_shift(monkeypatch, tmp_path, name):
+    """The rows that repeat the row above hold runs of one integral shift
+    across most of the field, which the warp copies, so it blends few
+    pixels: at most 20% of the paper frame and 25% of the VGA one."""
     chunks = blended_chunks(monkeypatch)
-    align(tmp_path, "paper", "--width", "1920", "--height", "1080", "--block", "128", "--crop", "0.10",
-          "--search-du=-16:16", "--search-dv=-16:16", "--method", "diag-fast")
+    flags, bound = BLENDED[name]
+    align(tmp_path, name, *flags)
     blended = sum((b - a) * width for a, b, width in chunks)
-    assert 0 < blended <= 0.30 * 1920 * 1080
+    pixels = int(flags[1]) * int(flags[3])
+    assert 0 < blended <= bound * pixels, blended / pixels
 
 
-def test_random_field_blends_in_full_width_row_chunks(monkeypatch):
-    """With no tile of one integral shift the warp blends the whole image,
-    in the chunks of full rows ``images.row_chunks`` gives."""
+@pytest.mark.parametrize("kind", ("real", "integral", "real blocks"))
+def test_random_field_blends_in_full_width_row_chunks(monkeypatch, kind):
+    """With no run of one integral shift a row long, as in a field of random
+    real or random integral values per pixel, or one interpolated from
+    random real block values (whose rows past the outer centres repeat),
+    the warp blends the whole image in the chunks of full rows
+    ``images.row_chunks`` gives."""
     chunks = blended_chunks(monkeypatch)
     rng = np.random.default_rng(3)
     template = rng.random((1080, 1920))
     du, dv = rng.uniform(-16.0, 16.0, (2, 1080, 1920))
+    if kind == "integral":
+        du, dv = np.round(du), np.round(dv)
+    elif kind == "real blocks":
+        grid = partition_template(template, 128, 0.10)
+        du, dv = rng.uniform(-16.0, 16.0, (2, grid.rows, grid.cols))
+        field = DisparityField(du, dv, np.ones(du.shape), np.zeros(du.shape, dtype=np.int8))
+        dense = interpolate_disparity(field, grid, (1920, 1080))
+        du, dv = dense.du, dense.dv
+        assert any(stop > b for _, b, stop in images.distinct_row_runs(du, dv))
     warp(template, DenseDisparity(du=du, dv=dv))
     rows = images.chunk_rows(1080, 1920)
     assert chunks == [(a, b, 1920) for a, b in images.row_chunks(1080, rows)]

@@ -2,7 +2,8 @@
 chunks of rows.
 
 The warp and the dense interpolation loop over bands (chunks) of rows on
-the calling thread; the correlation sums chunks of rows in two passes,
+the calling thread, and the warp copies the runs of columns of one
+integral shift in field rows that repeated rows share; the correlation sums chunks of rows in two passes,
 with no masked copy, and centres the reference side once for a tuple of
 images; the diagonal tables hold the one orientation a run reads; PGM
 files are checked, quantised and read a chunk at a time, and a row that
@@ -76,22 +77,53 @@ def assert_warp_bits(got, got_mask, template, du, dv):
 # puts -0.0 in about half the template under a "halves" field. "tiles" is
 # constant on squares of 1 to 12 pixels but for a few pixels, each square
 # one of: an integral or half-integral shift, +-0.0, a shift past the
-# template's edge, NaN, +-inf or +-1e300. Its template is half +-0.0 and
-# half uniform on [-1, 1), so a copied zero's +0-weighted taps have either
-# sign; tiles at zero shift read the last row's and column's taps.
-WARP_KINDS = ("uniform", "halves", "last", "zeros", "-0.0 template", "tiles")
+# template's edge, NaN, +-inf or +-1e300. "rows" is constant down runs of
+# rows (see _row_fields), its runs of columns drawn from the same values.
+# The template of both is half +-0.0 and half uniform on [-1, 1), so a
+# copied zero's +0-weighted taps have either sign; zero shifts read the
+# last row's and column's taps.
+WARP_KINDS = ("uniform", "halves", "last", "zeros", "-0.0 template", "tiles", "rows")
+
+
+def _shift_pool(h, w, reach):
+    """Shift values and their odds: integral ones within reach, three
+    half-integral ones and +-0.0 eight times as likely as each of two
+    shifts past the template's edge, NaN, +-inf and +-1e300."""
+    pool = np.concatenate((np.arange(-np.ceil(reach), np.ceil(reach) + 1), [0.5, -1.5, 2.5, 0.0, -0.0],
+                           [w + 2.0, -h - 3.0, np.nan, np.inf, -np.inf, 1e300, -1e300]))
+    weights = np.concatenate((np.full(len(pool) - 7, 8.0), np.ones(7)))
+    return pool, weights / weights.sum()
 
 
 def _tile_fields(rng, h, w, reach):
     """du and dv constant on the same squares of 1 to 12 pixels, but for
     about one pixel in 50 set half a pixel off (see WARP_KINDS)."""
     side = int(rng.integers(1, 13))
-    pool = np.concatenate((np.arange(-np.ceil(reach), np.ceil(reach) + 1), [0.5, -1.5, 2.5, 0.0, -0.0],
-                           [w + 2.0, -h - 3.0, np.nan, np.inf, -np.inf, 1e300, -1e300]))
-    weights = np.concatenate((np.full(len(pool) - 7, 8.0), np.ones(7)))
-    pieces = rng.choice(pool, (2, -(-h // side), -(-w // side)), p=weights / weights.sum())
+    pool, weights = _shift_pool(h, w, reach)
+    pieces = rng.choice(pool, (2, -(-h // side), -(-w // side)), p=weights)
     fields = np.repeat(np.repeat(pieces, side, axis=1), side, axis=2)[:, :h, :w]
     return np.where(rng.random((2, h, w)) < 0.02, fields + 0.5, fields)
+
+
+def _row_fields(rng, h, w, reach):
+    """du and dv constant down runs of 1 to 8 rows, the first run one row
+    tall; a run's row is runs of 1 to ``w`` columns, each one (du, dv)
+    from ``_shift_pool``. In about a third of the rows each zero of ``dv``
+    flips its sign, so such a row differs from the one above only there."""
+    pool, weights = _shift_pool(h, w, reach)
+    fields = np.empty((2, h, w))
+    r = 0
+    while r < h:
+        n, c = (int(rng.integers(1, 9)) if r else 1), 0
+        while c < w:
+            m = int(rng.integers(1, w + 1))
+            fields[:, r:r + n, c:c + m] = rng.choice(pool, (2, 1, 1), p=weights)
+            c += m
+        r += n
+    dv = fields[1]
+    flip = (rng.random((h, 1)) < 0.35) & (dv == 0.0)
+    np.negative(dv, out=dv, where=flip)
+    return fields
 
 
 def _warp_case(seed, h, w, reach, kind="uniform"):
@@ -108,9 +140,9 @@ def _warp_case(seed, h, w, reach, kind="uniform"):
         dv = np.where(pick[1], np.arange(h)[:, None] - (h - 1.0), dv)
     elif kind == "zeros":
         du, dv = np.where(pick, 0.0, -0.0)
-    elif kind == "tiles":
+    elif kind in ("tiles", "rows"):
         template = np.where(pick[0], rng.choice((0.0, -0.0), (h, w)), rng.uniform(-1.0, 1.0, (h, w)))
-        du, dv = _tile_fields(rng, h, w, reach)
+        du, dv = (_tile_fields if kind == "tiles" else _row_fields)(rng, h, w, reach)
     return template, du, dv
 
 
@@ -120,13 +152,12 @@ class TestWarpBands:
     @pytest.mark.parametrize("h, w, reach", ((1, 9, 3.0), (2, 5, 1.5), (5, 7, 4.0), (6, 1, 2.0),
                                              (24, 19, 8.0), (37, 41, 30.0)))
     def test_equals_one_band_and_oracle(self, monkeypatch, band, h, w, reach, kind):
-        # Bands of ``band`` rows and tiles of ``band + 2`` pixels, which
-        # divide few of the sizes, against one band and one tile.
+        # Bands of ``band`` rows, which divide few of the sizes, against
+        # one band.
         template, du, dv = _warp_case(1000 * h + w, h, w, reach, kind)
         inputs = (template.copy(), du.copy(), dv.copy())
         want, want_mask = warp(template, DenseDisparity(du=du, dv=dv))
         monkeypatch.setattr(images, "CHUNK_PIXELS", band * w)
-        monkeypatch.setattr(images, "TILE", band + 2)
         got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
 
         np.testing.assert_array_equal(got_mask, want_mask)
@@ -137,16 +168,33 @@ class TestWarpBands:
 
     @pytest.mark.parametrize("kind", WARP_KINDS)
     @pytest.mark.parametrize("seed", (1, 3))
-    @pytest.mark.parametrize("tile", (1, 4, images.TILE))
     @pytest.mark.parametrize("chunk", (1, 7, 40, images.CHUNK_PIXELS))
-    def test_chunks_equal_oracle(self, monkeypatch, seed, chunk, tile, kind):
-        # Chunks of one row, of a few rows, and one chunk for the image;
-        # tiles of one pixel, of a few, and one tile for the image.
+    def test_chunks_equal_oracle(self, monkeypatch, seed, chunk, kind):
+        # Chunks of one row, of a few rows, and one chunk for the image.
         monkeypatch.setattr(images, "CHUNK_PIXELS", chunk)
-        monkeypatch.setattr(images, "TILE", tile)
         template, du, dv = _warp_case(seed, 29, 13, 9.0, kind)
         got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
         assert_warp_bits(got, got_mask, template, du, dv)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("chunk", (1, 7, 40, images.CHUNK_PIXELS))
+    @pytest.mark.parametrize("h, w, reach", ((1, 9, 3.0), (40, 3, 2.0), (3, 40, 6.0)))
+    def test_row_fields_equal_oracle(self, monkeypatch, seed, chunk, h, w, reach):
+        # Fields constant down runs of rows: a row, a column and a square
+        # image, each with dv and du past the other axis's extent.
+        monkeypatch.setattr(images, "CHUNK_PIXELS", chunk)
+        template, du, dv = _warp_case(seed, h, w, reach, "rows")
+        got, got_mask = warp(template, DenseDisparity(du=du, dv=dv))
+        assert_warp_bits(got, got_mask, template, du, dv)
+
+    @pytest.mark.parametrize("dtype", (np.int32, np.float32, np.int64))
+    def test_field_dtypes_warp_as_float64(self, dtype):
+        template, du, dv = _warp_case(7, 33, 21, 6.0, "rows")
+        fields = [np.clip(np.nan_to_num(f), -40.0, 40.0).astype(dtype) for f in (du, dv)]
+        got, got_mask = warp(template, DenseDisparity(*fields))
+        want, want_mask = warp(template, DenseDisparity(*(f.astype(np.float64) for f in fields)))
+        np.testing.assert_array_equal(got_mask, want_mask)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_edge_taps_keep_signed_zeros(self):
         # On the last column or row a +1 tap has weight 0, so only the sign
@@ -189,12 +237,16 @@ def warp_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     template = rng.random((h, w))
     reach = draw(st.sampled_from((0.5, 2.0, 8.0, 30.0)))
-    kind = draw(st.sampled_from(("random", "integer", "quarter")))
+    # A random "integer" field has no run of one shift a row long, so only
+    # "rows" fields reach a copy.
+    kind = draw(st.sampled_from(("random", "integer", "quarter", "rows")))
     fields = rng.uniform(-reach, reach, (2, h, w))
     if kind == "integer":
         fields = np.round(fields)
     elif kind == "quarter":
         fields = np.round(fields * 4.0) / 4.0
+    elif kind == "rows":
+        fields = _row_fields(rng, h, w, reach)
     return template, fields[0], fields[1]
 
 
@@ -563,13 +615,13 @@ def boundary_repeats(height, width):
     return repeat
 
 
-def reference_row_runs(image):
-    """``images.distinct_row_runs`` from a bit compare of every row with the
-    row above."""
-    bits = image.view(np.uint64)
+def reference_row_runs(*arrays):
+    """``images.distinct_row_runs`` from a bit compare of every row of each
+    array with the row above."""
+    bits = [array.view(np.uint64) for array in arrays]
     runs = []
-    for r in range(len(bits)):
-        if r and np.array_equal(bits[r], bits[r - 1]):
+    for r in range(len(bits[0])):
+        if r and all(np.array_equal(b[r], b[r - 1]) for b in bits):
             runs[-1][2] = r + 1
         elif runs and runs[-1][1] == runs[-1][2] == r:
             runs[-1][1] = runs[-1][2] = r + 1
@@ -708,6 +760,22 @@ class TestChunkedPgm:
         image[twins[twins > 0]] = image[twins[twins > 0] - 1]
         image[twins[twins > 0], 0] += 1.0
         assert images.distinct_row_runs(image) == reference_row_runs(image)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_distinct_row_runs_of_two_arrays(self, seed):
+        """A row repeats only where it repeats in both arrays: rows apart in
+        one array only, at a column the sample skips, or only in the sign of
+        a zero, against the row-by-row compare."""
+        rng = np.random.default_rng(seed)
+        height, width = int(rng.integers(1, 90)), int(rng.integers(1, 50))
+        repeat = rng.random(height) < 0.7
+        first = with_repeats(rng.random((height, width)), repeat)
+        second = with_repeats(rng.choice((0.0, 1.0, 2.5), (height, width)), repeat)
+        for array, column in ((first, 0), (second, width - 1), (second, width // 2)):
+            array[rng.random(height) < 0.1, column] += 1.0
+        np.negative(second, out=second, where=(rng.random((height, 1)) < 0.15) & (second == 0.0))
+        want = reference_row_runs(first, second)
+        assert images.distinct_row_runs(first, second) == images.distinct_row_runs(second, first) == want
 
     @pytest.mark.parametrize("normalize", (False, True))
     @pytest.mark.parametrize("shape", ((1, 7), (5, 1), (300, 170), (32_769, 1)))
