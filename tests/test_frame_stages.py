@@ -3,15 +3,16 @@ chunks of rows.
 
 The warp and the dense interpolation loop over bands (chunks) of rows on
 the calling thread, and the warp copies the runs of columns of one
-integral shift in field rows that repeated rows share; the correlation sums chunks of rows in two passes,
-with no masked copy, and centres the reference side once for a tuple of
-images; the diagonal tables hold the one orientation a run reads; PGM
-files are checked, quantised and read a chunk at a time, and a row that
-repeats the row above is written as a copy of its bytes. Each stage has
-one test-local reference: the ``np.indices`` warp and a whole-array
-separable interpolation with its own axis lookup (both compared bit for
-bit), the whole-array quantisation and normalisation, the masked-copy
-correlation and one ``global_correlation`` call per image.
+integral shift in field rows that repeated rows share; the correlation
+sums chunks of rows in two passes, with no masked copy, and centres the
+reference side once for a tuple of images; the diagonal tables hold the
+one orientation a run reads; PGM files are checked, quantised and read a
+chunk at a time, and a row that repeats the row above is written as a
+copy of its bytes. Each stage has one test-local reference: the
+``np.indices`` warp and a whole-array separable interpolation with its
+own axis lookup (both compared bit for bit), the whole-array
+quantisation and normalisation, the masked-copy correlation and one
+``global_correlation`` call per image.
 """
 
 import math
