@@ -88,18 +88,18 @@ class RunConfig:
 
 
 def argv_from_header(path) -> list[str]:
-    """Reconstruct the argv that produced an output file from its header."""
+    """Reconstruct the argv that produced an output file from its header, each value verbatim."""
     command = None
     flags = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             if not line.startswith("#"):
                 break
-            text = line[1:].strip()
-            if text.startswith("command:"):
-                command = text.split(":", 1)[1].strip()
-            elif text.startswith("arg:"):
-                flags.append(text.split(":", 1)[1].strip())
+            field, _, value = line.removeprefix("# ").removesuffix("\n").partition(": ")
+            if field == "command":
+                command = value
+            elif field == "arg":
+                flags.append(value)
     if command is None:
         raise ValueError(f"no config header found in {path}")
     return [command] + flags
@@ -402,9 +402,8 @@ def cmd_noise_sweep(args) -> int:
     noises = _stream_noises(args, fractions, seeds)
     template, reference, truth = _load_or_generate(args)
 
-    # Seeds outer, fractions inner: a seed's noise streams do not depend on
-    # the fraction, so its later fractions reuse the draws its first one
-    # cached (streaming.DRAW_CACHE_STREAMS bounds the cache).
+    # Seeds outer, fractions inner: ncc_stream keeps its last draws, which do
+    # not depend on the fraction, so a seed's later fractions reuse them.
     corrs_by_fraction = [[] for _ in fractions]
     matches_by_fraction = [[] for _ in fractions]
     for seed_noises in noises:

@@ -51,8 +51,8 @@ class OpCounter:
     short-circuits, so naive and accelerated variants tally identically.
     This is a cost model, not a count of the work done: ``ncc_full_fast``
     tallies D² per shift although its FFT numerator does fewer multiplies,
-    and ``streaming.ncc_stream`` tallies D per shift also when it reuses a
-    block's memoised noiseless products.
+    and ``streaming.ncc_stream`` tallies D per shift also when it reuses the
+    noiseless products of the call before.
     """
 
     multiplies: int = 0

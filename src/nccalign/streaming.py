@@ -14,9 +14,8 @@ noise-fraction conversion, and the per-component power budget.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import math
+import mmap
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -139,29 +138,42 @@ class NoiseModel:
         return np.random.default_rng((self.seed, stage) + tuple(stream_id))
 
 
-# Bound of the stream-draw cache, in streams. A stream's cached array holds
-# one float64 per in-bounds shift of its block.
-DRAW_CACHE_STREAMS = 1024
+# Per slot, "front ends" or a noise stage, its last call's (key, arrays, result).
+_last: dict = {}
 
 
-@functools.lru_cache(maxsize=DRAW_CACHE_STREAMS)
-def _stream_draws(seed: int, stage: int, stream_id: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-    """The standard normal draws of ``shape`` from the (seed, stage,
-    stream_id) stream of :meth:`NoiseModel.rng`, summed along each row when
-    ``shape`` is (n, D). Read-only, since every caller shares one array.
+def _recall(slot, key: tuple, arrays: tuple, compute):
+    """``compute()``, or the result it gave the last call on ``slot`` if that
+    call had an equal ``key`` and ``arrays`` of the same shapes and bits as
+    ``uint64`` views (-0.0 is not 0.0). The slot keeps read-only copies of
+    the arrays; the last call's go before ``compute`` runs.
 
-    The draws do not depend on the noise fractions, so the fractions of a
-    sweep share them. The cache holds the last :data:`DRAW_CACHE_STREAMS`
-    streams. At the paper's HD geometry (block 128, search +-16) a block
-    has at most 33 * 33 = 1089 in-bounds shifts, so the cache holds at most
-    1024 streams of 1089 * 8 B: about 9.3 MB with its bookkeeping (about
-    350 B a stream).
-    """
-    draws = NoiseModel(seed=seed).rng(stage, stream_id).standard_normal(shape)
-    if len(shape) == 2:
-        draws = draws.sum(axis=1)
-    draws.flags.writeable = False
-    return draws
+    Each copy has its own anonymous mapping: megabytes held in the malloc heap
+    stop glibc trimming the pages freed above them, and so change the page
+    faults of every later large temporary."""
+    held = _last.pop(slot, None)
+    if held is None or held[0] != key or not all(
+            np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(held[1], arrays)):
+        copies = [np.ndarray(a.shape, a.dtype, mmap.mmap(-1, max(a.nbytes, 1))) for a in arrays]
+        for copy, array in zip(copies, arrays):
+            copy[...] = array
+            copy.flags.writeable = False
+        held = (key, copies, compute())
+    _last[slot] = held
+    return held[2]
+
+
+def _draws(noise: NoiseModel, stage: int, stream_ids: tuple, shapes: tuple) -> list[np.ndarray]:
+    """Per stream id, the row sums of the (n, k) standard normal draws of its
+    (noise.seed, stage, stream id) stream, read-only as the stage's slot
+    keeps them; the fractions of a seed share them."""
+    def draw():
+        sums = [noise.rng(stage, stream_id).standard_normal(shape).sum(axis=1)
+                for stream_id, shape in zip(stream_ids, shapes)]
+        for g in sums:
+            g.flags.writeable = False
+        return sums
+    return _recall(stage, (noise.seed, stream_ids, shapes), (), draw)
 
 
 def _clean_products(b_zm, t_zm, b_energy) -> tuple[np.ndarray, np.ndarray]:
@@ -173,29 +185,25 @@ def _clean_products(b_zm, t_zm, b_energy) -> tuple[np.ndarray, np.ndarray]:
     return (b_zm * t_zm[None, :]).sum(axis=1), rms_p
 
 
-def _add_noise(numerators, rms_p, d, noise, stream_id) -> np.ndarray:
-    """Add the circuit noise to the (n,) clean ``numerators`` in place,
-    scaled by each row's clean product RMS ``rms_p``, and return them.
+def _add_noise(numerators, rms_p, d, noise, stream_ids) -> list[np.ndarray]:
+    """Add the circuit noise to each block's (n,) clean ``numerators`` in
+    place, scaled by each row's clean product RMS ``rms_p``, and return
+    them; block i reads the streams ``stream_ids[i]`` (:func:`_draws`).
 
     The multiplier stage adds D per-sample draws to each row's products;
     they are integrated as their row sum, so the stage adds that sum times
-    the per-sample noise level. The integrator stage then adds n readout
-    draws scaled by sqrt(D). Each stage reads the (noise.seed, stage,
-    stream_id) stream, through :func:`_stream_draws`.
+    the per-sample noise level. The integrator stage then adds one readout
+    draw a row, scaled by sqrt(D). A stage whose fraction is 0 draws nothing.
     """
-    n = len(numerators)
     if noise.multiplier_fraction > 0:
-        g = _stream_draws(noise.seed, MULTIPLIER_STAGE, stream_id, (n, d))
-        numerators += g * (noise.multiplier_fraction * rms_p)
+        draws = _draws(noise, MULTIPLIER_STAGE, stream_ids, tuple((len(x), d) for x in numerators))
+        for x, g, r in zip(numerators, draws, rms_p):
+            x += g * (noise.multiplier_fraction * r)
     if noise.integrator_fraction > 0:
-        g = _stream_draws(noise.seed, INTEGRATOR_STAGE, stream_id, (n,))
-        numerators += g * noise.integrator_fraction * rms_p * math.sqrt(d)
+        draws = _draws(noise, INTEGRATOR_STAGE, stream_ids, tuple((len(x), 1) for x in numerators))
+        for x, g, r in zip(numerators, draws, rms_p):
+            x += g * noise.integrator_fraction * r * math.sqrt(d)
     return numerators
-
-
-# The last ncc_stream call's front ends, one per block with a shift in
-# bounds, under the call's digest: at most one entry.
-_front_ends: dict = {}
 
 
 def _front_end(t_diag: np.ndarray, region: np.ndarray, orientation: str,
@@ -208,7 +216,7 @@ def _front_end(t_diag: np.ndarray, region: np.ndarray, orientation: str,
 
     The window samples come from ``diagonal._window_view`` of the region,
     copied once into (n, D) sample-ordered streams. The arrays are
-    read-only: ``ncc_stream`` keeps them for its next call.
+    read-only: ``ncc_stream``'s memory keeps them for its next call.
     """
     d = len(t_diag)
     config = MovingAverageConfig.boxcar(d) if ma_config is None else ma_config
@@ -257,31 +265,23 @@ def ncc_stream(
     ``ncc.ncc_full_naive`` does; block i of a stack reads the streams of
     ``block_id + i``.
 
-    A call that reads what the call before it read reuses its noiseless
-    front ends, so the result is the same bits as a first call; ``counter``
-    is tallied either way. The key, one SHA-256 digest, covers the
-    reference shape, origins, shift range, orientation and filter, the
-    opened blocks' diagonals and the rows of ``_Frame.box`` (hashed in
-    place), but not the noise, seed or block ids.
+    A call reuses the noiseless front ends of the call before it, and each
+    noise stage its last draws, when they read the same (:func:`_recall`):
+    the result is the same bits as a first call, and ``counter`` is tallied
+    either way.
     """
     frame = _open_kernel(template_block, reference, origin, shifts, counter, DiagTables, tables)
     if noise is None:
         noise = NoiseModel()
     diagonals = np.array([t_diag for _, t_diag, _, _ in frame.blocks])
-    digest = hashlib.sha256(repr((tables.shape, np.asarray(origin).tolist(), shifts, tables.orientation,
-                                  ma_config, diagonals.shape)).encode())
-    digest.update(diagonals)
-    for row in frame.box:
-        digest.update(np.ascontiguousarray(row))
-    key = digest.digest()
-    if key not in _front_ends:
-        _front_ends.clear()
-        _front_ends[key] = [_front_end(t_diag, region, tables.orientation, ma_config)
-                            for _, t_diag, _, region in frame.blocks]
-    for (inbounds, t_diag, _, _), (clean, rms_p, dead) in zip(frame.blocks, _front_ends[key]):
-        numerators = _add_noise(clean.copy(), rms_p, len(t_diag), noise, (block_id + inbounds[0],))
+    key = (tables.shape, np.asarray(origin).tolist(), shifts, tables.orientation, ma_config)
+    front_ends = _recall("front ends", key, (diagonals, frame.box), lambda: [
+        _front_end(t_diag, region, tables.orientation, ma_config) for _, t_diag, _, region in frame.blocks])
+    numerators = _add_noise([clean.copy() for clean, _, _ in front_ends], [rms_p for _, rms_p, _ in front_ends],
+                            diagonals.shape[-1], noise, tuple((block_id + b[0][0],) for b in frame.blocks))
+    for (inbounds, _, _, _), values, (_, _, dead) in zip(frame.blocks, numerators, front_ends):
         r_var = frame.r_var[inbounds]
-        frame.values[inbounds] = numerators.reshape(r_var.shape)
+        frame.values[inbounds] = values.reshape(r_var.shape)
         r_var[dead.reshape(r_var.shape)] = 0.0
     return _clamp(_correlation_map(shifts, frame))
 

@@ -1,5 +1,7 @@
 import sys
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from nccalign import (
     make_synthetic_stereo,
     partition_template,
     quadrant_pattern,
+    streaming,
 )
 
 QUADRANT_SHIFTS = [(3, 5), (-4, 2), (6, -7), (-2, -6)]
@@ -111,3 +114,32 @@ def record_quantized_chunks(monkeypatch, images) -> list:
 
     monkeypatch.setattr(images, "_quantize_rows", recorded)
     return chunks
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """What the stream kernel computes from here on, starting from an empty
+    memory: ``front_ends`` gains the arguments of each noiseless front end
+    computed (one per opened block of a call that misses), ``drawn`` counts
+    the noise streams drawn (``NoiseModel.rng`` calls) by stage, and
+    ``read`` the streams the calls read, drawn or held, by stage."""
+    counts = SimpleNamespace(front_ends=[], drawn=Counter(), read=Counter())
+    front_end, rng, draws = streaming._front_end, streaming.NoiseModel.rng, streaming._draws
+
+    def counted_front_end(*args):
+        counts.front_ends.append(args)
+        return front_end(*args)
+
+    def counted_rng(noise, stage, stream_id):
+        counts.drawn[stage] += 1
+        return rng(noise, stage, stream_id)
+
+    def counted_draws(noise, stage, stream_ids, shapes):
+        counts.read[stage] += len(stream_ids)
+        return draws(noise, stage, stream_ids, shapes)
+
+    monkeypatch.setattr(streaming, "_front_end", counted_front_end)
+    monkeypatch.setattr(streaming.NoiseModel, "rng", counted_rng)
+    monkeypatch.setattr(streaming, "_draws", counted_draws)
+    streaming._last.clear()
+    return counts

@@ -10,7 +10,6 @@ import pytest
 import nccalign
 from nccalign import alignment, cli, load_pgm, save_pgm
 from nccalign.cli import argv_from_header, main
-from nccalign.streaming import DRAW_CACHE_STREAMS, _front_ends, _stream_draws
 from run_experiments import ALIGN
 
 from conftest import csv_body, csv_rows
@@ -334,35 +333,32 @@ class TestNoiseSweep:
             expected.append(",".join(cli._fmt(cell) for cell in row))
         assert csv_body(out / "noise_sweep.csv") == expected
 
-    def test_seeds_outer_loop_reuses_each_seeds_draws(self, tmp_path):
-        # 9 seeds x 64 blocks x 2 stages = 1152 streams, more than the draw
-        # cache holds: only a seed's later fractions, run before the next
-        # seed, find its draws still cached. A fractions-outer loop would
-        # find none.
-        streams = 9 * 64 * 2
-        assert streams > DRAW_CACHE_STREAMS
-        _stream_draws.cache_clear()
+    def test_seeds_outer_loop_reuses_each_seeds_draws(self, tmp_path, streams):
+        # 9 seeds x 64 blocks x 2 stages = 1152 streams. Each noise stage
+        # holds the draws of its last call only, so a seed's later fractions,
+        # run before the next seed, find its draws held. A fractions-outer
+        # loop would find none.
+        n = 9 * 64 * 2
         assert main(["noise-sweep", "--width", "128", "--height", "128", "--block", "16",
                      "--crop", "0", "--fractions", "0.05,0.2", "--seeds", "9",
                      "--out", str(tmp_path)]) == 0
-        info = _stream_draws.cache_info()
-        assert (info.misses, info.hits) == (streams, streams)
+        drawn = sum(streams.drawn.values())
+        assert (drawn, sum(streams.read.values()) - drawn) == (n, n)
 
-    def test_experiment_sweep_repeats_in_one_process(self, tmp_path):
+    def test_experiment_sweep_repeats_in_one_process(self, tmp_path, streams):
         # The experiment set's sweep, twice in one process that starts cold.
-        # Its 10 seeds x 64 blocks x 2 stages outnumber the draw cache, so
-        # the second run finds the first run's stream front ends cached but
-        # not its draws.
-        assert 10 * 64 * 2 > DRAW_CACHE_STREAMS
-        _front_ends.clear()
-        _stream_draws.cache_clear()
-        bodies = []
+        # The second run finds the first run's stream front ends held, but
+        # not its first seed's draws: the memory holds the last seed's.
+        bodies, drawn = [], []
         for run in ("first", "second"):
             out = tmp_path / run
             assert main(["noise-sweep", *ALIGN, "--fractions", "0.01,0.1,0.2", "--seeds", "10",
                          "--out", str(out)]) == 0
             bodies.append(csv_body(out / "noise_sweep.csv"))
+            drawn.append(sum(streams.drawn.values()))
         assert bodies[0] == bodies[1]
+        assert len(streams.front_ends) == 64
+        assert drawn == [10 * 64 * 2, 2 * 10 * 64 * 2]
 
     @pytest.mark.parametrize("flags, named", [
         (["--seeds", "0"], "--seeds"),
@@ -409,6 +405,28 @@ def test_non_ascii_out_dir(tmp_path, dirname, argv, csvs, pgms):
     for name in pgms:
         assert os.fsencode(f"# arg: --out={out1}\n") in (out1 / name).read_bytes()
         np.testing.assert_array_equal(load_pgm(out1 / name), load_pgm(out2 / name))
+
+
+def test_rerun_from_header_keeps_spaces_in_values(tmp_path):
+    # A recorded value keeps its leading and trailing spaces: the re-run
+    # reads the template " t.pgm ", not the other image at " t.pgm", and
+    # writes to "res ", not to "res".
+    template, other, reference = tmp_path / " t.pgm ", tmp_path / " t.pgm", tmp_path / "r.pgm"
+    save_pgm(np.random.default_rng(1).random((48, 48)), template)
+    save_pgm(np.random.default_rng(3).random((48, 48)), other)
+    save_pgm(np.random.default_rng(2).random((48, 48)), reference)
+    out, first = tmp_path / "res ", tmp_path / "first"
+    assert main(["align", "--template", str(template), "--reference", str(reference), "--block", "16",
+                 "--crop", "0.0", "--out", str(out)]) == 0
+    out.rename(first)
+    argv = argv_from_header(first / "disparity.csv")
+    assert f"--out={out}" in argv and f"--template={template}" in argv
+    assert main(argv) == 0
+    assert out.is_dir() and not (tmp_path / "res").exists()
+    for name in ("disparity.csv", "metrics.csv"):
+        assert csv_body(first / name) == csv_body(out / name)
+    for name in ("aligned.pgm", "disparity_x.pgm", "disparity_y.pgm"):
+        np.testing.assert_array_equal(load_pgm(first / name), load_pgm(out / name))
 
 
 class TestFlagsReadOnly:
@@ -591,22 +609,36 @@ class TestStreamMemo:
                     "--search-du=-8:8", "--search-dv=-8:8"]
     FRACTIONS = ("0.01", "0.1", "0.2")
 
-    def test_fresh_process_frames_equal_in_process_frames(self, tmp_path):
-        # Each frame once in a fresh process, whose stream front-end memo is
-        # cold, then all three in this process, where frames 2 and 3 reuse
-        # the front ends of frame 1.
+    def test_fresh_process_frames_equal_in_process_frames(self, tmp_path, streams):
+        # Each frame once in a fresh process, whose stream memory is cold,
+        # then all three in this process, where frames 2 and 3 reuse the
+        # front ends and the draws of frame 1.
         for fraction in self.FRACTIONS:
             fresh_python("-m", "nccalign", *self.ALIGN_STREAM, "--noise-mult", fraction,
                          "--out", str(tmp_path / f"cold-{fraction}"))
-        _front_ends.clear()
-        _stream_draws.cache_clear()
-        memo = []
+        counts = []
         for fraction in self.FRACTIONS:
             assert main([*self.ALIGN_STREAM, "--noise-mult", fraction,
                          "--out", str(tmp_path / f"warm-{fraction}")]) == 0
-            memo.append(set(_front_ends))
-        assert memo[0] and memo[0] == memo[1] == memo[2]
+            counts.append((len(streams.front_ends), sum(streams.drawn.values())))
+        assert min(counts[0]) > 0 and counts[0] == counts[1] == counts[2]
         for fraction in self.FRACTIONS:
             for name in ("disparity.csv", "metrics.csv"):
                 assert (csv_body(tmp_path / f"cold-{fraction}" / name)
                         == csv_body(tmp_path / f"warm-{fraction}" / name)), (fraction, name)
+
+    def test_benchmark_sweep_cycle(self, tmp_path, streams):
+        # The 30 frames of one cycle of the vga-stream-sweep benchmark
+        # workload, in one process: 3 fractions for each of 10 seeds on one
+        # 512x512 pair, 64 blocks. The first frame computes the front ends
+        # and the others reuse them; each seed's first frame draws its 128
+        # streams and its other two reuse them.
+        flags = ["align", "--width", "512", "--height", "512", "--method", "stream", "--block", "64",
+                 "--crop", "0.0", "--search-du=-8:8", "--search-dv=-8:8", "--noise-int", "0.20"]
+        for seed in range(10):
+            for fraction in ("0.01", "0.1", "0.2"):
+                assert main([*flags, "--noise-mult", fraction, "--seed", str(seed),
+                             "--out", str(tmp_path)]) == 0
+        drawn = sum(streams.drawn.values())
+        assert len(streams.front_ends) == 64
+        assert (drawn, sum(streams.read.values()) - drawn) == (1280, 2560)

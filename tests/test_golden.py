@@ -25,8 +25,8 @@ import hashlib
 
 import pytest
 
+from nccalign import streaming
 from nccalign.cli import main
-from nccalign.streaming import _front_ends, _stream_draws
 
 PAIR = [
     "--width", "192", "--height", "160", "--pattern", "quadrant:3,2:-2,3:2,-3:-3,-2",
@@ -228,10 +228,9 @@ def test_align_outputs_match_golden_hashes(tmp_path, capsys, name):
 @pytest.mark.parametrize("name", sorted(name for name in GOLDEN if name.startswith("stream")))
 def test_stream_outputs_match_golden_hashes_cold_and_warm(tmp_path, capsys, name):
     # The second run reads its noise draws and its block front ends from the
-    # caches the first filled.
+    # memory the first filled.
     flags, expected = GOLDEN[name]
-    _stream_draws.cache_clear()
-    _front_ends.clear()
+    streaming._last.clear()
     for run in ("cold", "warm"):
         out = tmp_path / run
         assert main(["align", *PAIR, *ALIGN, *flags, "--out", str(out)]) == 0

@@ -19,11 +19,12 @@ from nccalign import best_shift, build_diag_tables
 from nccalign import streaming
 from nccalign.ncc import OpCounter
 from nccalign.streaming import (
+    INTEGRATOR_STAGE,
+    MULTIPLIER_STAGE,
     _add_noise,
     _clean_products,
-    _front_ends,
+    _draws,
     _moving_average_batch,
-    _stream_draws,
 )
 
 from conftest import random_image
@@ -138,10 +139,11 @@ class TestRms:
 
 
 def multiply_integrate(b_zm, t_zm, noise, stream_id=(0,)):
-    """The stream kernel's numerators: ``_clean_products``, with each row's
-    energy computed here, then ``_add_noise`` on a copy."""
+    """The stream kernel's numerators of one block: ``_clean_products``,
+    with each row's energy computed here, then ``_add_noise`` on a copy."""
     clean, rms_p = _clean_products(b_zm, t_zm, np.sum(b_zm * b_zm, axis=1))
-    return _add_noise(clean.copy(), rms_p, b_zm.shape[1], noise, stream_id)
+    (numerators,) = _add_noise([clean.copy()], [rms_p], b_zm.shape[1], noise, (stream_id,))
+    return numerators
 
 
 def per_sample_numerators(b_zm, t_zm, noise, stream_id):
@@ -370,56 +372,87 @@ class TestDeadStreams:
             np.testing.assert_array_equal(stacked.clamped[i], single.clamped)
 
 
-class TestDrawCache:
+class TestDrawMemory:
+    """Each noise stage keeps the draws of its last call, under the seed,
+    the block stream ids and the draw shapes."""
+
     NOISE = NoiseModel(0.1, 0.2, seed=17)
 
     @staticmethod
-    def stream_map(noise):
+    def stream_map(noise, block_id=2):
         ref = random_image(48, 48, 48)
         return ncc_stream(ref[10:26, 12:28].copy(), ref, (12, 10), ShiftRange.symmetric(4),
-                          build_diag_tables(ref), noise=noise, block_id=2)
+                          build_diag_tables(ref), noise=noise, block_id=block_id)
 
-    def test_cold_and_warm_maps_bit_equal(self):
-        _stream_draws.cache_clear()
+    def cold(self, *args, **kwargs):
+        streaming._last.clear()
+        return self.stream_map(*args, **kwargs)
+
+    def test_cold_and_warm_maps_bit_equal(self, streams):
         cold = self.stream_map(self.NOISE)
         warm = self.stream_map(self.NOISE)
-        info = _stream_draws.cache_info()
-        assert (info.hits, info.misses) == (2, 2)
+        assert streams.drawn == {MULTIPLIER_STAGE: 1, INTEGRATOR_STAGE: 1}
+        assert streams.read == {MULTIPLIER_STAGE: 2, INTEGRATOR_STAGE: 2}
         assert_maps_bit_equal(cold, warm)
 
-    def test_cached_draws_read_only(self):
-        for shape in ((5, 4), (5,)):
-            draws = _stream_draws(3, 0, (1,), shape)
+    def test_held_draws_read_only(self):
+        for stage, shape in ((MULTIPLIER_STAGE, (5, 4)), (INTEGRATOR_STAGE, (5, 1))):
+            (draws,) = _draws(NoiseModel(seed=3), stage, ((1,),), (shape,))
             assert draws.shape == (5,)
             assert not draws.flags.writeable
             with pytest.raises(ValueError):
                 draws[0] = 0.0
 
-    def test_fractions_of_one_seed_share_draws(self):
-        _stream_draws.cache_clear()
+    def test_fractions_of_one_seed_share_draws(self, streams):
         self.stream_map(NoiseModel(0.01, 0.2, seed=17))
         self.stream_map(NoiseModel(0.2, 0.2, seed=17))
-        info = _stream_draws.cache_info()
-        assert (info.hits, info.misses) == (2, 2)
+        assert streams.drawn == {MULTIPLIER_STAGE: 1, INTEGRATOR_STAGE: 1}
         self.stream_map(NoiseModel(0.2, 0.2, seed=18))
-        assert _stream_draws.cache_info().misses == 4
+        assert streams.drawn == {MULTIPLIER_STAGE: 2, INTEGRATOR_STAGE: 2}
 
-    def test_diag_fast_frame_leaves_caches_untouched(self, tmp_path):
+    @pytest.mark.parametrize("other", [{"noise": NoiseModel(0.1, 0.2, seed=18)}, {"block_id": 3}],
+                             ids=["seed", "block_id"])
+    def test_new_seed_or_block_id_redraws(self, streams, other):
+        self.stream_map(self.NOISE)
+        warm = self.stream_map(**{"noise": self.NOISE, **other})
+        assert streams.drawn == {MULTIPLIER_STAGE: 2, INTEGRATOR_STAGE: 2}
+        assert_maps_bit_equal(warm, self.cold(**{"noise": self.NOISE, **other}))
+
+    @pytest.mark.parametrize("stage", [MULTIPLIER_STAGE, INTEGRATOR_STAGE],
+                             ids=["multiplier", "integrator"])
+    def test_zero_fraction_draws_nothing(self, streams, stage):
+        fractions = [0.1, 0.2]
+        fractions[stage] = 0.0
+        other = INTEGRATOR_STAGE + MULTIPLIER_STAGE - stage
+        self.stream_map(NoiseModel(*fractions, seed=17))
+        assert streams.drawn == {other: 1} and streams.read == {other: 1}
+        # A stage left out also keeps what it holds: between two seed-17
+        # calls, a seed-18 call without it makes only the other stage redraw.
+        streaming._last.clear()
+        streams.drawn.clear()
+        self.stream_map(self.NOISE)
+        self.stream_map(NoiseModel(*fractions, seed=18))
+        self.stream_map(self.NOISE)
+        assert streams.drawn == {stage: 1, other: 3}
+
+    def test_diag_fast_frame_leaves_memory_untouched(self, tmp_path, streams):
         from nccalign.cli import main
         self.stream_map(self.NOISE)
-        before = _stream_draws.cache_info()
-        front_ends = list(_front_ends.items())
-        assert before.currsize > 0 and front_ends
+        held = dict(streaming._last)
+        assert held
         assert main(["align", "--width", "96", "--height", "96", "--block", "16", "--crop", "0.0",
                      "--method", "diag-fast", "--out", str(tmp_path)]) == 0
-        assert _stream_draws.cache_info() == before
-        assert list(_front_ends.keys()) == [key for key, _ in front_ends]
-        assert all(_front_ends[key] is entry for key, entry in front_ends)
+        assert streaming._last.keys() == held.keys()
+        assert all(streaming._last[slot] is entry for slot, entry in held.items())
+        self.stream_map(self.NOISE)
+        assert len(streams.front_ends) == 1
+        assert streams.drawn == {MULTIPLIER_STAGE: 1, INTEGRATOR_STAGE: 1}
 
 
 class TestFrontEndMemo:
     """The noiseless front ends of the last ``ncc_stream`` call, kept under
-    one digest of what the call reads."""
+    its key and read-only copies of the diagonals and the reference box it
+    reads."""
 
     NOISE = NoiseModel(0.1, 0.2, seed=21)
     ORIGIN, SHIFTS = (12, 10), ShiftRange.symmetric(4)
@@ -438,59 +471,44 @@ class TestFrontEndMemo:
 
     @staticmethod
     def held():
-        """The memo's one entry: a list of per-block front ends."""
-        (entry,) = _front_ends.values()
-        return entry
+        """The memo's (key, arrays, front ends), the front ends one per
+        opened block."""
+        return streaming._last["front ends"]
 
     def cold(self, *args, **kwargs):
-        _front_ends.clear()
+        streaming._last.clear()
         return self.stream_map(*args, **kwargs)
-
-    @pytest.fixture
-    def computed(self, monkeypatch):
-        """A list that gains one item per front end computed: a miss computes
-        one per opened block, a hit none."""
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return front_end(*args)
-
-        front_end = streaming._front_end
-        monkeypatch.setattr(streaming, "_front_end", counted)
-        return calls
 
     @pytest.mark.parametrize("ma_config, orientation", [
         (None, "main"),
         (MovingAverageConfig.parse("pole:0.5"), "main"),
         (None, "anti"),
     ], ids=["boxcar", "pole", "anti"])
-    def test_cold_and_warm_maps_bit_equal(self, computed, ma_config, orientation):
+    def test_cold_and_warm_maps_bit_equal(self, streams, ma_config, orientation):
         ref = self.reference()
         cold = self.cold(ref, orientation=orientation, ma_config=ma_config)
-        entry = self.held()
-        # A different noise setting reads the same front ends: the entry's
-        # arrays, with none computed again.
+        # A different noise setting reads the same front ends, with none
+        # computed again.
         self.stream_map(ref, noise=NoiseModel(0.01, 0.0, seed=5), orientation=orientation,
                         ma_config=ma_config)
         warm = self.stream_map(ref, orientation=orientation, ma_config=ma_config)
-        assert len(computed) == 1 and self.held() is entry
+        assert len(streams.front_ends) == 1
         assert_maps_bit_equal(cold, warm)
 
-    def assert_misses(self, ref, block, pixel=None, **settings):
+    def assert_misses(self, streams, ref, block, pixel=None, **settings):
         """A call after setting ``pixel``, (array, index, value), or with other
         ``settings`` misses and gives the bits of a cold call."""
         self.cold(ref, block)
-        entry = self.held()
+        computed = len(streams.front_ends)
         if pixel is not None:
             array, index, value = pixel
             array[index] = value
         warm = self.stream_map(ref, block, **settings)
-        assert self.held() is not entry
+        assert len(streams.front_ends) == computed + 1
         assert_maps_bit_equal(warm, self.cold(ref, block, **settings))
 
     @pytest.mark.parametrize("change", ["region_ulp", "diagonal_ulp", "negative_zero"])
-    def test_changed_pixel_misses(self, change):
+    def test_changed_pixel_misses(self, streams, change):
         ref = self.reference()
         x0, y0 = self.ORIGIN
         block = ref[y0:y0 + 16, x0:x0 + 16].copy()
@@ -498,49 +516,71 @@ class TestFrontEndMemo:
         pixel = {"region_ulp": (ref, (y0 + 3, x0 + 5), np.nextafter(ref[y0 + 3, x0 + 5], 1.0)),
                  "diagonal_ulp": (block, (7, 7), np.nextafter(block[7, 7], 1.0)),
                  "negative_zero": (ref, (y0 + 18, x0 - 3), -0.0)}[change]
-        self.assert_misses(ref, block, pixel)
+        self.assert_misses(streams, ref, block, pixel)
 
     @pytest.mark.parametrize("settings", [
         {"ma_config": MovingAverageConfig.boxcar(8)},
         {"ma_config": MovingAverageConfig.single_pole(0.5)},
         {"orientation": "anti"},
     ], ids=["boxcar", "pole", "anti"])
-    def test_other_filter_or_orientation_misses(self, settings):
+    def test_other_filter_or_orientation_misses(self, streams, settings):
         ref = self.reference()
         x0, y0 = self.ORIGIN
         block = ref[y0:y0 + 16, x0:x0 + 16].copy()
         k = np.arange(16)
         block[15 - k, k] = block[k, k]  # both orientations read the same template diagonal
-        self.assert_misses(ref, block, **settings)
+        self.assert_misses(streams, ref, block, **settings)
 
-    def test_moved_blocks_miss(self):
+    def test_moved_blocks_miss(self, streams):
         # One block at two origins, then at the same two swapped: the same
         # diagonals and reference box, read at other places.
         ref = self.reference()
         block = ref[10:26, 12:28].copy()
         for origins in ([(12, 10), (20, 18)], [(20, 18), (12, 10)]):
+            computed = len(streams.front_ends)
             warm = self.stream_map(ref, [block, block], origin=origins)
+            assert len(streams.front_ends) == computed + 2
             assert_maps_bit_equal(warm, self.cold(ref, [block, block], origin=origins))
 
-    def test_other_shift_range_misses(self):
+    def test_other_shift_range_misses(self, streams):
         # Corner blocks read the whole reference at +-4 and at +-8.
         ref = self.reference()
         origins = [(0, 0), (32, 0), (0, 32), (32, 32)]
         blocks = [ref[y:y + 16, x:x + 16] for x, y in origins]
         for shifts in (ShiftRange.symmetric(4), ShiftRange.symmetric(8)):
+            computed = len(streams.front_ends)
             warm = self.stream_map(ref, blocks, origin=origins, shifts=shifts)
+            assert len(streams.front_ends) == computed + 4
             assert_maps_bit_equal(warm, self.cold(ref, blocks, origin=origins, shifts=shifts))
 
-    def test_other_reference_shape_misses(self):
+    def test_other_reference_shape_misses(self, streams):
         # A 16 x 24 reference and the same bytes as 24 x 16: at du, dv in
         # [0, 8] one block reads all of either, along one axis each.
         wide = random_image(50, 16, 24)
         block, at = wide[:, :16].copy(), {"origin": (0, 0), "shifts": ShiftRange(0, 8, 0, 8)}
         for ref in (wide, wide.reshape(24, 16)):
+            computed = len(streams.front_ends)
             warm = self.stream_map(ref, block, **at)
+            assert len(streams.front_ends) == computed + 1
             assert_maps_bit_equal(warm, self.cold(ref, block, **at))
 
-    def test_holds_the_last_call_only(self, computed):
+    def test_other_reference_shape_same_box_misses(self, streams):
+        # Blocks A (top right), C (bottom left) and B between them, at +-2:
+        # an 18 x 24 reference opens A and B, a 24 x 18 one C and B. Both
+        # boxes are 18 x 18 and given the same bits, and one block gives the
+        # same diagonals, but the opened regions sit in them in swapped order.
+        block = random_image(51, 8, 8)
+        origins, at = [(14, 2), (2, 14), (8, 8)], {"shifts": ShiftRange.symmetric(2)}
+        short = random_image(52, 18, 24)
+        tall = np.zeros((24, 18))
+        tall[6:, :] = short[:, 6:]
+        for ref in (short, tall):
+            computed = len(streams.front_ends)
+            warm = self.stream_map(ref, [block] * 3, origin=origins, **at)
+            assert len(streams.front_ends) == computed + 2
+            assert_maps_bit_equal(warm, self.cold(ref, [block] * 3, origin=origins, **at))
+
+    def test_holds_the_last_call_only(self, streams):
         # A per-block call between two equal stacked calls replaces their
         # entry, so the second stacked call misses.
         ref = self.reference()
@@ -548,19 +588,18 @@ class TestFrontEndMemo:
         blocks = [ref[y:y + 16, x:x + 16] for x, y in origins]
         stacked = self.cold(ref, blocks, origin=origins)
         self.stream_map(ref)
-        assert len(computed) == 4 and len(self.held()) == 1
+        assert len(streams.front_ends) == 4 and len(self.held()[2]) == 1
         assert_maps_bit_equal(stacked, self.stream_map(ref, blocks, origin=origins))
-        assert len(computed) == 7 and len(_front_ends) == 1
+        assert len(streams.front_ends) == 7 and len(self.held()[2]) == 3
 
-    def test_off_diagonal_template_pixel_gives_cold_result(self):
+    def test_off_diagonal_template_pixel_gives_cold_result(self, streams):
         ref = self.reference()
         x0, y0 = self.ORIGIN
         block = ref[y0:y0 + 16, x0:x0 + 16].copy()
         self.cold(ref, block)
-        entry = self.held()
         block[2, 9] += 0.25
         warm = self.stream_map(ref, block)
-        assert self.held() is entry
+        assert len(streams.front_ends) == 1
         assert_maps_bit_equal(warm, self.cold(ref, block))
 
     def test_counter_tallies_on_hit_and_miss(self):
@@ -570,13 +609,27 @@ class TestFrontEndMemo:
         self.stream_map(ref, counter=hit)
         assert hit == miss and miss.shifts > 0
 
-    def test_cached_arrays_read_only(self):
-        self.cold(self.reference())
-        (front_end,) = self.held()
-        for array in front_end:
+    def test_held_arrays_read_only_copies(self):
+        ref = self.reference()
+        x0, y0 = self.ORIGIN
+        block = ref[y0:y0 + 16, x0:x0 + 16]
+        self.cold(ref, block)
+        _, arrays, (front_end,) = self.held()
+        for array in (*arrays, *front_end):
             assert not array.flags.writeable
+            assert not np.shares_memory(array, ref)
             with pytest.raises(ValueError):
                 array[0] = 0
+
+    def test_caller_edit_after_call_misses(self, streams):
+        # The memo compares the next call with its own copies, so a pixel
+        # the caller changes in place after a call is seen.
+        ref = self.reference()
+        self.cold(ref)
+        ref[self.ORIGIN[1] + 3, self.ORIGIN[0] + 5] += 0.25
+        warm = self.stream_map(ref)
+        assert len(streams.front_ends) == 2
+        assert_maps_bit_equal(warm, self.cold(ref))
 
 
 class TestDynamicRange:
