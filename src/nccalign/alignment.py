@@ -6,13 +6,15 @@ perturbations used for robustness runs.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagonal import build_diag_tables, ncc_diag, ncc_diag_fast
 from .errors import UnalignableError, UndefinedMetricError
-from .images import GrayImage, chunk_rows, distinct_row_runs, image_array, row_chunks, validate_image
+from .images import (GrayImage, DistinctRows, chunk_rows, distinct_row_runs, image_array, row_chunks,
+                     validate_image)
 from .ncc import (
     OpCounter,
     ShiftRange,
@@ -218,12 +220,52 @@ def fill_invalid(field: DisparityField) -> DisparityField:
     return out
 
 
-@dataclass(frozen=True)
 class DenseDisparity:
-    """Per-pixel real (du, dv) field."""
+    """Per-pixel real (du, dv) field, two (h, w) maps.
 
-    du: np.ndarray
-    dv: np.ndarray
+    :func:`interpolate_disparity` makes it from two
+    :class:`images.DistinctRows` that share one run list, and it is kept as
+    those rows: ``du`` and ``dv`` are built from them on first read, as
+    read-only float64 arrays, so nothing can edit them out of step with the
+    rows. Made from caller arrays, ``DenseDisparity(du=..., dv=...)``, it
+    keeps the arrays themselves, and :meth:`maps` searches them on every
+    call, so an edit made between two reads is never missed. du and dv must
+    have one shape; a ValueError names both otherwise.
+    """
+
+    def __init__(self, du, dv):
+        rows = isinstance(du, DistinctRows) and isinstance(dv, DistinctRows)
+        shapes = (du.shape, dv.shape) if rows else (np.shape(du), np.shape(dv))
+        if shapes[0] != shapes[1]:
+            raise ValueError(f"dense field dv {shapes[1]} does not match du {shapes[0]}")
+        self.shape = shapes[0]
+        self._maps = (du, dv) if rows else None
+        self._arrays = [None, None] if rows else [du, dv]
+
+    @property
+    def du(self) -> np.ndarray:
+        return self._array(0)
+
+    @property
+    def dv(self) -> np.ndarray:
+        return self._array(1)
+
+    def _array(self, i: int) -> np.ndarray:
+        if self._arrays[i] is None:
+            built = self._maps[i].expand()
+            built.flags.writeable = False
+            self._arrays[i] = built
+        return self._arrays[i]
+
+    def maps(self) -> tuple[DistinctRows, DistinctRows]:
+        """du and dv as :class:`images.DistinctRows` with the one run list
+        they share: the rows kept, or the caller's arrays, read as float64,
+        in place with the runs :func:`images.distinct_row_runs` finds now."""
+        if self._maps is not None:
+            return self._maps
+        du, dv = (np.asarray(part, dtype=np.float64) for part in self._arrays)
+        runs = distinct_row_runs(du, dv)
+        return DistinctRows(du, runs), DistinctRows(dv, runs)
 
 
 def _axis_weights(centers: np.ndarray, queries: np.ndarray):
@@ -245,46 +287,50 @@ def _axis_weights(centers: np.ndarray, queries: np.ndarray):
 def bilinear_grid_sample(
     centers_x: np.ndarray,
     centers_y: np.ndarray,
-    values: np.ndarray,
+    values: Sequence[np.ndarray],
     query_x: np.ndarray,
     query_y: np.ndarray,
-) -> np.ndarray:
-    """Evaluate bilinear interpolation of ``values`` (len(cy) x len(cx) samples)
-    at the outer product of query coordinates; constant beyond the hull.
+) -> list[DistinctRows]:
+    """Evaluate bilinear interpolation of each grid of ``values`` (a
+    sequence of len(cy) x len(cx) samples) at the outer product of query
+    coordinates; constant beyond the hull.
 
-    Separable: values are first interpolated along y at every query row
-    (a len(qy) x len(cx) grid), then along x, a chunk of rows at a time
-    through one chunk of scratch. Equal to the four-corner blend up to
-    rounding, and exactly so when the products are exact.
-
-    An output row depends only on its row of the grid, so a row whose grid
-    row has the bits of the one before it (+0.0 and -0.0 differ; found by
-    :func:`images.distinct_row_runs`) is a copy of that row's output and is
-    not blended again. Where the blocks around a band of rows agree, as
-    above and below the outermost centres or between two rows of equal
-    integral shifts, the band is one x-blend and copies. Those output rows
-    repeat bit for bit, so ``save_pgm`` quantizes each band's map once.
+    Separable: each grid is first interpolated along y at every query row
+    (a len(qy) x len(cx) grid), then along x. An output row depends only on
+    its row of the y-blended grid, so only the rows whose grid row differs
+    in its bits from the one before in some grid (+0.0 and -0.0 differ;
+    found by :func:`images.distinct_row_runs` of the y-blended grids) are
+    blended along x, a chunk of rows at a time through one chunk of
+    scratch. Each grid's result is a :class:`images.DistinctRows` of those
+    rows, packed, and all of them share one run list. Where the blocks
+    around a band of rows agree, as above and below the outermost centres
+    or between two rows of equal integral shifts, the band is one row.
+    Equal to the four-corner blend up to rounding, and exactly so when the
+    products are exact.
     """
     j0, j1, wx = _axis_weights(np.asarray(centers_x, dtype=np.float64), np.asarray(query_x, dtype=np.float64))
     i0, i1, wy = _axis_weights(np.asarray(centers_y, dtype=np.float64), np.asarray(query_y, dtype=np.float64))
     ux = 1.0 - wx
-    # The y-blend is small (len(qy) x len(cx)); the x-blend is the full-size pass.
-    grid = values[i0] * (1.0 - wy)[:, None] + values[i1] * wy[:, None]
-    height, width = len(i0), len(j0)
-    out = np.empty((height, width))
+    # The y-blends are small (len(qy) x len(cx)); the x-blend is the wide pass.
+    grids = [grid[i0] * (1.0 - wy)[:, None] + grid[i1] * wy[:, None] for grid in values]
+    runs = distinct_row_runs(*grids)
+    distinct = np.concatenate([np.arange(a, b) for a, b, _ in runs])
+    height, width = len(distinct), len(j0)
     rows = chunk_rows(height, width)
     upper = np.empty((rows, width))
-    for a, b, stop in distinct_row_runs(grid):
-        for c in range(a, b, rows):
-            d = min(c + rows, b)
+    maps = []
+    for grid in grids:
+        grid = grid[distinct]
+        out = np.empty((height, width))
+        for c, d in row_chunks(height, rows):
             lower, up = out[c:d], upper[:d - c]
             np.take(grid[c:d], j0, axis=1, out=lower, mode="clip")
             lower *= ux
             np.take(grid[c:d], j1, axis=1, out=up, mode="clip")
             up *= wx
             lower += up
-        out[b:stop] = out[b - 1]
-    return out
+        maps.append(DistinctRows(out, runs))
+    return maps
 
 
 def interpolate_disparity(
@@ -298,8 +344,10 @@ def interpolate_disparity(
     beyond the outermost centers take the nearest-center value. The field
     must have the grid's rows x cols shape and be complete (no invalid
     blocks; run fill_invalid first); a ValueError names the shape or extent
-    that is not. Each component is one :func:`bilinear_grid_sample`, which
-    blends only the rows whose y-blend differs from the row before.
+    that is not. Both components are one :func:`bilinear_grid_sample` call,
+    which takes the runs of rows they share from the two y-blended grids
+    and blends only the rows that differ from the row before; the field is
+    kept as those rows (see :class:`DenseDisparity`).
     """
     shape = (grid.rows, grid.cols)
     for part in (field.du, field.dv, field.status):
@@ -313,10 +361,8 @@ def interpolate_disparity(
     cx, cy = grid.center_coords()
     qx = np.arange(width, dtype=np.float64)
     qy = np.arange(height, dtype=np.float64)
-    return DenseDisparity(
-        du=bilinear_grid_sample(cx, cy, field.du, qx, qy),
-        dv=bilinear_grid_sample(cx, cy, field.dv, qx, qy),
-    )
+    du, dv = bilinear_grid_sample(cx, cy, (field.du, field.dv), qx, qy)
+    return DenseDisparity(du=du, dv=dv)
 
 
 def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndarray]:
@@ -327,23 +373,27 @@ def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndar
     template, or at a non-finite shift, are masked out (and set to 0).
     Validates the whole template.
 
-    The field is read through :func:`images.distinct_row_runs` of ``du``
-    and ``dv`` (read as float64): in each run (a, b, stop), rows b - 1 to
-    stop - 1 share one field row, which :func:`_column_runs` splits into
-    runs of columns. A run of one integral (du, dv) is a shifted copy of
-    the template (see :func:`_copy_shifted`), bit for bit what the blend
-    gives; every other pixel goes through :func:`_warp_rows`. Rows a to
-    b - 2, and the runs with nothing to copy, are blended whole together
-    with the rows next to them, so a field with nothing to copy is blended
-    in the chunks of :func:`images.row_chunks`. Copies and blends share one
-    loop over chunks of rows, each chunk as tall as lets its blended pixels
-    fill one set of scratch buffers, so a copy is made a chunk at a time.
+    The field is read as its distinct rows (:meth:`DenseDisparity.maps`):
+    in each run (a, b, stop), rows b - 1 to stop - 1 share one field row,
+    which :func:`_column_runs` splits into runs of columns. A run of one
+    integral (du, dv) is a shifted copy of the template (see
+    :func:`_copy_shifted`), bit for bit what the blend gives; every other
+    pixel goes through :func:`_warp_rows`, which reads that one row
+    broadcast down the band. Rows a to b - 2, and the runs with nothing to
+    copy, are blended whole together with the rows next to them, each chunk
+    reading its field rows through one chunk-sized gather, so a field with
+    nothing to copy is blended in the chunks of :func:`images.row_chunks`.
+    Copies and blends share one loop over chunks of rows, each chunk as
+    tall as lets its blended pixels fill one set of scratch buffers, so a
+    copy is made a chunk at a time.
     """
     t = validate_image(template)
     h, w = t.shape
-    du, dv = np.asarray(dense.du, dtype=np.float64), np.asarray(dense.dv, dtype=np.float64)
-    if du.shape != t.shape or dv.shape != t.shape:
-        raise ValueError(f"dense field {du.shape} does not match template {t.shape}")
+    if dense.shape != t.shape:
+        raise ValueError(f"dense field {dense.shape} does not match template {t.shape}")
+    du_map, dv_map = dense.maps()
+    # Both maps share their runs, so one index gives the row of each.
+    du_rows, dv_rows, index = du_map.rows, dv_map.rows, du_map.index()
     flat = t.ravel()
     xs = np.arange(w, dtype=np.float64)
     ys = np.arange(h, dtype=np.float64)[:, None]
@@ -355,24 +405,32 @@ def warp(template: GrayImage, dense: DenseDisparity) -> tuple[GrayImage, np.ndar
         np.empty((3, rows * w), dtype=np.int64),
         np.empty((2, rows * w), dtype=bool),
     )
-    # (first row, stop row, column runs); a band blended whole grows over the next.
+    fields = np.empty((2, rows, w))
+    # (first row, stop row, column runs, the one field row or None for a
+    # band blended whole, which grows over the next).
     whole, bands = [(0, w, None)], []
-    for a, b, stop in distinct_row_runs(du, dv):
-        runs = _column_runs(du[b - 1], dv[b - 1], stop - b + 1, h)
+    for a, b, stop in du_map.runs:
+        k = index[b - 1]
+        runs = _column_runs(du_rows[k], dv_rows[k], stop - b + 1, h)
         if bands and bands[-1][2] is whole:
             a = bands.pop()[0]
         top = b - 1 if runs else stop
         if top > a:
-            bands.append((a, top, whole))
+            bands.append((a, top, whole, None))
         if runs:
-            bands.append((b - 1, stop, runs))
-    for a, b, runs in bands:
+            bands.append((b - 1, stop, runs, k))
+    for a, b, runs, k in bands:
         step = rows * w // (sum(d - c for c, d, shift in runs if shift is None) or w)
         for r0 in range(a, b, step):
             r1 = min(r0 + step, b)
+            if k is None:
+                du, dv = (part.take(index[r0:r1], axis=0, out=field[:r1 - r0])
+                          for part, field in zip((du_rows, dv_rows), fields))
+            else:
+                du, dv = du_rows[k:k + 1], dv_rows[k:k + 1]
             for c, d, shift in runs:
                 if shift is None:
-                    _warp_rows(flat, h, w, xs[c:d], ys[r0:r1], du[r0:r1, c:d], dv[r0:r1, c:d],
+                    _warp_rows(flat, h, w, xs[c:d], ys[r0:r1], du[:, c:d], dv[:, c:d],
                                out[r0:r1, c:d], mask[r0:r1, c:d], buffers)
                 else:
                     _copy_shifted(t, out, mask, (r0, r1, c, d), shift)
@@ -445,7 +503,8 @@ def _copy_shifted(t, out, mask, region, shift) -> None:
 
 def _warp_rows(flat, h, w, xs, ys, du, dv, out, mask, buffers) -> None:
     """Warp one chunk, some rows of a run of columns, into ``out``/``mask``
-    through ``buffers``, which hold at least as many pixels.
+    through ``buffers``, which hold at least as many pixels. ``du`` and
+    ``dv`` are the chunk's field, or the one field row all its rows share.
 
     The sample coordinates are clamped to the template (``fmax``/``fmin``,
     which also send NaN to 0 and +-inf to an edge), and a pixel is in the

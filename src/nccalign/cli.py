@@ -316,9 +316,11 @@ def cmd_align(args) -> int:
                ("block_row", "block_col", "du", "dv", "coeff", "status"), rows)
 
     comments = config.comment_lines("image")
-    # Each dense map is scaled onto [0, 1] chunk by chunk as it is quantised.
-    save_pgm(result.dense.du, out / "disparity_x.pgm", comments=comments, _normalize=True)
-    save_pgm(result.dense.dv, out / "disparity_y.pgm", comments=comments, _normalize=True)
+    # Each dense map is written from its distinct rows, scaled onto [0, 1]
+    # chunk by chunk as it is quantised.
+    du_map, dv_map = result.dense.maps()
+    save_pgm(du_map, out / "disparity_x.pgm", comments=comments, _normalize=True)
+    save_pgm(dv_map, out / "disparity_y.pgm", comments=comments, _normalize=True)
     save_pgm(result.warped, out / "aligned.pgm", comments=comments)
 
     _write_csv(out / "metrics.csv", config, "metrics",

@@ -58,6 +58,11 @@ def distinct_row_runs(*arrays: np.ndarray) -> list[tuple[int, int, int]]:
     differ; a NaN repeats only its own bits). Each stop is the next run's
     start, the last one the height.
 
+    Only arrays a caller hands in are searched here: :func:`save_pgm`'s
+    image, and the dense fields of :class:`alignment.DenseDisparity` given
+    as arrays. Interpolation searches its small y-blended grids and keeps
+    the field as :class:`DistinctRows`, which nothing searches again.
+
     Candidates are the rows that repeat the row above in three sampled
     columns of each array; each run of them is then compared whole with the
     rows above it, a chunk of rows at a time. So arrays with no repeated row
@@ -85,6 +90,39 @@ def distinct_row_runs(*arrays: np.ndarray) -> list[tuple[int, int, int]]:
                 repeat[c:d] &= np.logical_and.reduce(more[c:d] == more[c - 1:d - 1], axis=1)
     runs = _runs(repeat, False)
     return [(a, b, stop) for (a, b), (stop, _) in zip(runs, runs[1:] + [[height, 0]])]
+
+
+@dataclass(frozen=True)
+class DistinctRows:
+    """A (height, width) float64 map kept as the rows that differ from the
+    row above: ``runs`` are (a, b, stop) runs as :func:`distinct_row_runs`
+    gives them, and ``rows`` holds rows a to b - 1 of each run, either in
+    place (a map as its own rows, ``height`` of them) or packed, one run's
+    after the other's. Rows b to stop - 1 repeat row b - 1.
+    """
+
+    rows: np.ndarray
+    runs: list[tuple[int, int, int]]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.runs[-1][2], self.rows.shape[1]
+
+    def index(self) -> np.ndarray:
+        """The row of ``rows`` that holds each row of the map."""
+        index = np.empty(self.runs[-1][2], dtype=np.intp)
+        in_place, start = len(self.rows) == len(index), 0
+        for a, b, stop in self.runs:
+            if in_place:
+                start = a
+            index[a:b] = np.arange(start, start + b - a)
+            index[b:stop] = start + b - a - 1
+            start += b - a
+        return index
+
+    def expand(self) -> np.ndarray:
+        """The map itself, a new (height, width) array."""
+        return self.rows.take(self.index(), axis=0)
 
 
 def image_array(image: GrayImage, name: str = "image") -> np.ndarray:
@@ -173,7 +211,7 @@ def load_pgm(path) -> GrayImage:
     return np.true_divide(raw, maxval, dtype=np.float64)
 
 
-def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | None = None,
+def save_pgm(image: GrayImage | DistinctRows, path, maxval: int = 255, comments: list[str] | None = None,
              *, _normalize: bool = False) -> None:
     """Write a binary (P5) PGM file.
 
@@ -183,12 +221,14 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
     escapes so a path keeps its bytes. A non-finite pixel or an unencodable
     comment raises ``ValueError`` before the file is opened.
 
-    Only the rows whose bits differ from the row above are read past
-    :func:`distinct_row_runs`: they are checked and quantized a chunk at a
-    time through one chunk-sized buffer, straight into the output array,
-    and the bytes of each such run's last row are copied down the rows that
-    repeat it. A repeated row holds no value that its checked original does
-    not, so the bytes and the errors are those of quantizing every row.
+    ``image`` is an array, whose rows that differ from the row above are
+    found by :func:`distinct_row_runs`, or a map already kept as
+    :class:`DistinctRows`, which is not searched again. Only those rows are
+    read: they are checked and quantized a chunk at a time through one
+    chunk-sized buffer, straight into the output array, and the bytes of
+    each run's last row are copied down the rows that repeat it. A repeated
+    row holds no value that its checked original does not, so the bytes and
+    the errors are those of quantizing every row.
 
     A chunk is checked as :func:`validate_image` checks an image. With the
     private ``_normalize`` (the CLI's disparity maps), it is instead scaled
@@ -201,13 +241,16 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
     """
     if maxval not in SUPPORTED_MAXVALS:
         raise PgmError(f"unsupported maxval {maxval}, expected 255 or 65535")
-    arr = image_array(image)
-    height, width = arr.shape
-    runs = distinct_row_runs(arr)
+    if not isinstance(image, DistinctRows):
+        arr = image_array(image)
+        image = DistinctRows(arr, distinct_row_runs(arr))
+    height, width = image.shape
+    index = image.index()
+    distinct = [image.rows[index[a]:index[a] + b - a] for a, b, _ in image.runs]
     scale = None
     if _normalize:
-        lo = float(np.min([arr[a:b].min() for a, b, _ in runs]))
-        hi = float(np.max([arr[a:b].max() for a, b, _ in runs]))
+        lo = float(np.min([part.min() for part in distinct]))
+        hi = float(np.max([part.max() for part in distinct]))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("image contains non-finite intensities")
         scale = (lo, hi)
@@ -215,10 +258,10 @@ def save_pgm(image: GrayImage, path, maxval: int = 255, comments: list[str] | No
     quantized = np.empty((height, width), dtype=dtype)
     rows = chunk_rows(height, width)
     scaled = np.empty((rows, width))
-    for a, b, stop in runs:
-        for c in range(a, b, rows):
-            d = min(c + rows, b)
-            _quantize_rows(arr[c:d], quantized[c:d], scaled[:d - c], maxval, scale)
+    for (a, b, stop), part in zip(image.runs, distinct):
+        for c in range(0, b - a, rows):
+            d = min(c + rows, b - a)
+            _quantize_rows(part[c:d], quantized[a + c:a + d], scaled[:d - c], maxval, scale)
         quantized[b:stop] = quantized[b - 1]
     header = "P5\n"
     for comment in comments or ():

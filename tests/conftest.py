@@ -11,6 +11,7 @@ from nccalign import (
     SyntheticSpec,
     make_synthetic_stereo,
     partition_template,
+    images,
     quadrant_pattern,
     streaming,
 )
@@ -114,6 +115,22 @@ def record_quantized_chunks(monkeypatch, images) -> list:
 
     monkeypatch.setattr(images, "_quantize_rows", recorded)
     return chunks
+
+
+def record_searched_shapes(monkeypatch) -> list:
+    """Rebind ``distinct_row_runs`` in each ``nccalign`` module that binds
+    it with a wrapper that records, per call, the shapes of the arrays it
+    is given (a tuple of shapes)."""
+    original, calls = images.distinct_row_runs, []
+
+    def recorded(*arrays):
+        calls.append(tuple(np.shape(array) for array in arrays))
+        return original(*arrays)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nccalign") and getattr(module, "distinct_row_runs", None) is original:
+            monkeypatch.setattr(module, "distinct_row_runs", recorded)
+    return calls
 
 
 @pytest.fixture

@@ -176,7 +176,7 @@ class TestInterpolateDisparity:
         centers_x = np.array([7.5, 23.5])
         centers_y = np.array([7.5])
         values = np.array([[18.0, 33.0]])
-        mid = bilinear_grid_sample(centers_x, centers_y, values, np.array([15.5]), np.array([7.5]))
+        mid = bilinear_grid_sample(centers_x, centers_y, [values], np.array([15.5]), np.array([7.5]))[0].expand()
         assert mid[0, 0] == pytest.approx(25.5)
 
     def test_dense_field_matches_blocks_at_centers(self):
@@ -247,6 +247,14 @@ class TestWarp:
     def test_extent_mismatch_rejected(self):
         with pytest.raises(ValueError, match="extent|match"):
             warp(np.zeros((8, 8)), DenseDisparity(du=np.zeros((4, 4)), dv=np.zeros((4, 4))))
+
+    @pytest.mark.parametrize("du_shape, dv_shape", (((4, 4), (4, 5)), ((3, 4), (4, 4)), ((4, 4), (4,))))
+    def test_component_shapes_that_differ_are_named(self, du_shape, dv_shape):
+        # The error names dv against du, with both shapes, whichever of
+        # them the template's shape matches.
+        with pytest.raises(ValueError) as info:
+            warp(np.zeros((4, 4)), DenseDisparity(du=np.zeros(du_shape), dv=np.zeros(dv_shape)))
+        assert str(info.value) == f"dense field dv {dv_shape} does not match du {du_shape}"
 
 
 class TestGlobalCorrelation:

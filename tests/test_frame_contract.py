@@ -25,7 +25,7 @@ from nccalign.alignment import (BLOCK_INVALID, METHODS, DenseDisparity, Disparit
 from nccalign.cli import main
 from nccalign.ncc import OpCounter, ShiftRange
 
-from conftest import csv_body, csv_rows, random_image, record_quantized_chunks
+from conftest import csv_body, csv_rows, random_image, record_quantized_chunks, record_searched_shapes
 
 SMALL = ["--width", "256", "--height", "256", "--crop", "0"]
 
@@ -268,3 +268,19 @@ def test_random_field_quantises_in_full_row_chunks(monkeypatch, tmp_path, normal
     starts = [(chunk.ctypes.data - field.ctypes.data) // field.strides[0] for chunk in chunks]
     rows = images.chunk_rows(1080, 1920)
     assert [(a, a + len(chunk)) for a, chunk in zip(starts, chunks)] == list(images.row_chunks(1080, rows))
+
+
+def test_paper_frame_searches_no_dense_component(monkeypatch, tmp_path):
+    """Interpolation finds the repeated rows of the dense field on the two
+    y-blended grids (1080 x 13 at the paper frame) and keeps the field as
+    its distinct rows, which the warp and the two maps read: the frame's
+    only other search is the one for ``aligned.pgm``, and ``cmd_align``
+    never builds ``dense.du`` or ``dense.dv``."""
+    searched, built = record_searched_shapes(monkeypatch), []
+    for name in ("du", "dv"):
+        component = getattr(DenseDisparity, name)
+        monkeypatch.setattr(DenseDisparity, name, property(
+            lambda dense, name=name, read=component.fget: built.append(name) or read(dense)))
+    align(tmp_path, "paper", *BLENDED["paper"][0])
+    assert searched == [((1080, 13), (1080, 13)), ((1080, 1920),)]
+    assert built == []

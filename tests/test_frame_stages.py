@@ -25,11 +25,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nccalign import (
+    NoiseModel,
+    ShiftRange,
+    SyntheticSpec,
     UndefinedMetricError,
     build_diag_tables,
     global_correlation,
     load_pgm,
+    make_synthetic_stereo,
+    quadrant_pattern,
     save_pgm,
+    uniform_pattern,
     validate_image,
 )
 from nccalign import alignment, images
@@ -329,7 +335,7 @@ class TestBandedInterpolation:
         values = _grid_values(rng, ny, nx, kind)
         qx = np.arange(width, dtype=np.float64)
         qy = np.arange(height, dtype=np.float64)
-        assert_sample_bits(alignment.bilinear_grid_sample(cx, cy, values, qx, qy),
+        assert_sample_bits(alignment.bilinear_grid_sample(cx, cy, [values], qx, qy)[0].expand(),
                            separable_sample(cx, cy, values, qx, qy))
 
     def test_full_size_field_equals_separable_sample(self):
@@ -360,7 +366,9 @@ class TestSeparableInterpolation:
     @given(case=grid_cases())
     @settings(max_examples=200, deadline=None)
     def test_bit_equal_to_separable_sample(self, case):
-        assert_sample_bits(alignment.bilinear_grid_sample(*case), separable_sample(*case))
+        cx, cy, values, qx, qy = case
+        assert_sample_bits(alignment.bilinear_grid_sample(cx, cy, [values], qx, qy)[0].expand(),
+                           separable_sample(*case))
 
     @given(seed=st.integers(0, 10_000), block=st.sampled_from((16, 32, 64, 128)))
     @settings(max_examples=30, deadline=None)
@@ -374,8 +382,132 @@ class TestSeparableInterpolation:
         values = rng.integers(-16, 17, (rows, cols)).astype(np.float64)
         qx = np.arange(cols * block + 14, dtype=np.float64)
         qy = np.arange(rows * block + 10, dtype=np.float64)
-        assert_sample_bits(alignment.bilinear_grid_sample(cx, cy, values, qx, qy),
+        assert_sample_bits(alignment.bilinear_grid_sample(cx, cy, [values], qx, qy)[0].expand(),
                            separable_sample(cx, cy, values, qx, qy))
+
+
+# -- the dense field as its distinct rows ---------------------------------
+
+def _pair(width, height, regions):
+    spec = SyntheticSpec(width=width, height=height, regions=regions, texture_seed=7, noise_floor=0.01)
+    return make_synthetic_stereo(spec)[:2]
+
+
+NOISY = NoiseModel(multiplier_fraction=0.1, integrator_fraction=0.2, seed=3)
+
+# The bit ledger's four frames: name -> (width, height, pattern, method,
+# noise, block, crop, radius).
+LEDGER_FRAMES = {
+    "paper-diag-fast": (1920, 1080, "quadrant", "diag-fast", None, 128, 0.10, 16),
+    "stream-512": (512, 512, "quadrant", "stream", NOISY, 64, 0.0, 8),
+    "stream-512-crop": (512, 512, "quadrant", "stream", NOISY, 64, 0.10, 8),
+    "uniform-640": (640, 480, "uniform", "diag-fast", None, 128, 0.10, 16),
+}
+QUADRANT_SHIFTS = [(3, 5), (-4, 2), (6, -7), (-2, -6)]
+FIELD_CASES = (*LEDGER_FRAMES, "real blocks", "integral blocks", "per-pixel")
+
+
+@pytest.fixture(scope="module")
+def built_fields():
+    """name -> (template, the field interpolate_disparity builds) for each
+    of FIELD_CASES, made on first use."""
+    cache = {}
+
+    def build(name):
+        if name in cache:
+            return cache[name]
+        rng = np.random.default_rng(FIELD_CASES.index(name))
+        if name in LEDGER_FRAMES:
+            width, height, pattern, method, noise, block, crop, radius = LEDGER_FRAMES[name]
+            regions = (quadrant_pattern(width, height, QUADRANT_SHIFTS) if pattern == "quadrant"
+                       else uniform_pattern(width, height, 3, 5))
+            template, reference = _pair(width, height, regions)
+            grid = alignment.partition_template(template, block, crop)
+            field = alignment.fill_invalid(alignment.estimate_disparity(
+                template, reference, grid, method, ShiftRange.symmetric(radius), noise=noise))
+        else:
+            height, width = (180, 260) if name == "per-pixel" else (1080, 1920)
+            template = rng.random((height, width))
+            if name == "per-pixel":  # a block per pixel, its centre on the pixel
+                grid = alignment.BlockGrid(block_size=1, margin_x=0, margin_y=0, rows=height, cols=width)
+            else:
+                grid = alignment.partition_template(template, 128, 0.10)
+            shape = (grid.rows, grid.cols)
+            if name == "integral blocks":  # 91 distinct integers per component
+                du, dv = (rng.permutation(np.arange(-45.0, 46.0)).reshape(shape) for _ in range(2))
+            else:
+                du, dv = rng.uniform(-16.0, 16.0, (2, *shape))
+            field = DisparityField(du, dv, np.ones(shape), np.zeros(shape, dtype=np.uint8))
+        cache[name] = template, alignment.interpolate_disparity(field, grid, template.shape[::-1])
+        return cache[name]
+
+    return build
+
+
+class TestDistinctRowsField:
+    """A field ``interpolate_disparity`` builds, kept as its distinct rows,
+    against the same field given as caller arrays, which ``warp`` and
+    ``save_pgm`` search themselves."""
+
+    @pytest.mark.parametrize("name", FIELD_CASES)
+    def test_warp_equals_caller_arrays(self, built_fields, name):
+        template, built = built_fields(name)
+        arrays = DenseDisparity(du=built.du.copy(), dv=built.dv.copy())
+        got, got_mask = warp(template, built)
+        want, want_mask = warp(template, arrays)
+        np.testing.assert_array_equal(got_mask, want_mask)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("normalize", (True, False))
+    @pytest.mark.parametrize("name", FIELD_CASES)
+    def test_saved_maps_equal_caller_arrays(self, tmp_path, built_fields, name, normalize):
+        _, built = built_fields(name)
+        for rows, array in zip(built.maps(), (built.du.copy(), built.dv.copy())):
+            save_pgm(rows, tmp_path / "rows.pgm", _normalize=normalize)
+            save_pgm(array, tmp_path / "array.pgm", _normalize=normalize)
+            assert (tmp_path / "rows.pgm").read_bytes() == (tmp_path / "array.pgm").read_bytes()
+
+    @pytest.mark.parametrize("name", LEDGER_FRAMES)
+    def test_runs_equal_those_of_the_built_arrays(self, built_fields, name):
+        _, built = built_fields(name)
+        du, dv = built.maps()
+        assert du.runs == dv.runs == images.distinct_row_runs(built.du, built.dv)
+        assert len(du.rows) == sum(b - a for a, b, _ in du.runs) < built.shape[0]
+
+    @pytest.mark.parametrize("name", FIELD_CASES)
+    def test_components_are_read_only(self, built_fields, name):
+        _, built = built_fields(name)
+        for component in (built.du, built.dv):
+            assert component.shape == built.shape and component.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                component[0, 0] = 1.0
+        assert built.du is built.du
+
+    def test_caller_arrays_edited_after_a_warp_are_searched_again(self):
+        # Every row of the field repeats the first; then one row differs.
+        template = random_image(31, 40, 30)
+        du, dv = np.full((2, 40, 30), 2.0)
+        dense = DenseDisparity(du=du, dv=dv)
+        warp(template, dense)
+        du[17] = 0.5
+        got, got_mask = warp(template, dense)
+        assert_warp_bits(got, got_mask, template, du, dv)
+        assert dense.maps()[0].runs == [(0, 1, 17), (17, 19, 40)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_component_repeats_where_the_other_does_not(self, seed):
+        # du is constant down the block rows, dv differs between them, and
+        # the other way round: each is its own separable sample.
+        rng = np.random.default_rng(seed)
+        cx, cy = np.arange(6) * 16.0 + 7.5, np.arange(5) * 16.0 + 7.5
+        across = np.tile(rng.uniform(-4, 4, 6), (5, 1))
+        down = np.tile(rng.uniform(-4, 4, (5, 1)), (1, 6))
+        qx, qy = np.arange(100, dtype=np.float64), np.arange(90, dtype=np.float64)
+        for values in ((across, down), (down, across)):
+            maps = alignment.bilinear_grid_sample(cx, cy, values, qx, qy)
+            for rows, grid in zip(maps, values):
+                assert rows.runs == maps[0].runs
+                assert_sample_bits(rows.expand(), separable_sample(cx, cy, grid, qx, qy))
 
 
 # -- tuple correlation -----------------------------------------------------
