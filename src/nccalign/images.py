@@ -58,10 +58,10 @@ def distinct_row_runs(*arrays: np.ndarray) -> list[tuple[int, int, int]]:
     differ; a NaN repeats only its own bits). Each stop is the next run's
     start, the last one the height.
 
-    Only arrays a caller hands in are searched here: :func:`save_pgm`'s
-    image, and the dense fields of :class:`alignment.DenseDisparity` given
-    as arrays. Interpolation searches its small y-blended grids and keeps
-    the field as :class:`DistinctRows`, which nothing searches again.
+    Interpolation calls it on its small y-blended grids and keeps the
+    dense field as :class:`DistinctRows`, which no stage searches again.
+    Only arrays still come here whole: :func:`save_pgm`'s image and an
+    :class:`alignment.DenseDisparity` made from caller arrays.
 
     Candidates are the rows that repeat the row above in three sampled
     columns of each array; each run of them is then compared whole with the

@@ -9,7 +9,9 @@ keep in bounds. At the paper size each fast method's blocks equal its
 oracle's, and noiseless ``stream`` picks ``diag``'s shifts. In the rows of
 the dense field that repeat the row above, the warp copies the runs of
 columns of one integral shift and blends only the rest, and ``save_pgm``
-quantises only the rows of a map that differ from the row above.
+quantises only the rows of a map that differ from the row above. Those rows
+are found once, on the small y-blended grids of the interpolation, which
+keeps the field as them: no full-size dense component is searched or built.
 """
 
 import math

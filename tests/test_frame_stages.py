@@ -8,7 +8,9 @@ sums chunks of rows in two passes, with no masked copy, and centres the
 reference side once for a tuple of images; the diagonal tables hold the
 one orientation a run reads; PGM files are checked, quantised and read a
 chunk at a time, and a row that repeats the row above is written as a
-copy of its bytes. Each stage has one test-local reference: the
+copy of its bytes. The dense field is kept as its distinct rows, which
+the warp and the saved maps read as they would the caller arrays those
+rows make up. Each stage has one test-local reference: the
 ``np.indices`` warp and a whole-array separable interpolation with its
 own axis lookup (both compared bit for bit), the whole-array
 quantisation and normalisation, the masked-copy correlation and one
