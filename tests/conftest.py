@@ -9,9 +9,9 @@ import pytest
 from nccalign import (
     ShiftRange,
     SyntheticSpec,
+    images,
     make_synthetic_stereo,
     partition_template,
-    images,
     quadrant_pattern,
     streaming,
 )
